@@ -76,9 +76,13 @@ cluster-smoke:
 crash-smoke:
 	$(GO) run -race ./cmd/bayesd -crash-smoke
 
-# Runner hot-path benchmarks with allocation accounting.
+# Runner hot-path benchmarks with allocation accounting, at one and two
+# procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a
+# large GLM; …Registry: NUTS on registry jobs as bayesd runs them) one
+# proc is the sharing regime the coalescer must keep, two the lanes
+# regime it must win.
 bench-runner:
-	$(GO) test -run xxx -bench 'BenchmarkRunner' -benchmem ./internal/mcmc/
+	$(GO) test -run xxx -bench 'BenchmarkRunner' -benchmem -cpu 1,2 ./internal/mcmc/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

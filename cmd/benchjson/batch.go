@@ -167,13 +167,11 @@ func lockstepBench(m *normalGLM, chains, iters int) lockstepEntry {
 			MinIterations: iters, Parallel: true,
 		}
 		factory := mcmc.TargetFactory(func() mcmc.Target { return model.NewEvaluator(m) })
-		var be *model.BatchEvaluator
 		if batched {
-			b, ok := model.NewBatchEvaluator(m, chains)
+			be, ok := model.NewBatchEvaluator(m, chains)
 			if !ok {
 				panic("benchjson: normalGLM not batchable")
 			}
-			be = b
 			cfg.BatchGrad = be.LogDensityGradBatch
 			next := 0
 			factory = func() mcmc.Target {
@@ -183,13 +181,14 @@ func lockstepBench(m *normalGLM, chains, iters int) lockstepEntry {
 			}
 		}
 		start := time.Now()
-		mcmc.Run(cfg, factory)
+		res := mcmc.Run(cfg, factory)
 		el := time.Since(start)
-		if be == nil {
+		if res.GradBatch == nil {
 			return el, 0, 0
 		}
-		sw, ev := be.Occupancy()
-		return el, sw, ev
+		// The coalescer's report, not the evaluator's counters: a request
+		// that ends up alone in its batch never reaches the evaluator.
+		return el, res.GradBatch.Sweeps, res.GradBatch.RealRows
 	}
 
 	bt, sweeps, evals := run(true)

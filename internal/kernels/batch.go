@@ -25,26 +25,30 @@ type BatchResult struct {
 // stream the modeled data through cache once instead of K times. A nil
 // params[k] skips slot k (out[k] is untouched) — that is how the
 // gradient coalescer shrinks a batch when chains are quarantined or
-// elided. Results are bit-identical to K independent LogLik evaluations
-// at any Parallelism setting: each parameter vector's accumulation walks
-// observations in the same order with the same per-observation operation
-// sequence as the single-parameter sweep, so batch membership never
-// perturbs a result.
+// elided. Results are bit-identical to K independent LogLik evaluations:
+// each parameter vector's accumulation walks observations in the same
+// order with the same per-observation operation sequence as the
+// single-parameter sweep, so batch membership never perturbs a result.
 //
 // BatchEval reuses kernel-owned grow-only scratch and is NOT safe for
-// concurrent calls on the same kernel; the coalescer serialises calls by
-// construction.
+// concurrent calls on the same value. Concurrent batches each evaluate
+// on their own Fork.
 type Batcher interface {
 	// InputDim reports the length every non-nil params[k] must have: the
 	// kernel's inputs flattened in canonical order (beta, then group
 	// effects, then sigma where applicable).
 	InputDim() int
 	BatchEval(params [][]float64, out []BatchResult)
+	// Fork returns a Batcher over the same immutable data block with
+	// scratch of its own, so the fork and its origin may BatchEval
+	// concurrently (writing disjoint out entries). Both compute the same
+	// bits for the same parameter vector.
+	Fork() Batcher
 }
 
 // glmBatch holds a GLM kernel's grow-only batch scratch plus the
-// pending-sweep fields read by the cached shard method value, so the
-// steady-state sweep — sequential or parallel — allocates nothing.
+// pending-sweep fields the shard sweeps read, so the steady-state sweep
+// allocates nothing.
 type glmBatch struct {
 	act    []int     // active (non-nil) slots, in submission order
 	sigInv []float64 // per active chain, 1/sigma (normal-id only)
@@ -57,7 +61,6 @@ type glmBatch struct {
 	params [][]float64
 	width  int
 	ns     int
-	sweep  func(s int)
 }
 
 // InputDim implements Batcher: beta then group effects.
@@ -66,6 +69,11 @@ func (k *BernoulliLogitGLM) InputDim() int { return k.p + k.nGroups }
 // BatchEval implements Batcher. params[k] = [beta..., u...].
 func (k *BernoulliLogitGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famBernoulliLogit, k.yf, 0, params, out)
+}
+
+// Fork implements Batcher.
+func (k *BernoulliLogitGLM) Fork() Batcher {
+	return &BernoulliLogitGLM{glmData: k.fork(), y: k.y, yf: k.yf}
 }
 
 // LogLikPre splices a precomputed batched result for this kernel into the
@@ -83,6 +91,11 @@ func (k *PoissonLogGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famPoissonLog, k.yf, -k.lgammaConst, params, out)
 }
 
+// Fork implements Batcher.
+func (k *PoissonLogGLM) Fork() Batcher {
+	return &PoissonLogGLM{glmData: k.fork(), yf: k.yf, lgammaConst: k.lgammaConst}
+}
+
 // LogLikPre splices a precomputed batched result into the tape; see
 // BernoulliLogitGLM.LogLikPre.
 func (k *PoissonLogGLM) LogLikPre(t *ad.Tape, beta, u []ad.Var, pre *BatchResult) ad.Var {
@@ -95,6 +108,11 @@ func (k *NormalIDGLM) InputDim() int { return k.p + k.nGroups + 1 }
 // BatchEval implements Batcher. params[k] = [beta..., u..., sigma].
 func (k *NormalIDGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famNormalID, k.y, 0, params, out)
+}
+
+// Fork implements Batcher.
+func (k *NormalIDGLM) Fork() Batcher {
+	return &NormalIDGLM{glmData: k.fork(), y: k.y}
 }
 
 // LogLikPre splices a precomputed batched result into the tape; see
@@ -174,20 +192,13 @@ func (d *glmData) batchEval(fam glmFamily, yf []float64, valConst float64, param
 		}
 	}
 	b.fam, b.yf, b.params, b.width, b.ns = fam, yf, params, width, ns
-	if Parallelism() <= 1 || ns == 1 {
-		for s := 0; s < ns; s++ {
-			d.batchShard(s)
-		}
-	} else {
-		if b.sweep == nil {
-			b.sweep = d.batchShard // one-time method-value allocation
-		}
-		runShards(ns, b.sweep)
+	for s := 0; s < ns; s++ {
+		d.batchShard(s)
 	}
 
 	// Per-chain sequential in-order reduction — the same shard order and
-	// add sequence as evalGLM, so every worker count and every batch
-	// composition yields the identical bits.
+	// add sequence as evalGLM, so every batch composition yields the
+	// identical bits.
 	if cap(b.red) < 2+p+g {
 		b.red = make([]float64, 2+p+g)
 	}
@@ -224,8 +235,7 @@ func (d *glmData) batchEval(fam glmFamily, yf []float64, valConst float64, param
 //
 //	acc[(s*nAct+a)*width : +width] = [val, dBeta[p], dU[nGroups], dSigma]
 //
-// rows are padWidth-padded and the block alignRows-aligned, so
-// concurrent shard workers touch disjoint cache lines (invariant at
+// rows are padWidth-padded and the block alignRows-aligned (invariant at
 // padWidth). Within the shard, chains are swept observation-outer /
 // chain-inner: each observation's predictors are loaded once and feed
 // every chain's independent accumulators, which is where the batched
@@ -454,6 +464,9 @@ type NormalDeviationsKernel struct{ Len int }
 // InputDim implements Batcher.
 func (k NormalDeviationsKernel) InputDim() int { return k.Len + 2 }
 
+// Fork implements Batcher: the kernel holds no scratch.
+func (k NormalDeviationsKernel) Fork() Batcher { return k }
+
 // BatchEval implements Batcher, mirroring NormalDeviations exactly.
 func (k NormalDeviationsKernel) BatchEval(params [][]float64, out []BatchResult) {
 	if len(out) < len(params) {
@@ -512,6 +525,9 @@ func NormalDeviationsPre(t *ad.Tape, u []ad.Var, mu, sigma ad.Var, pre *BatchRes
 
 // InputDim implements Batcher: params[k] = [mu, sigma].
 func (st NormalSuffStats) InputDim() int { return 2 }
+
+// Fork implements Batcher: the kernel holds no scratch.
+func (st NormalSuffStats) Fork() Batcher { return st }
 
 // BatchEval implements Batcher, mirroring LogLik exactly — including
 // which non-finite condition it reports first.

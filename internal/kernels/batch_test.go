@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -113,21 +115,62 @@ func glmBatchCases(t *testing.T, run func(name string, bk Batcher, base []float6
 	})
 }
 
+// TestBatchEvalBitIdenticalGLM: a fused sweep reproduces every chain's
+// single evaluation bit for bit, for every family and batch size — and so
+// do two lanes, the kernel and its Fork, sweeping disjoint rows into one
+// result slice at the same time, which is how the coalescer's concurrent
+// batches use them. GOMAXPROCS is the only parallelism input left.
 func TestBatchEvalBitIdenticalGLM(t *testing.T) {
-	defer SetParallelism(1)
-	for _, workers := range []int{1, 2, 8} {
-		SetParallelism(workers)
-		glmBatchCases(t, func(name string, bk Batcher, base []float64, rec func(tp *ad.Tape, in []ad.Var) ad.Var) {
-			for _, k := range []int{1, 3, 5} {
-				checkBatchMatchesSingle(t, name, bk, batchPoints(base, k), rec)
-			}
-		})
-	}
+	glmBatchCases(t, func(name string, bk Batcher, base []float64, rec func(tp *ad.Tape, in []ad.Var) ad.Var) {
+		for _, k := range []int{1, 3, 5} {
+			checkBatchMatchesSingle(t, name, bk, batchPoints(base, k), rec)
+		}
+
+		const rows = 6
+		pts := batchPoints(base, rows)
+		ref := make([]BatchResult, rows)
+		bk.BatchEval(pts, ref)
+		lanes := []Batcher{bk, bk.Fork()}
+		for _, procs := range []int{1, 2, 8} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				for rep := 0; rep < 10; rep++ {
+					out := make([]BatchResult, rows)
+					var wg sync.WaitGroup
+					for l, kn := range lanes {
+						mine := make([][]float64, rows)
+						for c := l; c < rows; c += len(lanes) {
+							mine[c] = pts[c]
+						}
+						wg.Add(1)
+						go func(kn Batcher) {
+							defer wg.Done()
+							kn.BatchEval(mine, out)
+						}(kn)
+					}
+					wg.Wait()
+					for c := range out {
+						if out[c].Err != nil || ref[c].Err != nil {
+							t.Fatalf("%s GOMAXPROCS %d chain %d: unexpected error %v / %v", name, procs, c, out[c].Err, ref[c].Err)
+						}
+						if !sameBits(out[c].Val, ref[c].Val) {
+							t.Fatalf("%s GOMAXPROCS %d chain %d: two-lane val %v, one-lane %v", name, procs, c, out[c].Val, ref[c].Val)
+						}
+						for j := range ref[c].Partials {
+							if !sameBits(out[c].Partials[j], ref[c].Partials[j]) {
+								t.Fatalf("%s GOMAXPROCS %d chain %d partial %d differs between lanes", name, procs, c, j)
+							}
+						}
+					}
+				}
+			}()
+		}
+	})
 }
 
 // TestBatchEvalNilMask proves batch-composition independence: masking
 // chains out of the batch leaves the survivors' bits untouched, which is
-// what makes coalescer timeouts and quarantine draw-preserving.
+// what makes the coalescer's partial batches and quarantine draw-preserving.
 func TestBatchEvalNilMask(t *testing.T) {
 	glmBatchCases(t, func(name string, bk Batcher, base []float64, rec func(tp *ad.Tape, in []ad.Var) ad.Var) {
 		full := batchPoints(base, 6)
@@ -261,15 +304,17 @@ func TestBatchLogLikPre(t *testing.T) {
 	}()
 }
 
-// TestBatchEvalZeroAllocSteadyState: after warmup, the sequential fused
-// sweep allocates nothing per call for any kernel.
+// TestBatchEvalZeroAllocSteadyState: after warmup, the fused sweep
+// allocates nothing per call for any kernel, on the kernel or on a fork.
 func TestBatchEvalZeroAllocSteadyState(t *testing.T) {
 	glmBatchCases(t, func(name string, bk Batcher, base []float64, rec func(tp *ad.Tape, in []ad.Var) ad.Var) {
 		params := batchPoints(base, 4)
 		out := make([]BatchResult, 4)
-		bk.BatchEval(params, out) // warm scratch + result buffers
-		if n := testing.AllocsPerRun(20, func() { bk.BatchEval(params, out) }); n != 0 {
-			t.Fatalf("%s: BatchEval allocates %v per run", name, n)
+		for _, kn := range []Batcher{bk, bk.Fork()} {
+			kn.BatchEval(params, out) // warm scratch + result buffers
+			if n := testing.AllocsPerRun(20, func() { kn.BatchEval(params, out) }); n != 0 {
+				t.Fatalf("%s: BatchEval allocates %v per run", name, n)
+			}
 		}
 	})
 }

@@ -14,11 +14,14 @@
 // *_glm_lpdf substitution: the math is identical, only the recording
 // granularity changes.
 //
-// Large-N kernels shard the observation range across a bounded set of
-// workers (SetParallelism). Shard boundaries depend only on N — never on
-// the parallelism setting — and shard partials are reduced sequentially in
-// shard order, so seeded runs are bit-identical at any parallelism level.
-// The default SetParallelism(1) path spawns no goroutines and performs no
-// heap allocation: every per-evaluation buffer comes from the tape's
-// scratch arenas.
+// Large-N kernels accumulate over fixed shards of the observation range.
+// Shard boundaries depend only on N and shard partials are reduced
+// sequentially in shard order, so a result's bits depend on the parameter
+// vector alone — seeded runs are bit-identical at any GOMAXPROCS and for
+// any batch composition. An evaluation runs on its caller's goroutine,
+// spawns nothing and allocates nothing: single evaluations take their
+// buffers from the tape's scratch arenas, batched ones from grow-only
+// kernel scratch. Cores are used by running different chains' evaluations
+// side by side — single evaluations on different tapes, batched ones on
+// forks of the kernel (Batcher.Fork) that share the data block.
 package kernels

@@ -54,6 +54,12 @@ func newGLMData(n, p int, x, offset []float64, group []int, nGroups int) glmData
 	return glmData{n: n, p: p, x: x, offset: offset, group: group, nGroups: nGroups}
 }
 
+// fork returns the same data block with empty batch scratch. It reads
+// only the immutable fields, so it is safe while d is mid-sweep.
+func (d *glmData) fork() glmData {
+	return glmData{n: d.n, p: d.p, x: d.x, offset: d.offset, group: d.group, nGroups: d.nGroups}
+}
+
 func (d *glmData) check(nBeta, nU int) {
 	if nBeta != d.p {
 		panic("kernels: beta length != p")
@@ -175,7 +181,8 @@ func (k *NormalIDGLM) LogLik(t *ad.Tape, beta, u []ad.Var, sigma ad.Var) ad.Var 
 //
 // then reduces slots sequentially in shard order and records one
 // Tape.Custom node. All buffers come from the tape scratch arenas, so the
-// steady-state sequential path allocates nothing.
+// steady-state path allocates nothing, and evaluations on different tapes
+// may run concurrently over the same kernel.
 func evalGLM(t *ad.Tape, fam glmFamily, d *glmData, yf []float64, valConst float64, beta, u []ad.Var, sigma ad.Var) ad.Var {
 	d.check(len(beta), len(u))
 	n, p, g := d.n, d.p, d.nGroups
@@ -202,21 +209,12 @@ func evalGLM(t *ad.Tape, fam glmFamily, d *glmData, yf []float64, valConst float
 		sigInv = 1 / sigV
 	}
 
-	// The sequential path calls the shard sweep directly — no closure, no
-	// allocation. The parallel path pays one closure per evaluation.
-	if Parallelism() <= 1 || ns == 1 {
-		for s := 0; s < ns; s++ {
-			lo, hi := shardRange(n, ns, s)
-			glmShard(fam, d, yf, betaVals, uVals, sigInv, acc[s*width:s*width+width], lo, hi)
-		}
-	} else {
-		runShards(ns, func(s int) {
-			lo, hi := shardRange(n, ns, s)
-			glmShard(fam, d, yf, betaVals, uVals, sigInv, acc[s*width:s*width+width], lo, hi)
-		})
+	for s := 0; s < ns; s++ {
+		lo, hi := shardRange(n, ns, s)
+		glmShard(fam, d, yf, betaVals, uVals, sigInv, acc[s*width:s*width+width], lo, hi)
 	}
 
-	// Sequential in-order reduction: identical for every worker count.
+	// Sequential in-order reduction over the fixed shard geometry.
 	for m := range res {
 		res[m] = 0
 	}

@@ -2,6 +2,8 @@ package kernels
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -260,11 +262,11 @@ func TestNormalSuffStatsMatchesSum(t *testing.T) {
 	}
 }
 
-// TestParallelismDeterminism is the acceptance check that shard geometry
-// depends only on N: results at any worker count are bitwise identical to
-// the sequential ones.
+// TestParallelismDeterminism is the acceptance check that a result's bits
+// depend on the parameter vector alone: at any GOMAXPROCS, with any number
+// of evaluations sweeping the same kernel side by side on tapes of their
+// own, every one is bitwise identical to the lone evaluation.
 func TestParallelismDeterminism(t *testing.T) {
-	defer SetParallelism(1)
 	f := newFixture(5000, 5, 9, 41)
 	k := NewNormalIDGLM(f.yReal, f.x, f.p, f.offset, f.group, f.g)
 	dim := f.p + f.g + 1
@@ -273,24 +275,37 @@ func TestParallelismDeterminism(t *testing.T) {
 		return k.LogLik(tp, in[:f.p], in[f.p:f.p+f.g], in[f.p+f.g])
 	}
 
-	SetParallelism(1)
 	v1, g1 := evalKernel(dim, q, rec)
-	for _, w := range []int{2, 3, 8} {
-		SetParallelism(w)
-		vw, gw := evalKernel(dim, q, rec)
-		if vw != v1 {
-			t.Errorf("parallelism %d: logp %.17g != sequential %.17g", w, vw, v1)
-		}
-		for i := range gw {
-			if gw[i] != g1[i] {
-				t.Errorf("parallelism %d: grad[%d] %.17g != %.17g", w, i, gw[i], g1[i])
+	for _, procs := range []int{1, 2, 3, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const evals = 4
+			vs := make([]float64, evals)
+			gs := make([][]float64, evals)
+			var wg sync.WaitGroup
+			for e := 0; e < evals; e++ {
+				wg.Add(1)
+				go func(e int) {
+					defer wg.Done()
+					vs[e], gs[e] = evalKernel(dim, q, rec)
+				}(e)
 			}
-		}
+			wg.Wait()
+			for e := 0; e < evals; e++ {
+				if vs[e] != v1 {
+					t.Errorf("GOMAXPROCS %d eval %d: logp %.17g != lone %.17g", procs, e, vs[e], v1)
+				}
+				for i := range gs[e] {
+					if gs[e][i] != g1[i] {
+						t.Errorf("GOMAXPROCS %d eval %d: grad[%d] %.17g != %.17g", procs, e, i, gs[e][i], g1[i])
+					}
+				}
+			}
+		}()
 	}
 }
 
-// TestShardGeometry checks the shard ranges partition [0, n) exactly and
-// never depend on the parallelism setting.
+// TestShardGeometry checks the shard ranges partition [0, n) exactly.
 func TestShardGeometry(t *testing.T) {
 	for _, n := range []int{1, 2, shardTarget - 1, shardTarget, shardTarget + 1, 5000, 200000} {
 		ns := shardCount(n)

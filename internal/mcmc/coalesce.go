@@ -4,21 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// defaultCoalesceWait bounds how long a submitted gradient request waits
-// for more chains to join before the waiter fires a partial batch.
-// Because batched results are bit-identical regardless of batch
-// composition (the kernel contract), the timeout affects throughput
-// only — never draws — so it can be aggressive: long enough for
-// leapfrog-aligned HMC chains and same-depth NUTS subtrees to meet,
-// short enough that a straggling deep NUTS trajectory never stalls the
-// others noticeably. Measurement note (BENCH_10): the timer is a safety
-// net, not the pacing mechanism — in steady state the rendezvous closes
-// through full sets and leave() flushes, so per-sweep timer churn is the
-// only cost and it is off the critical path at every chain count.
-const defaultCoalesceWait = 200 * time.Microsecond
 
 // specRingCap bounds each chain's prefetch ring: how far a speculative
 // shadow may run ahead of its committed chain, in gradient rows. The cap
@@ -79,26 +65,65 @@ func (r *specRing) flush() {
 	r.n = 0
 }
 
-// gradCoalescer is the per-round rendezvous of the batched lockstep
-// path. Chain workers submit gradient requests instead of evaluating
-// their targets directly; the last expected submitter (or a timed-out
-// waiter, or the final leaver completing the set) executes one fused
-// evaluation for every pending request.
+// fires is the coalescer's one scheduling rule. inRound chains may still
+// request gradients this round; of those, waiting have a request pending
+// and inflight have one inside a running batch, so the rest are computing
+// — on a core, or about to be — between two requests. running batches
+// occupy a core each. Pending requests go out as a batch exactly when a
+// lane is free and the chains still computing plus the batches already
+// running leave a core with nothing to do: a request waits for companions
+// only while every core has other work.
+func fires(lanes, inRound, waiting, inflight, running int) bool {
+	computing := inRound - waiting - inflight
+	return waiting > 0 && running < lanes && computing+running < lanes
+}
+
+// gradBatch is the snapshot one running batch evaluates: the rows handed
+// to the fused evaluation and who they belong to. Snapshots are pooled on
+// the coalescer, one per lane.
+type gradBatch struct {
+	qs, grads  [][]float64 // nil = chain not in this batch
+	member     []bool      // real rows: demanded by a chain parked in submit
+	specMember []bool      // speculative riders
+	nReal      int
+	nSpec      int
+	solo       int // the one real member of a batch with no riders, else -1
+}
+
+// gradCoalescer is the rendezvous of the batched lockstep path. Chain
+// workers submit gradient requests instead of evaluating their targets
+// directly, and pending requests leave as fused batches under the fires
+// rule, up to lanes = min(GOMAXPROCS, chains) batches at a time, each on
+// the goroutine of the chain whose submit or leave made the rule true.
+// Batches in flight at once carry disjoint chains: a chain has one request
+// at a time and a batch takes every pending one.
 //
-// Liveness invariants:
+// On one core the rule reads "everyone still in the round is waiting":
+// full sets, one data pass serving all chains — the sharing regime. With
+// cores to spare it trades set size for occupancy: with as many cores as
+// chains every request runs alone at once, served by the chain's own
+// target exactly as on the unbatched path.
+//
+// Liveness, with no timer anywhere:
 //   - arm() is called by the coordinator between rounds with the round's
-//     active set, so inRound always bounds the number of possible
-//     submitters. Chains that finish their step (or fault) call leave(),
-//     shrinking the expectation — a chain that needs no more gradients
-//     this round can never be waited on.
-//   - A full set (waiting == inRound) fires immediately; otherwise each
-//     waiter re-fires on a bounded timer. Either way no request waits
-//     more than ~wait behind a straggler, and a request can never be
-//     stranded: the last leaver flushes any pending partial batch.
-//   - A panic escaping the fused evaluation wakes every member with NaN
-//     (quarantining them via the runner's non-finite check) before
-//     re-raising on the submitter that ran the batch, so waiters are
-//     never stranded by a fault either.
+//     active set, so inRound bounds the possible submitters. Chains that
+//     finish their step (or fault) call leave().
+//   - The rule is evaluated after every submit and every leave. Those are
+//     the only events that can make it true: a batch that ends frees its
+//     lane but returns at least one chain to computing, so it never lowers
+//     computing+running.
+//   - So a request left pending saw lanes or more chains computing or
+//     batches running. A running batch ends and its members compute again;
+//     a computing chain ends in a submit or a leave, which re-evaluates
+//     the rule with one fewer computing. By induction the last of them
+//     finds the rule true: a lone straggler fires for itself, the last
+//     leaver flushes whoever is parked. A chain stalled off-CPU (a slow
+//     iteration) counts as computing; the others wait for it only when
+//     there is no second lane, and then no longer than its stall.
+//   - A panic escaping a batch wakes that batch's real members with NaN
+//     (quarantining them via the runner's non-finite check) and re-raises
+//     on the chain that ran it if it was one of them; other lanes never
+//     notice.
 //
 // Speculative prefetch (Config.Speculate): chains that left the round
 // leave batch slots empty, and each carries a shadow predictor (an exact
@@ -108,42 +133,45 @@ func (r *specRing) flush() {
 // keyed by (position bits, step size). A chain's next LogDensityGrad
 // first probes its ring head: a bit-exact key match returns the cached
 // value+gradient without a sweep; a mismatch flushes the ring silently
-// and the request proceeds through the rendezvous. Speculative rows
-// never trigger, delay, or expand a sweep's data pass — they only ride
-// sweeps that real requests already pay for — and the kernel batch
-// contract (results independent of batch composition) makes a hit
-// bit-identical to the evaluation it replaces, so draws are unchanged at
-// any parallelism, under faults, and across checkpoint/resume.
+// and the request proceeds through the rendezvous. Speculative rows never
+// trigger or delay a batch — they only ride batches that real requests
+// already pay for — and the kernel batch contract (results independent of
+// batch composition) makes a hit bit-identical to the evaluation it
+// replaces, so draws are unchanged at any GOMAXPROCS, under faults, and
+// across checkpoint/resume. A shadow and its ring tail belong to the one
+// batch that filled them (specBusy) until that batch settles; the chain
+// itself cannot touch either meanwhile, because it speculates only after
+// leaving the round and probes only after the next arm, and a round ends
+// only when every batch in it has.
 type gradCoalescer struct {
-	eval func(qs, grads [][]float64, lps []float64)
-	wait time.Duration
+	eval  func(qs, grads [][]float64, lps []float64)
+	inner []Target // per-chain targets serving solo batches; nil = always eval
+	lanes int
 
 	// armed gates the wrapped targets: before the first lockstep round
 	// (chain Init, step-size search, warmup of a resumed run's restore)
 	// gradient calls pass straight through to the per-chain target.
 	armed atomic.Bool
 
-	mu      sync.Mutex
-	inRound int  // active chains that may still submit this round
-	waiting int  // submitted, not-yet-consumed requests
-	running bool // a fused evaluation is in flight
-	qs      [][]float64
-	grads   [][]float64
-	bqs     [][]float64 // snapshot consumed by the in-flight evaluation
-	bgrads  [][]float64
-	member  []bool
-	lps     []float64 // per-chain results; stable until that chain's next submit
-	wake    []chan struct{}
-	timers  []*time.Timer
+	mu       sync.Mutex
+	inRound  int // active chains that may still submit this round
+	waiting  int // submitted requests no batch has taken yet
+	inflight int // real rows inside running batches
+	running  int // batches being evaluated
+	qs       [][]float64
+	grads    [][]float64
+	lps      []float64 // per-chain results; stable until that chain's next submit
+	wake     []chan struct{}
+	free     []*gradBatch
 
 	// Speculation state (all guarded by mu).
-	specOn     bool
-	dim        int
-	steppers   []stepper
-	eligible   []bool // chain left this round with a live shadow
-	specMember []bool // in-flight batch's speculative rows
-	rings      []specRing
-	noteSpec   func(int64) // optional kernel-layer accounting split
+	specOn   bool
+	dim      int
+	steppers []stepper
+	eligible []bool // chain left this round with a live shadow
+	specBusy []bool // chain's shadow and ring tail are claimed by a running batch
+	rings    []specRing
+	noteSpec func(int64) // optional kernel-layer accounting split
 
 	// Test-only (Config.specForceMissEvery): corrupt every Nth committed
 	// entry's eps key so the owner's probe must miss.
@@ -159,26 +187,29 @@ type gradCoalescer struct {
 	specDiscard int64
 }
 
-func newGradCoalescer(n int, eval func(qs, grads [][]float64, lps []float64), wait time.Duration) *gradCoalescer {
+// newGradCoalescer builds the rendezvous for n chains and up to lanes
+// concurrent batches. inner, when non-nil, holds the chains' own targets.
+func newGradCoalescer(n, lanes int, eval func(qs, grads [][]float64, lps []float64), inner []Target) *gradCoalescer {
 	co := &gradCoalescer{
-		eval:   eval,
-		wait:   wait,
-		qs:     make([][]float64, n),
-		grads:  make([][]float64, n),
-		bqs:    make([][]float64, n),
-		bgrads: make([][]float64, n),
-		member: make([]bool, n),
-		lps:    make([]float64, n),
-		wake:   make([]chan struct{}, n),
-		timers: make([]*time.Timer, n),
+		eval:  eval,
+		inner: inner,
+		lanes: lanes,
+		qs:    make([][]float64, n),
+		grads: make([][]float64, n),
+		lps:   make([]float64, n),
+		wake:  make([]chan struct{}, n),
+		free:  make([]*gradBatch, lanes),
 	}
-	for c := 0; c < n; c++ {
+	for c := range co.wake {
 		co.wake[c] = make(chan struct{}, 1)
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
+	}
+	for i := range co.free {
+		co.free[i] = &gradBatch{
+			qs:         make([][]float64, n),
+			grads:      make([][]float64, n),
+			member:     make([]bool, n),
+			specMember: make([]bool, n),
 		}
-		co.timers[c] = t
 	}
 	return co
 }
@@ -191,7 +222,7 @@ func (co *gradCoalescer) enableSpeculation(steppers []stepper, dim int, note fun
 	co.dim = dim
 	co.steppers = steppers
 	co.eligible = make([]bool, n)
-	co.specMember = make([]bool, n)
+	co.specBusy = make([]bool, n)
 	co.rings = make([]specRing, n)
 	for c := range co.rings {
 		co.rings[c].buf = make([]specEntry, specRingCap)
@@ -223,11 +254,11 @@ func (co *gradCoalescer) arm(active []bool) {
 }
 
 // leave removes chain c from the round once its step completes or
-// faults. If every remaining in-round chain is already waiting, the
-// leaver flushes the batch on their behalf: nobody else can join it.
-// spec marks the chain healthy and willing to speculate: its shadow is
-// (re)forked from the just-committed state, unless unconsumed prefetched
-// entries prove the existing shadow is still on track.
+// faults. One fewer chain is computing, so the rule is re-evaluated: if
+// it now holds, the leaver runs the pending batch itself — nobody parked
+// in it could. spec marks the chain healthy and willing to speculate: its
+// shadow is (re)forked from the just-committed state, unless unconsumed
+// prefetched entries prove the existing shadow is still on track.
 func (co *gradCoalescer) leave(c int, spec bool) {
 	co.mu.Lock()
 	if co.specOn && spec {
@@ -241,12 +272,12 @@ func (co *gradCoalescer) leave(c int, spec bool) {
 		}
 	}
 	co.inRound--
-	var pv any
-	if co.waiting > 0 && co.waiting == co.inRound && !co.running {
-		pv = co.runBatchLocked(-1)
+	if fires(co.lanes, co.inRound, co.waiting, co.inflight, co.running) {
+		// A batch fault surfaces on its members as NaN; the leaver's own
+		// step already succeeded.
+		co.runBatchLocked(-1)
 	}
 	co.mu.Unlock()
-	_ = pv // a batch fault surfaces on its members as NaN; the leaver's own step already succeeded
 }
 
 // probe serves chain c's gradient request from its prefetch ring when
@@ -309,14 +340,15 @@ func (co *gradCoalescer) report() *GradBatchReport {
 	}
 }
 
-// submit hands chain c's gradient request to the rendezvous and blocks
-// until the fused result is available.
+// submit hands chain c's gradient request to the rendezvous and returns
+// its result: at once, leading a batch, if the request makes the rule
+// true; otherwise parked until a later submit or leave takes it along.
 func (co *gradCoalescer) submit(c int, q, grad []float64) float64 {
 	co.mu.Lock()
 	co.qs[c] = q
 	co.grads[c] = grad
 	co.waiting++
-	if co.waiting == co.inRound && !co.running {
+	if fires(co.lanes, co.inRound, co.waiting, co.inflight, co.running) {
 		pv := co.runBatchLocked(c)
 		lp := co.lps[c]
 		co.mu.Unlock()
@@ -326,53 +358,21 @@ func (co *gradCoalescer) submit(c int, q, grad []float64) float64 {
 		return lp
 	}
 	co.mu.Unlock()
-	tm := co.timers[c]
-	tm.Reset(co.wait)
-	for {
-		select {
-		case <-co.wake[c]:
-			if !tm.Stop() {
-				select {
-				case <-tm.C:
-				default:
-				}
-			}
-			return co.lps[c]
-		case <-tm.C:
-			co.mu.Lock()
-			if co.qs[c] == nil {
-				// Consumed by a batch that is completing right now; the
-				// wake signal is imminent.
-				co.mu.Unlock()
-				<-co.wake[c]
-				return co.lps[c]
-			}
-			if !co.running {
-				pv := co.runBatchLocked(c)
-				lp := co.lps[c]
-				co.mu.Unlock()
-				if pv != nil {
-					panic(pv)
-				}
-				return lp
-			}
-			co.mu.Unlock()
-			tm.Reset(co.wait)
-		}
-	}
+	<-co.wake[c]
+	return co.lps[c]
 }
 
 // fillSpecLocked fills the assembling batch's empty slots with eligible
-// idle chains' next predicted positions. Each prediction reserves its
-// chain's ring tail entry — the fused sweep writes the gradient straight
-// into the cache buffer — and a full ring simply pauses that shadow.
-func (co *gradCoalescer) fillSpecLocked() int {
+// idle chains' next predicted positions, claiming each such chain's
+// shadow for this batch. Each prediction reserves its chain's ring tail
+// entry — the fused sweep writes the gradient straight into the cache
+// buffer — and a full ring simply pauses that shadow.
+func (co *gradCoalescer) fillSpecLocked(b *gradBatch) {
 	if !co.specOn {
-		return 0
+		return
 	}
-	n := 0
-	for c := range co.member {
-		if co.member[c] || !co.eligible[c] {
+	for c := range b.specMember {
+		if !co.eligible[c] || co.specBusy[c] {
 			continue
 		}
 		e := co.rings[c].reserveTail(co.dim)
@@ -383,28 +383,29 @@ func (co *gradCoalescer) fillSpecLocked() int {
 			continue
 		}
 		e.eps = co.steppers[c].specStepSize()
-		co.specMember[c] = true
-		co.bqs[c] = e.q
-		co.bgrads[c] = e.grad
-		n++
+		co.specBusy[c] = true
+		b.specMember[c] = true
+		b.qs[c] = e.q
+		b.grads[c] = e.grad
+		b.nSpec++
 	}
-	return n
 }
 
-// settleSpecLocked finishes the batch's speculative rows: on a clean
-// sweep each entry is completed, published at its ring's FIFO end, and
-// fed back to the shadow so it can predict the next step; on a dropped
-// batch (fault retry) the reservations are released and the shadows
-// killed until their next fork.
-func (co *gradCoalescer) settleSpecLocked(nSpec int, dropped bool) {
-	if nSpec == 0 {
+// settleSpecLocked finishes the batch's speculative rows and releases
+// their shadows: on a clean sweep each entry is completed, published at
+// its ring's FIFO end, and fed back to the shadow so it can predict the
+// next step; on a dropped batch (fault retry) the reservations are
+// released and the shadows killed until their next fork.
+func (co *gradCoalescer) settleSpecLocked(b *gradBatch, dropped bool) {
+	if b.nSpec == 0 {
 		return
 	}
-	for c, sm := range co.specMember {
+	for c, sm := range b.specMember {
 		if !sm {
 			continue
 		}
-		co.specMember[c] = false
+		b.specMember[c] = false
+		co.specBusy[c] = false
 		if dropped {
 			co.steppers[c].specAbort()
 			continue
@@ -424,102 +425,100 @@ func (co *gradCoalescer) settleSpecLocked(nSpec int, dropped bool) {
 		}
 	}
 	if !dropped {
-		co.specRows += int64(nSpec)
+		co.specRows += int64(b.nSpec)
 		if co.noteSpec != nil {
-			co.noteSpec(int64(nSpec))
+			co.noteSpec(int64(b.nSpec))
 		}
 	}
 }
 
-// tryEval executes the fused evaluation, converting a panic to a value.
-func (co *gradCoalescer) tryEval() (pv any) {
+// tryEval evaluates the batch, converting a panic to a value. A batch of
+// one real row and no riders needs no fusing: the chain's own target
+// computes it, bit-identical by the contract that batch composition never
+// perturbs a result, and cheaper than a one-row sweep.
+func (co *gradCoalescer) tryEval(b *gradBatch) (pv any) {
 	defer func() { pv = recover() }()
-	co.eval(co.bqs, co.bgrads, co.lps)
+	if c := b.solo; c >= 0 && co.inner != nil {
+		co.lps[c] = co.inner[c].LogDensityGrad(b.qs[c], b.grads[c])
+		return nil
+	}
+	co.eval(b.qs, b.grads, co.lps)
 	return nil
 }
 
 // runEval executes the batch. A panic with speculative rows aboard gets
 // one retry without them: a fault inside a speculative evaluation must
-// quarantine nobody and poison nothing, so the speculation is simply
-// dropped and only a repeat failure is attributed to the real members.
-func (co *gradCoalescer) runEval(nSpec int) (pv any, evalsOK int, droppedSpec bool) {
-	pv = co.tryEval()
-	if pv == nil {
-		return nil, 1, false
+// quarantine nobody and poison nothing, so this batch's speculation is
+// simply dropped and only a repeat failure is attributed to its real
+// members.
+func (co *gradCoalescer) runEval(b *gradBatch) (pv any, droppedSpec bool) {
+	pv = co.tryEval(b)
+	if pv == nil || b.nSpec == 0 {
+		return pv, false
 	}
-	if nSpec == 0 {
-		return pv, 0, false
-	}
-	for c, sm := range co.specMember {
+	for c, sm := range b.specMember {
 		if sm {
-			co.bqs[c] = nil
-			co.bgrads[c] = nil
+			b.qs[c] = nil
+			b.grads[c] = nil
 		}
 	}
-	pv = co.tryEval()
-	if pv == nil {
-		return nil, 1, true
-	}
-	return pv, 0, true
+	return co.tryEval(b), true
 }
 
-// runBatchLocked consumes every pending request and executes the fused
-// evaluation with the lock released, re-acquiring it before returning.
+// runBatchLocked moves every pending request into a free snapshot and
+// evaluates it with the lock released, re-acquiring it before returning.
 // leader >= 0 marks the calling chain's own request: it is consumed with
 // the rest but the caller reads its result directly instead of being
-// woken. Loops while full sets of requests accumulated during the
-// evaluation (submitters that arrived mid-flight). A panic escaping the
-// evaluation is converted to NaN results for every real member — the
-// runner's non-finite check quarantines them — and returned for the
-// leader to re-raise.
+// woken. A panic escaping the evaluation is converted to NaN results for
+// the batch's real members — the runner's non-finite check quarantines
+// them — and returned for a leader that is one of them to re-raise.
 func (co *gradCoalescer) runBatchLocked(leader int) any {
-	for {
-		co.running = true
-		for c, q := range co.qs {
-			if q == nil {
-				co.member[c] = false
-				co.bqs[c] = nil
-				co.bgrads[c] = nil
-				continue
-			}
-			co.member[c] = true
-			co.bqs[c] = q
-			co.bgrads[c] = co.grads[c]
+	b := co.free[len(co.free)-1]
+	co.free = co.free[:len(co.free)-1]
+	b.nReal, b.nSpec, b.solo = 0, 0, -1
+	for c, q := range co.qs {
+		b.member[c] = q != nil
+		b.qs[c] = q
+		b.grads[c] = co.grads[c]
+		if q != nil {
 			co.qs[c] = nil
 			co.grads[c] = nil
-			co.realRows++
+			b.nReal++
+			b.solo = c
 		}
-		co.waiting = 0
-		nSpec := co.fillSpecLocked()
-		co.mu.Unlock()
-		pv, evalsOK, droppedSpec := co.runEval(nSpec)
-		co.mu.Lock()
-		co.running = false
-		co.sweeps += int64(evalsOK)
-		co.settleSpecLocked(nSpec, droppedSpec || pv != nil)
-		if pv != nil {
-			for c, m := range co.member {
-				if m {
-					co.lps[c] = math.NaN()
-				}
-			}
-		}
-		for c, m := range co.member {
-			if m && c != leader {
-				co.wake[c] <- struct{}{}
-			}
-		}
-		if pv != nil {
-			return pv
-		}
-		// Requests that arrived during the evaluation: if they already
-		// form a complete set, fire again now — their timers would get
-		// there anyway, this just saves the wait.
-		if co.waiting == 0 || co.waiting != co.inRound {
-			return nil
-		}
-		leader = -1
 	}
+	co.fillSpecLocked(b)
+	if b.nReal != 1 || b.nSpec != 0 {
+		b.solo = -1
+	}
+	co.waiting = 0
+	co.inflight += b.nReal
+	co.running++
+	co.realRows += int64(b.nReal)
+	co.mu.Unlock()
+
+	pv, droppedSpec := co.runEval(b)
+
+	co.mu.Lock()
+	co.running--
+	co.inflight -= b.nReal
+	co.settleSpecLocked(b, droppedSpec || pv != nil)
+	if pv == nil {
+		co.sweeps++
+	}
+	for c, m := range b.member {
+		if !m {
+			continue
+		}
+		if pv != nil {
+			co.lps[c] = math.NaN()
+		}
+		if c != leader {
+			co.wake[c] <- struct{}{}
+		}
+	}
+	co.free = append(co.free, b)
+	return pv
 }
 
 // coalescedTarget wraps one chain's target, routing gradient requests

@@ -149,16 +149,20 @@ type Config struct {
 	FaultHook func(chain, iter int) FaultAction
 
 	// BatchGrad, when non-nil, enables cross-chain gradient batching on
-	// the parallel lockstep path: concurrent gradient requests from chain
-	// workers rendezvous each round and run as one fused data sweep
-	// instead of K independent ones. The function receives qs/grads with
-	// nil entries for chains not in the batch and must write lps[c] and
-	// grads[c] for every non-nil c, with results bit-identical to
-	// per-chain evaluation for any batch composition —
-	// model.BatchEvaluator.LogDensityGradBatch satisfies this contract.
-	// It is called from chain worker goroutines but never concurrently
-	// with itself. Ignored on the free path and on sequential runs, where
-	// there is nothing to coalesce.
+	// the parallel lockstep path: gradient requests from chain workers
+	// rendezvous each round and run as fused data sweeps instead of
+	// independent ones — one sweep for the whole set on one core, up to
+	// min(GOMAXPROCS, Chains) smaller ones side by side when cores would
+	// otherwise idle. The function receives qs/grads with nil entries for
+	// chains not in the batch and must write lps[c] and grads[c] for
+	// every non-nil c, leave the other entries alone, and produce results
+	// bit-identical to per-chain evaluation for any batch composition. It
+	// is called from chain worker goroutines, concurrently with itself
+	// but never with a chain in two calls at once —
+	// model.BatchEvaluator.LogDensityGradBatch satisfies this contract. A
+	// request that ends up alone in its batch is evaluated by the chain's
+	// own Target instead. Ignored on the free path and on sequential
+	// runs, where there is nothing to coalesce.
 	BatchGrad func(qs, grads [][]float64, lps []float64)
 	// Speculate enables speculative leapfrog prefetching on the batched
 	// lockstep path (requires BatchGrad): chains that finished their
@@ -300,7 +304,10 @@ type Result struct {
 // kept by the gradient coalescer (the authoritative row-level split; the
 // kernel-layer counters see only total rows per sweep).
 type GradBatchReport struct {
-	// Sweeps counts fused batch evaluations.
+	// Sweeps counts batch evaluations, one-row batches served by the
+	// chain's own target included. How requests group into batches
+	// depends on scheduling, so this varies run to run; the row counts
+	// below do not.
 	Sweeps int64
 	// RealRows counts rows demanded by live chain steps.
 	RealRows int64

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -57,13 +58,15 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 	}
 	// Cross-chain gradient batching: on the parallel lockstep path, wrap
 	// every chain's target so gradient requests meet at a per-round
-	// rendezvous and run as one fused data sweep (Config.BatchGrad). The
-	// coalescer stays disarmed until the first round, so initialization
-	// and step-size search below hit the per-chain targets directly.
+	// rendezvous and run as fused data sweeps (Config.BatchGrad), as many
+	// at a time as there are cores to run them. The coalescer stays
+	// disarmed until the first round, so initialization and step-size
+	// search below hit the per-chain targets directly.
 	lockstep := cfg.StopRule != nil || cfg.Progress != nil || cfg.CheckpointEvery > 0
 	var co *gradCoalescer
 	if cfg.BatchGrad != nil && lockstep && cfg.Parallel && cfg.Chains > 1 {
-		co = newGradCoalescer(cfg.Chains, cfg.BatchGrad, defaultCoalesceWait)
+		lanes := min(runtime.GOMAXPROCS(0), cfg.Chains)
+		co = newGradCoalescer(cfg.Chains, lanes, cfg.BatchGrad, append([]Target(nil), targets...))
 		for c := range targets {
 			targets[c] = &coalescedTarget{inner: targets[c], co: co, c: c}
 		}

@@ -1,8 +1,8 @@
 package mcmc_test
 
 import (
+	"fmt"
 	"math"
-
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -335,3 +335,55 @@ func BenchmarkRunnerBatchedLockstep2(b *testing.B)   { benchLockstepGLM(b, true,
 func BenchmarkRunnerUnbatchedLockstep2(b *testing.B) { benchLockstepGLM(b, false, 2) }
 func BenchmarkRunnerBatchedLockstep4(b *testing.B)   { benchLockstepGLM(b, true, 4) }
 func BenchmarkRunnerUnbatchedLockstep4(b *testing.B) { benchLockstepGLM(b, false, 4) }
+
+// The Registry pair is the control for the speculation verdict and the
+// end-to-end check of the coalescer on real jobs: registry workloads wired
+// the way bayesd runs them (NUTS, 4 chains, convergence stop rule,
+// a checkpoint every 50 iterations), with and without the coalescer.
+// NUTS trajectories differ in length chain to chain, so this is the
+// regime where a rendezvous that waits for full sets idles cores. Both
+// sides draw the same numbers and stop at the same iteration; grads/s is
+// their common gradient count over wall time. Run at -cpu 1,2 (make
+// bench-runner): one core shows what sharing the data pass buys, two
+// what it costs against chains that simply run side by side.
+func benchRegistry(b *testing.B, batched bool) {
+	for _, job := range []struct {
+		workload string
+		scale    float64
+	}{{"tickets", 0.05}, {"memory", 0.3}, {"tickets", 1.0}} {
+		b.Run(fmt.Sprintf("%s@%g", job.workload, job.scale), func(b *testing.B) {
+			w, err := workloads.New(job.workload, job.scale, 7)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var grads int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cfg := mcmc.Config{
+					Chains: 4, Iterations: w.Info.Iterations, Sampler: mcmc.NUTS, Seed: 7,
+					Parallel: true, StopRule: elide.NewDetector(),
+					CheckpointEvery: 50, CheckpointSink: func(*mcmc.Checkpoint) {},
+				}
+				factory := mcmc.TargetFactory(func() mcmc.Target { return model.NewEvaluator(w.Model) })
+				if batched {
+					be, ok := model.NewBatchEvaluator(w.Model, cfg.Chains)
+					if !ok {
+						b.Fatalf("%s is not batchable", job.workload)
+					}
+					cfg.BatchGrad = be.LogDensityGradBatch
+					next := 0
+					factory = func() mcmc.Target {
+						c := next
+						next++
+						return be.Chain(c)
+					}
+				}
+				grads += mcmc.Run(cfg, factory).TotalWork()
+			}
+			b.ReportMetric(float64(grads)/b.Elapsed().Seconds(), "grads/s")
+		})
+	}
+}
+
+func BenchmarkRunnerBatchedRegistry(b *testing.B)   { benchRegistry(b, true) }
+func BenchmarkRunnerUnbatchedRegistry(b *testing.B) { benchRegistry(b, false) }

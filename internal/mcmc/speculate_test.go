@@ -3,39 +3,17 @@ package mcmc
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
-	"time"
-
-	"bayessuite/internal/kernels"
-	"bayessuite/internal/model"
 )
 
-// runBatchedSpec runs cfg over a fresh BatchEvaluator for m, wiring both
-// the fused gradient path and the kernel-layer speculation accounting.
-func runBatchedSpec(t *testing.T, m *batchedGLMModel, cfg Config) (*Result, *model.BatchEvaluator) {
-	t.Helper()
-	be, ok := model.NewBatchEvaluator(m, cfg.Chains)
-	if !ok {
-		t.Fatal("model is not batchable")
-	}
-	next := 0
-	cfg.BatchGrad = be.LogDensityGradBatch
-	cfg.BatchSpecNote = be.NoteSpeculated
-	res := Run(cfg, func() Target {
-		c := next
-		next++
-		return be.Chain(c)
-	})
-	return res, be
-}
-
-// TestSpeculationDeterminism is the tentpole's hard contract: draws are
+// TestSpeculationDeterminism is speculation's hard contract: draws are
 // bit-identical with speculation on or off — for both gradient samplers,
-// at every kernel parallelism level, on a fresh run, across a mid-run
+// at every GOMAXPROCS (one lane, two lanes, a lane per chain: riders
+// claimed by concurrent batches), on a fresh run, across a mid-run
 // checkpoint/resume, and with a chain quarantined mid-run.
 func TestSpeculationDeterminism(t *testing.T) {
 	m := newBatchedGLMModel(1200, 2, 5, 41)
-	defer kernels.SetParallelism(1)
 	base := Config{
 		Chains: 4, Iterations: 120, Seed: 23, IntTime: 0.3,
 		StopRule: neverFire{}, Parallel: true,
@@ -44,14 +22,14 @@ func TestSpeculationDeterminism(t *testing.T) {
 		for _, par := range []int{1, 2, 8} {
 			kind, par := kind, par
 			t.Run(fmt.Sprintf("%s/par%d", kind, par), func(t *testing.T) {
-				kernels.SetParallelism(par)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(par))
 				cfg := base
 				cfg.Sampler = kind
-				off, _ := runBatchedSpec(t, m, cfg)
+				off, _ := runBatched(t, m, cfg)
 
 				onCfg := cfg
 				onCfg.Speculate = true
-				on, be := runBatchedSpec(t, m, onCfg)
+				on, be := runBatched(t, m, onCfg)
 				sameDraws(t, "fresh spec-on vs spec-off", off, on)
 
 				gb := on.GradBatch
@@ -78,13 +56,13 @@ func TestSpeculationDeterminism(t *testing.T) {
 				ckCfg := onCfg
 				ckCfg.CheckpointEvery = 40
 				ckCfg.CheckpointSink = collectSink(&cks)
-				runBatchedSpec(t, m, ckCfg)
+				runBatched(t, m, ckCfg)
 				if len(cks) == 0 {
 					t.Fatal("no checkpoints captured")
 				}
 				resCfg := onCfg
 				resCfg.ResumeFrom = cks[0]
-				resumed, _ := runBatchedSpec(t, m, resCfg)
+				resumed, _ := runBatched(t, m, resCfg)
 				sameDraws(t, "checkpoint-resume spec-on vs fresh spec-off", off, resumed)
 
 				// Quarantine a chain mid-run: faulted chains stop
@@ -97,10 +75,10 @@ func TestSpeculationDeterminism(t *testing.T) {
 				}
 				qOffCfg := cfg
 				qOffCfg.FaultHook = hook
-				qOff, _ := runBatchedSpec(t, m, qOffCfg)
+				qOff, _ := runBatched(t, m, qOffCfg)
 				qOnCfg := onCfg
 				qOnCfg.FaultHook = hook
-				qOn, _ := runBatchedSpec(t, m, qOnCfg)
+				qOn, _ := runBatched(t, m, qOnCfg)
 				sameDraws(t, "quarantine spec-on vs spec-off", qOff, qOn)
 				if qOn.Chains[1].Fault == nil {
 					t.Error("chain 1 was not quarantined under speculation")
@@ -121,12 +99,12 @@ func TestSpeculationForcedMiss(t *testing.T) {
 		Chains: 4, Iterations: 120, Seed: 29, Sampler: HMC, IntTime: 0.3,
 		StopRule: neverFire{}, Parallel: true,
 	}
-	off, _ := runBatchedSpec(t, m, base)
+	off, _ := runBatched(t, m, base)
 
 	missCfg := base
 	missCfg.Speculate = true
 	missCfg.specForceMissEvery = 5
-	missed, _ := runBatchedSpec(t, m, missCfg)
+	missed, _ := runBatched(t, m, missCfg)
 	sameDraws(t, "forced-miss spec-on vs spec-off", off, missed)
 
 	gb := missed.GradBatch
@@ -198,7 +176,7 @@ func newSpecHarness() (*gradCoalescer, *scriptedSpecStepper) {
 			}
 		}
 	}
-	co := newGradCoalescer(2, eval, time.Hour)
+	co := newGradCoalescer(2, 1, eval, nil)
 	sc := &scriptedSpecStepper{dim: 2}
 	co.enableSpeculation([]stepper{sc, sc}, 2, nil)
 	return co, sc
@@ -308,7 +286,7 @@ func TestFaultSpeculativeRowPanic(t *testing.T) {
 			}
 		}
 	}
-	co := newGradCoalescer(2, eval, time.Hour)
+	co := newGradCoalescer(2, 1, eval, nil)
 	sc := &scriptedSpecStepper{dim: 2}
 	co.enableSpeculation([]stepper{sc, sc}, 2, nil)
 
@@ -348,7 +326,7 @@ func TestFaultSpeculativeRealRowPanic(t *testing.T) {
 	eval := func(qs, grads [][]float64, lps []float64) {
 		panic("kernel fault")
 	}
-	co := newGradCoalescer(2, eval, time.Hour)
+	co := newGradCoalescer(2, 1, eval, nil)
 	sc := &scriptedSpecStepper{dim: 2}
 	co.enableSpeculation([]stepper{sc, sc}, 2, nil)
 

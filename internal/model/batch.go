@@ -1,6 +1,7 @@
 package model
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"bayessuite/internal/ad"
@@ -31,26 +32,43 @@ type BatchableModel interface {
 	LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.BatchResult) ad.Var
 }
 
-// BatchEvaluator owns one Evaluator per chain plus the shared buffers of
-// the fused gradient path: LogDensityGradBatch computes every requested
+// BatchEvaluator owns one Evaluator per chain plus the buffers of the
+// fused gradient path: LogDensityGradBatch computes every requested
 // chain's log density and gradient with one BatchEval sweep per kernel
-// block. All per-call state is preallocated, so the steady-state batched
-// evaluation allocates nothing. Not safe for concurrent calls; the mcmc
-// coalescer serialises them by construction.
+// block. All per-call state is pooled, so the steady-state batched
+// evaluation allocates nothing.
+//
+// LogDensityGradBatch is safe for concurrent calls as long as no chain
+// is named by two calls in flight at once — the shape the mcmc coalescer
+// produces when it runs several batches side by side on different cores.
+// State indexed by chain (the chain's Evaluator, its kernel parameter
+// buffers and results) is touched only by the call carrying that chain;
+// everything else a call needs lives in a lane it holds for its duration.
 type BatchEvaluator struct {
 	m     BatchableModel
-	kerns []kernels.Batcher
+	kerns []kernels.Batcher // the model's own blocks: lane 0 sweeps these, later lanes their forks
 	evals []*Evaluator
 
-	params [][][]float64           // [block][chain] BatchEval input (nil = chain absent)
-	pbuf   [][][]float64           // [block][chain] backing buffers for params
-	dst    [][]float64             // per-chain KernelParams destination views
-	res    [][]kernels.BatchResult // [block][chain]
-	pre    []kernels.BatchResult   // [block] one chain's results for replay
+	pbuf [][][]float64           // [block][chain] KernelParams destinations
+	res  [][]kernels.BatchResult // [block][chain]
+
+	mu   sync.Mutex
+	idle []*batchLane
 
 	sweeps     atomic.Int64 // fused sweeps executed
 	chainEvals atomic.Int64 // chain evaluations carried by those sweeps
 	specRows   atomic.Int64 // of chainEvals, rows that were speculative prefetches
+}
+
+// batchLane is the state of one LogDensityGradBatch call in flight. The
+// first lane sweeps the model's own kernels; each further lane, built the
+// first time that many calls overlap, sweeps forks that share the kernels'
+// data and own their scratch.
+type batchLane struct {
+	kerns  []kernels.Batcher
+	params [][][]float64         // [block][chain] BatchEval input (nil = chain absent)
+	dst    [][]float64           // per-block KernelParams destination views
+	pre    []kernels.BatchResult // [block] one chain's results for replay
 }
 
 // NewBatchEvaluator returns a fused evaluator for chains chains of m, or
@@ -70,12 +88,10 @@ func NewBatchEvaluator(m Model, chains int) (*BatchEvaluator, bool) {
 		b.evals[c] = NewEvaluator(m)
 	}
 	nb := len(kerns)
-	b.params = make([][][]float64, nb)
 	b.pbuf = make([][][]float64, nb)
 	b.res = make([][]kernels.BatchResult, nb)
 	for bi, kn := range kerns {
 		dim := kn.InputDim()
-		b.params[bi] = make([][]float64, chains)
 		b.pbuf[bi] = make([][]float64, chains)
 		b.res[bi] = make([]kernels.BatchResult, chains)
 		for c := 0; c < chains; c++ {
@@ -83,9 +99,45 @@ func NewBatchEvaluator(m Model, chains int) (*BatchEvaluator, bool) {
 			b.res[bi][c].Partials = make([]float64, dim)
 		}
 	}
-	b.dst = make([][]float64, nb)
-	b.pre = make([]kernels.BatchResult, nb)
+	b.idle = append(b.idle, b.newLane(kerns))
 	return b, true
+}
+
+func (b *BatchEvaluator) newLane(kerns []kernels.Batcher) *batchLane {
+	ln := &batchLane{
+		kerns:  kerns,
+		params: make([][][]float64, len(kerns)),
+		dst:    make([][]float64, len(kerns)),
+		pre:    make([]kernels.BatchResult, len(kerns)),
+	}
+	for bi := range kerns {
+		ln.params[bi] = make([][]float64, len(b.evals))
+	}
+	return ln
+}
+
+// acquire takes an idle lane, building one over forked kernels when every
+// existing lane is in use.
+func (b *BatchEvaluator) acquire() *batchLane {
+	b.mu.Lock()
+	if n := len(b.idle); n > 0 {
+		ln := b.idle[n-1]
+		b.idle = b.idle[:n-1]
+		b.mu.Unlock()
+		return ln
+	}
+	b.mu.Unlock()
+	kerns := make([]kernels.Batcher, len(b.kerns))
+	for bi, kn := range b.kerns {
+		kerns[bi] = kn.Fork()
+	}
+	return b.newLane(kerns)
+}
+
+func (b *BatchEvaluator) release(ln *batchLane) {
+	b.mu.Lock()
+	b.idle = append(b.idle, ln)
+	b.mu.Unlock()
 }
 
 // Chains reports the number of per-chain evaluators.
@@ -102,46 +154,51 @@ func (b *BatchEvaluator) Chain(c int) *Evaluator { return b.evals[c] }
 // gradient — exactly what its own LogDensityGrad would have produced —
 // without disturbing the other chains in the batch. Results are
 // bit-identical to per-chain LogDensityGrad calls for any batch
-// composition.
+// composition, and entries of absent chains are not touched.
 func (b *BatchEvaluator) LogDensityGradBatch(qs, grads [][]float64, lps []float64) {
+	ln := b.acquire()
+	// Deferred so a panic out of the model leaves the lane reusable: the
+	// coalescer recovers, quarantines the members and carries on.
+	defer b.release(ln)
 	count := int64(0)
 	for c, q := range qs {
 		if q == nil {
-			for bi := range b.kerns {
-				b.params[bi][c] = nil
+			for bi := range ln.kerns {
+				ln.params[bi][c] = nil
 			}
 			continue
 		}
 		count++
-		for bi := range b.kerns {
-			b.params[bi][c] = b.pbuf[bi][c]
-			b.dst[bi] = b.pbuf[bi][c]
+		for bi := range ln.kerns {
+			ln.params[bi][c] = b.pbuf[bi][c]
+			ln.dst[bi] = b.pbuf[bi][c]
 		}
-		b.m.KernelParams(q, b.dst)
+		b.m.KernelParams(q, ln.dst)
 	}
 	if count == 0 {
 		return
 	}
-	for bi, kn := range b.kerns {
-		kn.BatchEval(b.params[bi], b.res[bi])
+	for bi, kn := range ln.kerns {
+		kn.BatchEval(ln.params[bi], b.res[bi])
 	}
 	for c, q := range qs {
 		if q == nil {
 			continue
 		}
-		for bi := range b.kerns {
-			b.pre[bi] = b.res[bi][c]
+		for bi := range ln.kerns {
+			ln.pre[bi] = b.res[bi][c]
 		}
-		lps[c] = b.evals[c].gradCore(b.m, q, grads[c], b.pre)
+		lps[c] = b.evals[c].gradCore(b.m, q, grads[c], ln.pre)
 	}
 	b.sweeps.Add(1)
 	b.chainEvals.Add(count)
 }
 
-// Occupancy reports how many fused sweeps have run and how many chain
-// evaluations they carried; chainEvals/sweeps is the mean batch
-// occupancy surfaced by the serving stats. Safe to read concurrently
-// with evaluation.
+// Occupancy reports how many fused sweeps this evaluator has run and how
+// many chain evaluations they carried. It sees only calls that reached
+// it: the mcmc coalescer serves a request that is alone in its batch from
+// the chain's own Evaluator, so a run's authoritative accounting is
+// mcmc.Result.GradBatch. Safe to read concurrently with evaluation.
 func (b *BatchEvaluator) Occupancy() (sweeps, chainEvals int64) {
 	return b.sweeps.Load(), b.chainEvals.Load()
 }

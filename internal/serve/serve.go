@@ -113,12 +113,15 @@ type PlacementDecision struct {
 }
 
 // GradBatchStats is a job's cross-chain gradient batching accounting:
-// how many fused data sweeps the run executed, how many chain gradient
-// evaluations those sweeps carried, and their ratio — the mean number of
-// chains served per sweep. Occupancy near the chain count means the
-// lockstep rounds stayed aligned (the data was streamed from the cache
-// hierarchy once per round, not once per chain); occupancy near 1 means
-// the chains' trajectory lengths diverged and most sweeps ran solo.
+// how many data sweeps the run executed, how many chain gradient
+// evaluations (rows) those sweeps carried, and their ratio — the mean
+// number of chains served per sweep. Occupancy near the chain count means
+// the lockstep rounds stayed aligned on a single core (the data was
+// streamed from the cache hierarchy once per round, not once per chain);
+// occupancy near 1 means the chains' trajectory lengths diverged, or that
+// there were cores enough to run every request at once. ChainEvals is
+// fixed by the spec; Sweeps depends on how requests met at the rendezvous
+// and varies between runs of one spec.
 // With speculation (JobSpec.Speculate) the accounting splits: ChainEvals
 // and MeanOccupancy count only demanded rows, while SpecRows counts the
 // speculative prefetches that rode otherwise-empty slots. SpecCommitted

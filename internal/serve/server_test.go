@@ -393,14 +393,21 @@ func TestGradBatchOccupancy(t *testing.T) {
 	if gb.MeanOccupancy < 1 || gb.MeanOccupancy > float64(spec.Chains) {
 		t.Fatalf("mean occupancy %.2f outside [1, %d]", gb.MeanOccupancy, spec.Chains)
 	}
+	// Row conservation: every gradient a chain demanded inside a round was
+	// evaluated exactly once (no speculation here, so nothing was served
+	// from a cache). How the rows group into sweeps is scheduling.
+	if demand := job.Raw().TotalWork(); gb.ChainEvals+gb.SpecCommitted != demand {
+		t.Fatalf("%d rows evaluated for a demand of %d gradients", gb.ChainEvals+gb.SpecCommitted, demand)
+	}
 
 	// Same spec again: batched sampling must preserve the bit-identity
-	// contract job to job.
+	// contract job to job — the draws, and with them the rows; the sweep
+	// count is free to differ.
 	job2, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, job2, 60*time.Second)
+	st2 := waitDone(t, job2, 60*time.Second)
 	a, b := job.Raw(), job2.Raw()
 	if a == nil || b == nil || len(a.Chains) != len(b.Chains) {
 		t.Fatal("missing results")
@@ -419,11 +426,15 @@ func TestGradBatchOccupancy(t *testing.T) {
 			}
 		}
 	}
+	gb2 := st2.GradBatch
+	if gb2 == nil || gb2.ChainEvals != gb.ChainEvals {
+		t.Fatalf("rerun evaluated %+v rows, first run %d", gb2, gb.ChainEvals)
+	}
 
 	stats := s.Stats()
-	if stats.BatchSweeps < 2*gb.Sweeps || stats.BatchChainEvals < 2*gb.ChainEvals {
-		t.Fatalf("stats aggregation %d/%d below the two jobs' own %d/%d",
-			stats.BatchSweeps, stats.BatchChainEvals, gb.Sweeps, gb.ChainEvals)
+	if stats.BatchSweeps != gb.Sweeps+gb2.Sweeps || stats.BatchChainEvals != 2*gb.ChainEvals {
+		t.Fatalf("stats aggregation %d/%d, the two jobs' own %d+%d/%d",
+			stats.BatchSweeps, stats.BatchChainEvals, gb.Sweeps, gb2.Sweeps, 2*gb.ChainEvals)
 	}
 	if stats.MeanBatchOccupancy < 1 {
 		t.Fatalf("service mean occupancy %.2f < 1", stats.MeanBatchOccupancy)

@@ -2,9 +2,10 @@ package workloads
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
-	"bayessuite/internal/kernels"
 	"bayessuite/internal/mcmc"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
@@ -88,61 +89,55 @@ func TestKernelShrinksTape(t *testing.T) {
 	}
 }
 
-// TestKernelWorkloadParallelismDeterminism runs the full evaluator (not
-// just the kernel) at several worker counts and requires bitwise equality,
-// then repeats the check end-to-end on a short seeded NUTS run.
+// neverStop keeps a run on the lockstep path for its whole budget.
+type neverStop struct{}
+
+func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
+
+// TestKernelWorkloadParallelismDeterminism pins the one parallelism input
+// the kernel-backed path has left: a seeded run of a real workload on the
+// batched lockstep path — fused sweeps, as many lanes as GOMAXPROCS allows
+// — must produce, at GOMAXPROCS 1, 2 and 8, the very draws the free-running
+// per-chain evaluators produce.
 func TestKernelWorkloadParallelismDeterminism(t *testing.T) {
-	defer kernels.SetParallelism(1)
+	wl, _ := New("ad", 0.25, 9)
+	cfg := mcmc.Config{Chains: 4, Iterations: 120, Seed: 77}
+	want := mcmc.Run(cfg, func() mcmc.Target { return model.NewEvaluator(wl.Model) }).Draws()
 
-	// tickets at full scale spans 8 shards — the interesting case.
-	w, _ := New("tickets", 1.0, 9)
-	ev := model.NewEvaluator(w.Model)
-	dim := ev.Dim()
-	r := rng.New(23)
-	q := make([]float64, dim)
-	for i := range q {
-		q[i] = 0.4 * r.Norm()
-	}
-	g1 := make([]float64, dim)
-	kernels.SetParallelism(1)
-	lp1 := ev.LogDensityGrad(q, g1)
-	for _, workers := range []int{2, 8} {
-		kernels.SetParallelism(workers)
-		gw := make([]float64, dim)
-		lpw := ev.LogDensityGrad(q, gw)
-		if lpw != lp1 {
-			t.Errorf("workers=%d: logp %.17g != sequential %.17g", workers, lpw, lp1)
-		}
-		for i := range gw {
-			if gw[i] != g1[i] {
-				t.Fatalf("workers=%d: grad[%d] %.17g != %.17g", workers, i, gw[i], g1[i])
+	cfg.Parallel = true
+	cfg.StopRule = neverStop{}
+	cfg.CheckpointEvery = 50
+	for _, procs := range []int{1, 2, 8} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			be, ok := model.NewBatchEvaluator(wl.Model, cfg.Chains)
+			if !ok {
+				t.Fatal("ad is not batchable")
 			}
-		}
-	}
-
-	// End-to-end: a seeded sampling run must produce bit-identical draws
-	// at any parallelism level.
-	runDraws := func(workers int) [][][]float64 {
-		kernels.SetParallelism(workers)
-		wl, _ := New("ad", 0.25, 9)
-		res := mcmc.Run(mcmc.Config{
-			Chains:     2,
-			Iterations: 120,
-			Seed:       77,
-		}, func() mcmc.Target { return model.NewEvaluator(wl.Model) })
-		return res.Draws()
-	}
-	seq := runDraws(1)
-	par := runDraws(8)
-	for c := range seq {
-		for i := range seq[c] {
-			for d := range seq[c][i] {
-				if seq[c][i][d] != par[c][i][d] {
-					t.Fatalf("chain %d draw %d dim %d: %.17g (seq) != %.17g (parallel)",
-						c, i, d, seq[c][i][d], par[c][i][d])
+			bcfg := cfg
+			bcfg.BatchGrad = be.LogDensityGradBatch
+			next := 0
+			res := mcmc.Run(bcfg, func() mcmc.Target {
+				c := next
+				next++
+				return be.Chain(c)
+			})
+			if res.GradBatch == nil || res.GradBatch.RealRows != res.TotalWork() {
+				t.Fatalf("GOMAXPROCS %d: batched path accounted %+v for %d demanded gradients",
+					procs, res.GradBatch, res.TotalWork())
+			}
+			got := res.Draws()
+			for c := range want {
+				for i := range want[c] {
+					for d := range want[c][i] {
+						if want[c][i][d] != got[c][i][d] {
+							t.Fatalf("GOMAXPROCS %d chain %d draw %d dim %d: %.17g (free) != %.17g (batched lockstep)",
+								procs, c, i, d, want[c][i][d], got[c][i][d])
+						}
+					}
 				}
 			}
-		}
+		}()
 	}
 }
 
@@ -176,9 +171,10 @@ func TestKernelGradAllocsZero(t *testing.T) {
 // every converted workload: a fused LogDensityGradBatch over K chains
 // must reproduce each chain's independent LogDensityGrad bit-for-bit —
 // including a chain sitting at a non-finite point, which must quarantine
-// to lp=-Inf with a zero gradient without disturbing its batchmates.
+// to lp=-Inf with a zero gradient without disturbing its batchmates —
+// whether the K rows go through one call or through two concurrent calls
+// over disjoint rows, the way the coalescer's lanes split them.
 func TestBatchedWorkloadBitIdentical(t *testing.T) {
-	defer kernels.SetParallelism(1)
 	const K = 4
 	for _, w := range kernelWorkloads(t, 0.5, 3) {
 		w := w
@@ -202,8 +198,7 @@ func TestBatchedWorkloadBitIdentical(t *testing.T) {
 				grads[c] = make([]float64, dim)
 				want[c] = make([]float64, dim)
 			}
-			for _, workers := range []int{1, 8} {
-				kernels.SetParallelism(workers)
+			for _, lanes := range []int{1, 2} {
 				for trial := 0; trial < 3; trial++ {
 					for c := 0; c < K; c++ {
 						for i := range qs[c] {
@@ -213,17 +208,29 @@ func TestBatchedWorkloadBitIdentical(t *testing.T) {
 					if trial == 2 {
 						qs[1][0] = math.NaN() // quarantine candidate mid-batch
 					}
-					be.LogDensityGradBatch(qs, grads, lps)
+					var wg sync.WaitGroup
+					for l := 0; l < lanes; l++ {
+						mine := make([][]float64, K)
+						for c := l; c < K; c += lanes {
+							mine[c] = qs[c]
+						}
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							be.LogDensityGradBatch(mine, grads, lps)
+						}()
+					}
+					wg.Wait()
 					for c := 0; c < K; c++ {
 						wantLP := ref.LogDensityGrad(qs[c], want[c])
 						if lps[c] != wantLP {
-							t.Errorf("workers=%d trial %d chain %d: batched lp %.17g != single %.17g",
-								workers, trial, c, lps[c], wantLP)
+							t.Errorf("lanes=%d trial %d chain %d: batched lp %.17g != single %.17g",
+								lanes, trial, c, lps[c], wantLP)
 						}
 						for i := range want[c] {
 							if grads[c][i] != want[c][i] {
-								t.Fatalf("workers=%d trial %d chain %d grad[%d]: batched %.17g != single %.17g",
-									workers, trial, c, i, grads[c][i], want[c][i])
+								t.Fatalf("lanes=%d trial %d chain %d grad[%d]: batched %.17g != single %.17g",
+									lanes, trial, c, i, grads[c][i], want[c][i])
 							}
 						}
 					}
