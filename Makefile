@@ -80,9 +80,10 @@ crash-smoke:
 # procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a
 # large GLM; …Registry: NUTS on registry jobs as bayesd runs them) one
 # proc is the sharing regime the coalescer must keep, two the lanes
-# regime it must win.
+# regime it must win. The BenchmarkGradient*{Kernel,Tape} pairs time one
+# gradient on each path and report its tape nodes and edges.
 bench-runner:
-	$(GO) test -run xxx -bench 'BenchmarkRunner' -benchmem -cpu 1,2 ./internal/mcmc/
+	$(GO) test -run xxx -bench 'BenchmarkRunner|BenchmarkGradient' -benchmem -cpu 1,2 ./internal/mcmc/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

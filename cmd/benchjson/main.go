@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -40,6 +42,10 @@ import (
 type entry struct {
 	Workload      string  `json:"workload"`
 	Dim           int     `json:"dim"`
+	KernelNodes   int     `json:"kernel_tape_nodes"`
+	KernelEdges   int     `json:"kernel_tape_edges"`
+	TapeNodes     int     `json:"tape_nodes"`
+	TapeEdges     int     `json:"tape_edges"`
 	KernelNsOp    int64   `json:"kernel_ns_op"`
 	TapeNsOp      int64   `json:"tape_ns_op"`
 	KernelAllocs  int64   `json:"kernel_allocs_op"`
@@ -47,10 +53,34 @@ type entry struct {
 	KernelSpeedup float64 `json:"kernel_speedup"`
 }
 
+// env records the machine a kernel-vs-tape report was measured on.
+type env struct {
+	Cores      int    `json:"cores"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	CPUModel   string `json:"cpu_model"`
+}
+
 type report struct {
 	Description string  `json:"description"`
+	Env         env     `json:"env"`
 	Scale       float64 `json:"scale"`
 	Entries     []entry `json:"entries"`
+}
+
+// cpuModel is the first "model name" of /proc/cpuinfo, or the architecture
+// where there is none to read.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return runtime.GOARCH
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return runtime.GOARCH
 }
 
 func main() {
@@ -72,7 +102,11 @@ func main() {
 
 	rep := report{
 		Description: "gradient-evaluation cost: fused analytic kernels vs legacy node-per-observation tape",
-		Scale:       *scale,
+		Env: env{
+			Cores: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion: runtime.Version(), CPUModel: cpuModel(),
+		},
+		Scale: *scale,
 	}
 	for _, w := range workloads.All(*scale, 3) {
 		if !w.UsesKernels() {
@@ -122,17 +156,15 @@ func writeJSON(path string, v any) error {
 // measure times LogDensityGrad on both paths at a fixed off-origin point.
 func measure(name string, kernel, tape model.Model) entry {
 	e := entry{Workload: name, Dim: kernel.Dim()}
-	kns, kallocs := gradBench(kernel)
-	tns, tallocs := gradBench(tape)
-	e.KernelNsOp, e.KernelAllocs = kns, kallocs
-	e.TapeNsOp, e.TapeAllocs = tns, tallocs
-	if kns > 0 {
-		e.KernelSpeedup = float64(tns) / float64(kns)
+	e.KernelNsOp, e.KernelAllocs, e.KernelNodes, e.KernelEdges = gradBench(kernel)
+	e.TapeNsOp, e.TapeAllocs, e.TapeNodes, e.TapeEdges = gradBench(tape)
+	if e.KernelNsOp > 0 {
+		e.KernelSpeedup = float64(e.TapeNsOp) / float64(e.KernelNsOp)
 	}
 	return e
 }
 
-func gradBench(m model.Model) (nsOp, allocsOp int64) {
+func gradBench(m model.Model) (nsOp, allocsOp int64, nodes, edges int) {
 	ev := model.NewEvaluator(m)
 	q := make([]float64, ev.Dim())
 	grad := make([]float64, ev.Dim())
@@ -146,7 +178,7 @@ func gradBench(m model.Model) (nsOp, allocsOp int64) {
 			ev.LogDensityGrad(q, grad)
 		}
 	})
-	return r.NsPerOp(), r.AllocsPerOp()
+	return r.NsPerOp(), r.AllocsPerOp(), ev.TapeNodes, ev.TapeEdges
 }
 
 // Large-N hierarchical Gaussian GLM (two covariates plus a group

@@ -613,7 +613,7 @@ func (h *Harness) groundTruth2x(name string, iters int) *mcmc.Result {
 		Iterations: iters,
 		Seed:       h.opt.Seed + 99,
 		Parallel:   h.opt.Parallel,
-	}, func() mcmc.Target { return model.NewEvaluator(w.TapeModel()) })
+	}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 }
 
 func secondHalfFlat(r *mcmc.Result) [][]float64 {

@@ -184,7 +184,7 @@ func (h *Harness) Elision(name string, chains int) *ElisionOutcome {
 		Seed:       h.opt.Seed + 7,
 		StopRule:   det,
 		Parallel:   h.opt.Parallel,
-	}, func() mcmc.Target { return model.NewEvaluator(w.TapeModel()) })
+	}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 
 	out := &ElisionOutcome{
 		Name:           name,
@@ -222,7 +222,7 @@ func (h *Harness) FullRun(name string, chains int) *mcmc.Result {
 		Iterations: iters,
 		Seed:       h.opt.Seed + 7,
 		Parallel:   h.opt.Parallel,
-	}, func() mcmc.Target { return model.NewEvaluator(w.TapeModel()) })
+	}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 	h.mu.Lock()
 	h.fullRuns[key] = res
 	h.mu.Unlock()

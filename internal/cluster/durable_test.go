@@ -64,10 +64,23 @@ func TestClusterFaultCoordinatorCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipping in -short")
 	}
-	const checkpointEvery = 20
-	spec := serve.JobSpec{
-		Workload: "12cities", Scale: 0.25, Seed: 41, Iterations: 200, NoElide: true,
+	for _, tc := range []struct {
+		name string
+		spec serve.JobSpec
+	}{
+		{"batched", serve.JobSpec{Workload: "12cities", Scale: 0.25, Seed: 41, Iterations: 200, NoElide: true}},
+		// A collapsed kernel across a durable restart. Its gradient is a
+		// few microseconds whatever the data size, so the budget is what
+		// keeps the run alive until the kill.
+		{"collapsed", serve.JobSpec{Workload: "survival", Scale: 0.25, Seed: 41, Iterations: 2000, NoElide: true}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) { crashRestart(t, tc.spec) })
 	}
+}
+
+func crashRestart(t *testing.T, spec serve.JobSpec) {
+	const checkpointEvery = 20
 	want := referenceDraws(t, spec, checkpointEvery)
 	stateDir := t.TempDir()
 

@@ -83,6 +83,9 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 		{"hmc-unbatched", "disease", "hmc"},
 		{"nuts-batched", "12cities", "nuts"},
 		{"nuts-unbatched", "disease", "nuts"},
+		// A collapsed kernel (build-time counts, no data sweep) crossing a
+		// checkpoint and a worker migration.
+		{"nuts-collapsed", "survival", "nuts"},
 	}
 	for _, tc := range cases {
 		tc := tc

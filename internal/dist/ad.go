@@ -111,13 +111,26 @@ func HalfCauchyLPDF(t *ad.Tape, x ad.Var, scale float64) ad.Var {
 	return t.EndFusedSingle(x, -2*z/(1+z*z)/scale, val)
 }
 
-// StudentTLPDF records log t_nu(x | mu, sigma) with constant nu.
-func StudentTLPDF(t *ad.Tape, nu float64, x, mu, sigma ad.Var) ad.Var {
+// The four densities below take constant parameters, so the part of the
+// log density that depends on them alone is computed once, by the New*
+// constructor, and added by LPDF in the position the closed form puts it:
+// a model that builds its priors once pays no lgamma or log per
+// evaluation, and values are bit-identical to evaluating the closed form.
+
+// StudentT is the Student-t density with constant degrees of freedom nu.
+type StudentT struct{ nu, norm float64 }
+
+// NewStudentT returns the Student-t family with nu degrees of freedom.
+func NewStudentT(nu float64) StudentT {
+	return StudentT{nu: nu, norm: mathx.Lgamma((nu+1)/2) - mathx.Lgamma(nu/2) - 0.5*math.Log(nu*math.Pi)}
+}
+
+// LPDF records log t_nu(x | mu, sigma).
+func (d StudentT) LPDF(t *ad.Tape, x, mu, sigma ad.Var) ad.Var {
+	nu := d.nu
 	s := sigma.Value()
 	z := (x.Value() - mu.Value()) / s
-	val := mathx.Lgamma((nu+1)/2) - mathx.Lgamma(nu/2) -
-		0.5*math.Log(nu*math.Pi) - math.Log(s) -
-		(nu+1)/2*math.Log1p(z*z/nu)
+	val := d.norm - math.Log(s) - (nu+1)/2*math.Log1p(z*z/nu)
 	common := (nu + 1) * z / (nu + z*z) / s
 	mark := t.BeginFused()
 	t.FusedEdge(x, -common)
@@ -126,26 +139,49 @@ func StudentTLPDF(t *ad.Tape, nu float64, x, mu, sigma ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// GammaLPDF records log Gamma(x | alpha, beta) with constant shape/rate.
-func GammaLPDF(t *ad.Tape, x ad.Var, alpha, beta float64) ad.Var {
-	v := x.Value()
-	val := alpha*math.Log(beta) - mathx.Lgamma(alpha) + (alpha-1)*math.Log(v) - beta*v
-	return t.EndFusedSingle(x, (alpha-1)/v-beta, val)
+// Gamma is the Gamma(shape alpha, rate beta) density with constant
+// parameters.
+type Gamma struct{ alpha, beta, norm float64 }
+
+// NewGamma returns Gamma(shape alpha, rate beta).
+func NewGamma(alpha, beta float64) Gamma {
+	return Gamma{alpha: alpha, beta: beta, norm: alpha*math.Log(beta) - mathx.Lgamma(alpha)}
 }
 
-// InvGammaLPDF records log InvGamma(x | alpha, beta) with constant
-// shape/scale.
-func InvGammaLPDF(t *ad.Tape, x ad.Var, alpha, beta float64) ad.Var {
+// LPDF records log Gamma(x | alpha, beta).
+func (d Gamma) LPDF(t *ad.Tape, x ad.Var) ad.Var {
 	v := x.Value()
-	val := alpha*math.Log(beta) - mathx.Lgamma(alpha) - (alpha+1)*math.Log(v) - beta/v
-	return t.EndFusedSingle(x, -(alpha+1)/v+beta/(v*v), val)
+	val := d.norm + (d.alpha-1)*math.Log(v) - d.beta*v
+	return t.EndFusedSingle(x, (d.alpha-1)/v-d.beta, val)
 }
 
-// BetaLPDF records log Beta(x | a, b) with constant a, b.
-func BetaLPDF(t *ad.Tape, x ad.Var, a, b float64) ad.Var {
+// InvGamma is the InvGamma(shape alpha, scale beta) density with constant
+// parameters.
+type InvGamma struct{ alpha, beta, norm float64 }
+
+// NewInvGamma returns InvGamma(shape alpha, scale beta).
+func NewInvGamma(alpha, beta float64) InvGamma {
+	return InvGamma{alpha: alpha, beta: beta, norm: alpha*math.Log(beta) - mathx.Lgamma(alpha)}
+}
+
+// LPDF records log InvGamma(x | alpha, beta).
+func (d InvGamma) LPDF(t *ad.Tape, x ad.Var) ad.Var {
 	v := x.Value()
-	val := (a-1)*math.Log(v) + (b-1)*math.Log1p(-v) - mathx.LBeta(a, b)
-	return t.EndFusedSingle(x, (a-1)/v-(b-1)/(1-v), val)
+	val := d.norm - (d.alpha+1)*math.Log(v) - d.beta/v
+	return t.EndFusedSingle(x, -(d.alpha+1)/v+d.beta/(v*v), val)
+}
+
+// Beta is the Beta(a, b) density with constant parameters.
+type Beta struct{ a, b, lbeta float64 }
+
+// NewBeta returns Beta(a, b).
+func NewBeta(a, b float64) Beta { return Beta{a: a, b: b, lbeta: mathx.LBeta(a, b)} }
+
+// LPDF records log Beta(x | a, b).
+func (d Beta) LPDF(t *ad.Tape, x ad.Var) ad.Var {
+	v := x.Value()
+	val := (d.a-1)*math.Log(v) + (d.b-1)*math.Log1p(-v) - d.lbeta
+	return t.EndFusedSingle(x, (d.a-1)/v-(d.b-1)/(1-v), val)
 }
 
 // ExponentialLPDF records log Exp(x | rate) with constant rate.
@@ -161,9 +197,21 @@ func LogNormalLPDF(t *ad.Tape, x, mu, sigma ad.Var) ad.Var {
 	return t.Sub(lp, lx)
 }
 
-// PoissonLogLPMFSum records sum_i log Poisson(y[i] | exp(eta[i])).
-func PoissonLogLPMFSum(t *ad.Tape, y []int, eta []ad.Var) ad.Var {
-	if len(y) != len(eta) {
+// LogFactorials returns log y[i]! per observation: the data-only term of
+// the Poisson log pmf, computed once at model build for
+// PoissonLogLPMFSum.
+func LogFactorials(y []int) []float64 {
+	out := make([]float64, len(y))
+	for i, yi := range y {
+		out[i] = mathx.Lgamma(float64(yi) + 1)
+	}
+	return out
+}
+
+// PoissonLogLPMFSum records sum_i log Poisson(y[i] | exp(eta[i])), with
+// lfact = LogFactorials(y).
+func PoissonLogLPMFSum(t *ad.Tape, y []int, lfact []float64, eta []ad.Var) ad.Var {
+	if len(y) != len(eta) || len(lfact) != len(eta) {
 		panic("dist: PoissonLogLPMFSum length mismatch")
 	}
 	mark := t.BeginFused()
@@ -172,7 +220,7 @@ func PoissonLogLPMFSum(t *ad.Tape, y []int, eta []ad.Var) ad.Var {
 		e := eta[i].Value()
 		lam := math.Exp(e)
 		fy := float64(yi)
-		val += fy*e - lam - mathx.Lgamma(fy+1)
+		val += fy*e - lam - lfact[i]
 		t.FusedEdge(eta[i], fy-lam)
 	}
 	return t.EndFused(mark, val)
@@ -199,9 +247,24 @@ func BernoulliLogitLPMFSum(t *ad.Tape, y []int, eta []ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// BinomialLogitLPMFSum records sum_i log Binomial(y[i] | n[i], invlogit(eta[i])).
-func BinomialLogitLPMFSum(t *ad.Tape, y, n []int, eta []ad.Var) ad.Var {
-	if len(y) != len(eta) || len(n) != len(eta) {
+// LogChooses returns log C(n[i], y[i]) per observation: the data-only term
+// of the binomial log pmf, computed once at model build for
+// BinomialLogitLPMFSum.
+func LogChooses(n, y []int) []float64 {
+	if len(n) != len(y) {
+		panic("dist: LogChooses length mismatch")
+	}
+	out := make([]float64, len(y))
+	for i, yi := range y {
+		out[i] = mathx.LChoose(float64(n[i]), float64(yi))
+	}
+	return out
+}
+
+// BinomialLogitLPMFSum records sum_i log Binomial(y[i] | n[i],
+// invlogit(eta[i])), with lchoose = LogChooses(n, y).
+func BinomialLogitLPMFSum(t *ad.Tape, y, n []int, lchoose []float64, eta []ad.Var) ad.Var {
+	if len(y) != len(eta) || len(n) != len(eta) || len(lchoose) != len(eta) {
 		panic("dist: BinomialLogitLPMFSum length mismatch")
 	}
 	mark := t.BeginFused()
@@ -210,7 +273,7 @@ func BinomialLogitLPMFSum(t *ad.Tape, y, n []int, eta []ad.Var) ad.Var {
 		e := eta[i].Value()
 		p := mathx.InvLogit(e)
 		fy, fn := float64(yi), float64(n[i])
-		val += mathx.LChoose(fn, fy) + fy*e - fn*mathx.Log1pExp(e)
+		val += lchoose[i] + fy*e - fn*mathx.Log1pExp(e)
 		t.FusedEdge(eta[i], fy-fn*p)
 	}
 	return t.EndFused(mark, val)

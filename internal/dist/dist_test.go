@@ -208,19 +208,19 @@ func TestADCauchyStudentGamma(t *testing.T) {
 		func(x []float64) float64 { return HalfCauchyLogPDF(x[0], 1.5) },
 		[]float64{0.9})
 	adGradCheck(t, "studentt", 3,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return StudentTLPDF(tp, 4, q[0], q[1], q[2]) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewStudentT(4).LPDF(tp, q[0], q[1], q[2]) },
 		func(x []float64) float64 { return StudentTLogPDF(x[0], 4, x[1], x[2]) },
 		[]float64{0.5, -0.1, 1.2})
 	adGradCheck(t, "gamma", 1,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return GammaLPDF(tp, q[0], 2, 3) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewGamma(2, 3).LPDF(tp, q[0]) },
 		func(x []float64) float64 { return GammaLogPDF(x[0], 2, 3) },
 		[]float64{1.4})
 	adGradCheck(t, "invgamma", 1,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return InvGammaLPDF(tp, q[0], 3, 2) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewInvGamma(3, 2).LPDF(tp, q[0]) },
 		func(x []float64) float64 { return InvGammaLogPDF(x[0], 3, 2) },
 		[]float64{0.8})
 	adGradCheck(t, "beta", 1,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return BetaLPDF(tp, q[0], 2, 5) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewBeta(2, 5).LPDF(tp, q[0]) },
 		func(x []float64) float64 { return BetaLogPDF(x[0], 2, 5) },
 		[]float64{0.3})
 	adGradCheck(t, "exponential", 1,
@@ -248,7 +248,7 @@ func TestADDiscreteSums(t *testing.T) {
 
 	yp := []int{2, 0, 5}
 	adGradCheck(t, "poisson-log-sum", 3,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return PoissonLogLPMFSum(tp, yp, q) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return PoissonLogLPMFSum(tp, yp, LogFactorials(yp), q) },
 		func(x []float64) float64 {
 			s := 0.0
 			for i, y := range yp {
@@ -260,7 +260,7 @@ func TestADDiscreteSums(t *testing.T) {
 
 	ys, ns := []int{3, 7}, []int{10, 12}
 	adGradCheck(t, "binomial-logit-sum", 2,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return BinomialLogitLPMFSum(tp, ys, ns, q) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return BinomialLogitLPMFSum(tp, ys, ns, LogChooses(ns, ys), q) },
 		func(x []float64) float64 {
 			s := 0.0
 			for i := range ys {
@@ -278,6 +278,50 @@ func TestADDiscreteSums(t *testing.T) {
 		func(tp *ad.Tape, q []ad.Var) ad.Var { return BinomialLPMF(tp, 4, 9, q[0]) },
 		func(x []float64) float64 { return BinomialLogPMF(4, 9, x[0]) },
 		[]float64{0.35})
+}
+
+// TestHoistedConstantsBitIdentical pins the contract of the densities
+// whose data-only or parameter-only constants are computed ahead of the
+// evaluation: the recorded value carries the very bits of the closed form
+// in dist.go, which evaluates those constants in place, term for term in
+// the same order. A seeded chain therefore cannot tell the two apart.
+func TestHoistedConstantsBitIdentical(t *testing.T) {
+	r := rng.New(2024)
+	tp := ad.NewTape(0)
+	same := func(name string, got ad.Var, want float64) {
+		t.Helper()
+		if math.Float64bits(got.Value()) != math.Float64bits(want) {
+			t.Errorf("%s: recorded %.17g, closed form %.17g", name, got.Value(), want)
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		a, b := 0.3+3*r.Float64(), 0.2+4*r.Float64()
+		x, u := 0.05+5*r.Float64(), 0.01+0.98*r.Float64()
+		mu, sigma, nu := r.Norm(), 0.1+2*r.Float64(), 1+9*r.Float64()
+		tp.Reset()
+		in := tp.Input([]float64{x, u, mu, sigma})
+		same("gamma", NewGamma(a, b).LPDF(tp, in[0]), GammaLogPDF(x, a, b))
+		same("invgamma", NewInvGamma(a, b).LPDF(tp, in[0]), InvGammaLogPDF(x, a, b))
+		same("beta", NewBeta(a, b).LPDF(tp, in[1]), BetaLogPDF(u, a, b))
+		same("studentt", NewStudentT(nu).LPDF(tp, in[0], in[2], in[3]), StudentTLogPDF(x, nu, mu, sigma))
+
+		const n = 9
+		y, cnt, size := make([]int, n), make([]int, n), make([]int, n)
+		eta := make([]float64, n)
+		var pois, binom float64
+		for i := range eta {
+			eta[i] = 2 * r.Norm()
+			cnt[i] = r.Intn(40)
+			size[i] = 1 + r.Intn(3000)
+			y[i] = r.Intn(size[i] + 1)
+			pois += PoissonLogLogPMF(cnt[i], eta[i])
+			binom += BinomialLogitLogPMF(y[i], size[i], eta[i])
+		}
+		tp.Reset()
+		ev := tp.Input(eta)
+		same("poisson-log-sum", PoissonLogLPMFSum(tp, cnt, LogFactorials(cnt), ev), pois)
+		same("binomial-logit-sum", BinomialLogitLPMFSum(tp, y, size, LogChooses(size, y), ev), binom)
+	}
 }
 
 // TestSamplerMatchesDensity draws from the rng samplers and checks the

@@ -125,23 +125,11 @@ func BenchmarkRunnerGLMTape(b *testing.B) {
 
 // BenchmarkGradientGLMKernel isolates one gradient evaluation on the
 // kernel path (steady-state allocations must be zero).
-func BenchmarkGradientGLMKernel(b *testing.B) {
-	w, err := workloads.New("tickets", 1.0, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchGradient(b, w.Model)
-}
+func BenchmarkGradientGLMKernel(b *testing.B) { benchRegistryGradient(b, "tickets", false) }
 
 // BenchmarkGradientGLMTape isolates one gradient evaluation on the
 // legacy tape path.
-func BenchmarkGradientGLMTape(b *testing.B) {
-	w, err := workloads.New("tickets", 1.0, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchGradient(b, w.TapeModel())
-}
+func BenchmarkGradientGLMTape(b *testing.B) { benchRegistryGradient(b, "tickets", true) }
 
 func benchGradient(b *testing.B, m model.Model) {
 	b.Helper()
@@ -157,7 +145,40 @@ func benchGradient(b *testing.B, m model.Model) {
 	for i := 0; i < b.N; i++ {
 		ev.LogDensityGrad(q, grad)
 	}
+	b.ReportMetric(float64(ev.TapeNodes), "nodes")
+	b.ReportMetric(float64(ev.TapeEdges), "edges")
 }
+
+// ---- Collapsed and fused ports: kernel vs legacy tape, full scale ----
+//
+// survival and butterfly collapse their data to counts at build time,
+// racial, disease and votes only fuse; each pair is one gradient through
+// the registry default and one through the legacy tape the
+// characterization harness keeps measuring.
+
+func benchRegistryGradient(b *testing.B, name string, tape bool) {
+	b.Helper()
+	w, err := workloads.New(name, 1.0, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tape {
+		benchGradient(b, w.TapeModel())
+	} else {
+		benchGradient(b, w.Model)
+	}
+}
+
+func BenchmarkGradientSurvivalKernel(b *testing.B)  { benchRegistryGradient(b, "survival", false) }
+func BenchmarkGradientSurvivalTape(b *testing.B)    { benchRegistryGradient(b, "survival", true) }
+func BenchmarkGradientButterflyKernel(b *testing.B) { benchRegistryGradient(b, "butterfly", false) }
+func BenchmarkGradientButterflyTape(b *testing.B)   { benchRegistryGradient(b, "butterfly", true) }
+func BenchmarkGradientRacialKernel(b *testing.B)    { benchRegistryGradient(b, "racial", false) }
+func BenchmarkGradientRacialTape(b *testing.B)      { benchRegistryGradient(b, "racial", true) }
+func BenchmarkGradientDiseaseKernel(b *testing.B)   { benchRegistryGradient(b, "disease", false) }
+func BenchmarkGradientDiseaseTape(b *testing.B)     { benchRegistryGradient(b, "disease", true) }
+func BenchmarkGradientVotesKernel(b *testing.B)     { benchRegistryGradient(b, "votes", false) }
+func BenchmarkGradientVotesTape(b *testing.B)       { benchRegistryGradient(b, "votes", true) }
 
 // ---- Large-N normal-id GLM: the asymptotic kernel-vs-tape headline ----
 //

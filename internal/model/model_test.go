@@ -119,7 +119,7 @@ func TestJacobiansNormalize(t *testing.T) {
 	integrates(t, "Lower+Gamma", &transformJacobianModel{
 		build: func(b *Builder, q ad.Var) {
 			x := b.Lower(q, 0)
-			b.Add(dist.GammaLPDF(b.T, x, 2, 1.5))
+			b.Add(dist.NewGamma(2, 1.5).LPDF(b.T, x))
 		}}, -15, 8)
 	integrates(t, "Upper+reflectedExp", &transformJacobianModel{
 		build: func(b *Builder, q ad.Var) {
@@ -130,7 +130,7 @@ func TestJacobiansNormalize(t *testing.T) {
 	integrates(t, "LowerUpper+Beta", &transformJacobianModel{
 		build: func(b *Builder, q ad.Var) {
 			x := b.Prob(q)
-			b.Add(dist.BetaLPDF(b.T, x, 2.5, 1.5))
+			b.Add(dist.NewBeta(2.5, 1.5).LPDF(b.T, x))
 		}}, -25, 25)
 }
 

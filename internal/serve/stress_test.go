@@ -121,6 +121,44 @@ func TestConcurrentSeededJobsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCollapsedKernelJobsBitIdentical runs each workload whose likelihood
+// is a collapsed or fused single-node kernel (unbatchable, so plain
+// lockstep with no coalescer) as two copies of one seeded spec side by
+// side: both must reproduce the serial reference bit for bit, elision
+// point included.
+func TestCollapsedKernelJobsBitIdentical(t *testing.T) {
+	var specs []JobSpec
+	for _, c := range []struct {
+		name  string
+		scale float64
+	}{{"survival", 0.25}, {"butterfly", 0.25}, {"racial", 0.25}, {"disease", 0.03}, {"votes", 0.02}} {
+		spec := JobSpec{Workload: c.name, Scale: c.scale, Iterations: 300, Chains: 2, Seed: 11, Sampler: "nuts"}
+		specs = append(specs, spec, spec)
+	}
+	s := NewServer(Config{Workers: 2, QueueCap: len(specs), Predictor: testPredictor()})
+	jobs := make([]*Job, len(specs))
+	for i, spec := range specs {
+		var err error
+		if jobs[i], err = s.Submit(spec); err != nil {
+			t.Fatalf("submit %s: %v", spec.Workload, err)
+		}
+	}
+	var ref *mcmc.Result
+	for i, job := range jobs {
+		st := waitDone(t, job, 120*time.Second)
+		if st.State != Done {
+			t.Fatalf("%s ended %s (%s)", specs[i].Workload, st.State, st.Error)
+		}
+		if st.GradBatch != nil {
+			t.Errorf("%s: job reports fused sweeps, want plain lockstep", specs[i].Workload)
+		}
+		if i%2 == 0 {
+			ref = referenceRun(t, specs[i])
+		}
+		sameDraws(t, specs[i].Workload, job.Raw(), ref)
+	}
+}
+
 // TestBitIdenticalToBayessuiteConfig pins the acceptance criterion: a
 // served 12cities job reproduces, bit for bit, the draws of the
 // equivalent cmd/bayessuite invocation (same seed, elision on), and the

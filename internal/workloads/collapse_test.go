@@ -1,0 +1,272 @@
+package workloads
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"bayessuite/internal/ad"
+	"bayessuite/internal/dist"
+	"bayessuite/internal/kernels"
+	"bayessuite/internal/mathx"
+	"bayessuite/internal/model"
+	"bayessuite/internal/rng"
+)
+
+// kernelValue records one kernel block on a fresh tape over inputs q and
+// returns its value.
+func kernelValue(q []float64, rec func(t *ad.Tape, in []ad.Var) ad.Var) float64 {
+	t := ad.NewTape(0)
+	return rec(t, t.Input(q)).Value()
+}
+
+// TestCollapseInvariant is the property the collapsed kernels rest on: the
+// counts taken at build time reproduce, to 1e-10 relative, the
+// log-likelihood a direct sweep over every observation computes — for the
+// CJS counts, the occupancy class counts and the threshold test's hoisted
+// lchoose constant, over 20 (seed, scale) pairs and a random point each.
+func TestCollapseInvariant(t *testing.T) {
+	near := func(t *testing.T, name string, got, want float64) {
+		t.Helper()
+		if math.Abs(got-want) > 1e-10*math.Abs(want) {
+			t.Errorf("%s: collapsed %.15g, direct sweep %.15g", name, got, want)
+		}
+	}
+	r := rng.New(31)
+	for trial := 0; trial < 20; trial++ {
+		seed := uint64(100 + trial)
+		scale := 0.05 + 0.95*r.Float64()
+
+		sv := NewSurvival(scale, seed).Model.(*survival)
+		q := randomPoint(sv.Dim(), r)
+		nT := sv.nOcc - 1
+		near(t, "survival", kernelValue(q, func(tp *ad.Tape, in []ad.Var) ad.Var {
+			return sv.cjs.LogLik(tp, in[:nT], in[nT:])
+		}), sv.directLogLik(q))
+
+		bf := NewButterfly(scale, seed).Model.(*butterfly)
+		q = randomPoint(bf.Dim(), r)
+		q[1], q[3] = 0.3*q[1], 0.3*q[3] // scales enter as values, keep them ordinary
+		near(t, "butterfly", kernelValue(q, func(tp *ad.Tape, in []ad.Var) ad.Var {
+			return bf.occ.LogLik(tp, in[0], in[1], in[2], in[3], in[4:4+bf.nSpecies], in[4+bf.nSpecies:])
+		}), bf.directLogLik(q))
+
+		rc := NewRacial(scale, seed).Model.(*racial)
+		q = randomPoint(rc.Dim(), r)
+		near(t, "racial", kernelValue(q, func(tp *ad.Tape, in []ad.Var) ad.Var {
+			i := rc.nRace + 1 + rc.nDept
+			return rc.thr.LogLik(tp, in[:rc.nRace], in[rc.nRace], in[rc.nRace+1:i],
+				in[i:i+rc.nCells()], in[i+rc.nCells():i+rc.nCells()+rc.nRace], in[len(in)-1])
+		}), rc.directLogLik(q))
+	}
+}
+
+func randomPoint(dim int, r *rng.RNG) []float64 {
+	q := make([]float64, dim)
+	for i := range q {
+		q[i] = 0.8 * r.Norm()
+	}
+	return q
+}
+
+// directLogLik is the CJS log-likelihood at logits q, one animal and one
+// occasion at a time.
+func (w *survival) directLogLik(q []float64) float64 {
+	nT := w.nOcc - 1
+	chi := make([]float64, w.nOcc)
+	chi[nT] = 1
+	for t := nT - 1; t >= 0; t-- {
+		phi, p := mathx.InvLogit(q[t]), mathx.InvLogit(q[nT+t])
+		chi[t] = (1 - phi) + phi*(1-p)*chi[t+1]
+	}
+	total := 0.0
+	for i, h := range w.history {
+		for t := w.first[i] + 1; t <= w.last[i]; t++ {
+			total += mathx.LogInvLogit(q[t-1]) + dist.BernoulliLogitLogPMF(int(h[t]), q[nT+t-1])
+		}
+		total += math.Log(chi[w.last[i]])
+	}
+	return total
+}
+
+// directLogLik is the occupancy log-likelihood at (muPsi, sigPsi, muP,
+// sigP, uRaw, vRaw), one species-site at a time.
+func (w *butterfly) directLogLik(q []float64) float64 {
+	total := 0.0
+	for i, row := range w.y {
+		etaPsi := q[0] + q[1]*q[4+i]
+		etaP := q[2] + q[3]*q[4+w.nSpecies+i]
+		for _, y := range row {
+			occ := mathx.LogInvLogit(etaPsi) + dist.BinomialLogitLogPMF(y, w.nVisits, etaP)
+			if y > 0 {
+				total += occ
+			} else {
+				total += mathx.LogSumExp(occ, mathx.LogInvLogit(-etaPsi))
+			}
+		}
+	}
+	return total
+}
+
+// directLogLik is the threshold test's log-likelihood at (tRace, sigma,
+// deptRaw, cellRaw, hRace, searchBase), one cell at a time with its own
+// lchoose terms.
+func (w *racial) directLogLik(q []float64) float64 {
+	tRace, sig := q[:w.nRace], q[w.nRace]
+	deptRaw := q[w.nRace+1 : w.nRace+1+w.nDept]
+	cellRaw := q[w.nRace+1+w.nDept:]
+	hRace := cellRaw[w.nCells():]
+	base := q[len(q)-1]
+	total := 0.0
+	for c := range w.stops {
+		thr := tRace[w.race[c]] + deptScale*deptRaw[w.dept[c]] + sig*cellRaw[c]
+		total += dist.BinomialLogitLogPMF(w.searches[c], w.stops[c], base-thr)
+		total += dist.BinomialLogitLogPMF(w.hits[c], w.searches[c], hRace[w.race[c]]+thr)
+	}
+	return total
+}
+
+// TestCollapsedKernelsAdversarialData drives the two collapsed kernels
+// over datasets built to hit their empty classes: a species never
+// detected anywhere, one detected at every site (once on every visit),
+// animals never seen again after marking — at the first occasion, and at
+// the last, where chi is exactly 1 — and an animal seen at every occasion,
+// which leaves most miss counts at zero. A zero count must drop its term:
+// with its probability saturated at 0 or 1 the tape oracle never touches
+// that log, and the kernel must not turn 0·log 0 into a NaN.
+func TestCollapsedKernelsAdversarialData(t *testing.T) {
+	r := rng.New(53)
+
+	bf := &butterfly{nSpecies: 4, nSites: 5, nVisits: 6, y: [][]int{
+		{0, 0, 0, 0, 0},
+		{6, 3, 1, 6, 2},
+		{0, 2, 0, 6, 0},
+		{1, 1, 1, 1, 1},
+	}}
+	bfLegacy := *bf
+	bf.occ = kernels.NewOccupancy(bf.y, bf.nVisits)
+
+	const nOcc = 6
+	sv := &survival{nOcc: nOcc,
+		history: [][]uint8{
+			{1, 0, 0, 0, 0, 0},
+			{1, 1, 1, 1, 1, 1},
+			{0, 0, 0, 0, 0, 1},
+			{0, 1, 0, 0, 0, 0},
+			{1, 1, 0, 0, 0, 0},
+		},
+		first: []int{0, 0, 5, 1, 0},
+		last:  []int{0, 5, 5, 1, 1},
+	}
+	svLegacy := *sv
+	sv.cjs = kernels.NewCJS(sv.history, sv.first, sv.last, nOcc)
+
+	for _, pair := range []struct{ kernel, legacy model.Model }{{bf, &bfLegacy}, {sv, &svLegacy}} {
+		evK := model.NewEvaluator(pair.kernel)
+		evT := model.NewEvaluator(pair.legacy)
+		pts := adversarialPoints(evK.Dim(), r)
+		for i := 0; i < 5; i++ {
+			pts = append(pts, randomPoint(evK.Dim(), r))
+		}
+		for i, q := range pts {
+			checkEquivalent(t, pair.kernel.Name()+" point "+itoa(i), evK, evT, q)
+		}
+	}
+
+	// Nobody was missed between occasions 1 and 5, so recapture logits of
+	// +40 there (p exactly 1, log(1-p) = -Inf) must leave the density
+	// finite on both paths.
+	q := randomPoint(sv.Dim(), r)
+	for t := 1; t < nOcc-1; t++ {
+		q[nOcc-1+t] = 40
+	}
+	evK, evT := model.NewEvaluator(sv), model.NewEvaluator(&svLegacy)
+	g := make([]float64, len(q))
+	if lp := evK.LogDensityGrad(q, g); math.IsInf(lp, 0) {
+		t.Errorf("survival kernel: density %v with p = 1 at occasions no animal was missed at", lp)
+	}
+	checkEquivalent(t, "survival saturated recapture", evK, evT, q)
+}
+
+// tapeShapes are the legacy tape models' node and edge counts at scale
+// 1.0, seed 3, as measured at the commit before the collapsed-kernel
+// ports. internal/perf, internal/hw, internal/accel and the figure
+// harness read these tapes as the paper's Stan-shaped working sets; a port
+// that edits a legacy body in place shows up here first.
+var tapeShapes = []struct {
+	name         string
+	nodes, edges int
+}{
+	{"12cities", 1037, 1756},
+	{"ad", 1249, 20448},
+	{"ode", 14664, 24438},
+	{"memory", 5077, 10040},
+	{"votes", 2650, 10460},
+	{"tickets", 24448, 144448},
+	{"disease", 2277, 6508},
+	{"racial", 765, 1465},
+	{"butterfly", 4639, 6972},
+	{"survival", 353, 10931},
+}
+
+func TestTapeModelShapeUnchanged(t *testing.T) {
+	for _, want := range tapeShapes {
+		w, err := New(want.name, 1.0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := model.NewEvaluator(w.TapeModel())
+		q := make([]float64, ev.Dim())
+		ev.LogDensityGrad(q, make([]float64, ev.Dim()))
+		if ev.TapeNodes != want.nodes || ev.TapeEdges != want.edges {
+			t.Errorf("%s: legacy tape has %d nodes, %d edges; want %d, %d",
+				want.name, ev.TapeNodes, ev.TapeEdges, want.nodes, want.edges)
+		}
+	}
+}
+
+// TestLegacyDensityBitsUnchanged pins the legacy racial, 12cities and
+// disease densities to the bits they had before their data-only constants
+// (lchoose per cell, log y! per city-year, the Gamma prior's normaliser)
+// moved out of the evaluation: log density and an FNV-1a hash over the
+// gradient's bit patterns at scale 0.5, seed 3, q_i = 0.1·(i mod 7 − 3),
+// recorded at the parent commit with the in-place formulas. The
+// arch-independent half of this contract — hoisted form ≡ closed form,
+// bit for bit — is dist.TestHoistedConstantsBitIdentical; these golden
+// words additionally depend on the platform's exp and log, so they are
+// checked where they were recorded.
+func TestLegacyDensityBitsUnchanged(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bit patterns were recorded on amd64")
+	}
+	for _, want := range []struct {
+		name         string
+		lpBits, grad uint64
+	}{
+		{"racial", 0xc0def244d21cd5a7, 0x35cab5e3bc6c3a43},
+		{"12cities", 0xc1ae34103cfcfc90, 0x2e4f17e593f799ae},
+		{"disease", 0xc0889001f5177598, 0xbdef2e44bd285c7e},
+	} {
+		w, err := New(want.name, 0.5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := model.NewEvaluator(w.TapeModel())
+		q := make([]float64, ev.Dim())
+		for i := range q {
+			q[i] = 0.1 * float64(i%7-3)
+		}
+		g := make([]float64, ev.Dim())
+		lp := ev.LogDensityGrad(q, g)
+		h := fnv.New64a()
+		for _, v := range g {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if math.Float64bits(lp) != want.lpBits || h.Sum64() != want.grad {
+			t.Errorf("%s: legacy density %.17g (bits %#x, gradient hash %#x), want bits %#x, hash %#x",
+				want.name, lp, math.Float64bits(lp), h.Sum64(), want.lpBits, want.grad)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bayessuite/internal/ad"
 	"bayessuite/internal/data"
 	"bayessuite/internal/dist"
+	"bayessuite/internal/kernels"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
 	"bayessuite/internal/splines"
@@ -17,11 +18,20 @@ import (
 // stages and the per-biomarker curve coefficients are inferred jointly,
 // which makes the posterior high-dimensional and the per-iteration
 // trajectories long — one of the paper's long-running workloads.
+//
+// The basis is evaluated at a parameter (the stage), so nothing about the
+// likelihood can be counted ahead of time; the default path (curves !=
+// nil) fuses it into one float kernel, the legacy tape path records a
+// curve node per patient and marker.
 type disease struct {
 	nPatients, nMarkers, nBasis int
 	basis                       *splines.ISpline
 	y                           [][]float64 // biomarker value per patient x marker
 	ycols                       [][]float64 // y transposed: one flat column per marker
+
+	coefPrior dist.Gamma // on each spline coefficient
+
+	curves *kernels.ISplineNormal // nil on the legacy tape path
 }
 
 // NewDisease builds the disease workload at the given dataset scale.
@@ -36,6 +46,7 @@ func NewDisease(scale float64, seed uint64) *Workload {
 		nMarkers:  nMarkers,
 		nBasis:    nBasis,
 		basis:     splines.NewISpline(nBasis),
+		coefPrior: dist.NewGamma(2, 2),
 	}
 	// Generative truth: random monotone curves and patient stages.
 	coefs := make([][]float64, nMarkers)
@@ -66,6 +77,9 @@ func NewDisease(scale float64, seed uint64) *Workload {
 		}
 		w.ycols[j] = col
 	}
+	w.curves = kernels.NewISplineNormal(w.basis, w.ycols)
+	legacy := *w
+	legacy.curves = nil
 	return &Workload{
 		Info: Info{
 			Name:          "disease",
@@ -80,7 +94,8 @@ func NewDisease(scale float64, seed uint64) *Workload {
 			BaseIPC:       2.1,
 			Distributions: []string{"normal", "half-cauchy", "gamma"},
 		},
-		Model: w,
+		Model:  w,
+		legacy: &legacy,
 	}
 }
 
@@ -97,6 +112,9 @@ func (w *disease) ModeledDataBytes() int {
 }
 
 func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
+	if w.curves != nil {
+		return w.logPostKernel(t, q)
+	}
 	b := model.NewBuilder(t)
 	i := 0
 	stageRaw := q[i : i+w.nPatients]
@@ -117,7 +135,7 @@ func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	coefs := make([]ad.Var, len(coefRaw))
 	for k, cr := range coefRaw {
 		c := b.Positive(cr)
-		b.Add(dist.GammaLPDF(t, c, 2, 2))
+		b.Add(w.coefPrior.LPDF(t, c))
 		coefs[k] = c
 	}
 	sigmas := make([]ad.Var, w.nMarkers)
@@ -151,5 +169,32 @@ func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 		}
 		b.Add(dist.NormalLPDFVec(t, w.ycols[j], mu, sigmas[j]))
 	}
+	return b.Result()
+}
+
+// logPostKernel is the fused-kernel density: the same priors and positive
+// transforms on the tape, the stage logits handed to the kernel untouched
+// (their Jacobian is one node) and every marker's curves and normal
+// likelihood in one more.
+func (w *disease) logPostKernel(t *ad.Tape, q []ad.Var) ad.Var {
+	b := model.NewBuilder(t)
+	nCoef := w.nMarkers * w.nBasis
+	stageRaw := q[:w.nPatients]
+	coefRaw := q[w.nPatients : w.nPatients+nCoef]
+	sigmaRaw := q[w.nPatients+nCoef:]
+
+	b.Add(dist.NormalLPDFVarData(t, stageRaw, ad.Const(0), ad.Const(1.5)))
+	b.Add(kernels.LogitJacobian(t, stageRaw))
+	coefs := t.ScratchVars(nCoef)
+	for k, cr := range coefRaw {
+		coefs[k] = b.Positive(cr)
+		b.Add(w.coefPrior.LPDF(t, coefs[k]))
+	}
+	sigmas := t.ScratchVars(w.nMarkers)
+	for j, sr := range sigmaRaw {
+		sigmas[j] = b.Positive(sr)
+		b.Add(dist.HalfCauchyLPDF(t, sigmas[j], 0.2))
+	}
+	b.Add(w.curves.LogLik(t, stageRaw, coefs, sigmas))
 	return b.Result()
 }

@@ -4,6 +4,7 @@ import (
 	"bayessuite/internal/ad"
 	"bayessuite/internal/data"
 	"bayessuite/internal/dist"
+	"bayessuite/internal/kernels"
 	"bayessuite/internal/mathx"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
@@ -19,12 +20,24 @@ import (
 // rises and the hit rate falls as the threshold drops, so differing
 // thresholds across races are identified from the joint behavior of both
 // rates.
+//
+// The default path (thr != nil) evaluates both binomial blocks in one
+// fused pass over the cells; the legacy tape path records a threshold and
+// two linear predictors per cell.
 type racial struct {
 	nDept, nRace   int
 	stops          []int // per cell
 	searches, hits []int
 	dept, race     []int
+	// log C(stops, searches) and log C(searches, hits) per cell.
+	lchooseSearch, lchooseHit []float64
+
+	thr *kernels.ThresholdTest // nil on the legacy tape path
 }
+
+// deptScale is the fixed prior scale of the department effects on the
+// latent threshold.
+const deptScale = 0.4
 
 // NewRacial builds the racial workload at the given dataset scale.
 func NewRacial(scale float64, seed uint64) *Workload {
@@ -38,7 +51,7 @@ func NewRacial(scale float64, seed uint64) *Workload {
 	tRace := []float64{0.0, -0.35, -0.30, -0.1}[:nRace] // lower = searched on less evidence
 	hRace := []float64{-0.6, -0.2, -0.25, -0.4}[:nRace]
 	for d := 0; d < nDept; d++ {
-		deptEff := 0.4 * r.Norm()
+		deptEff := deptScale * r.Norm()
 		for race := 0; race < nRace; race++ {
 			thr := tRace[race] + deptEff + 0.2*r.Norm()
 			stops := 200 + r.Intn(2000)
@@ -53,6 +66,11 @@ func NewRacial(scale float64, seed uint64) *Workload {
 			w.race = append(w.race, race)
 		}
 	}
+	w.lchooseSearch = dist.LogChooses(w.stops, w.searches)
+	w.lchooseHit = dist.LogChooses(w.searches, w.hits)
+	w.thr = kernels.NewThresholdTest(w.stops, w.searches, w.hits, w.dept, w.race, nDept, nRace, deptScale)
+	legacy := *w
+	legacy.thr = nil
 	return &Workload{
 		Info: Info{
 			Name:          "racial",
@@ -67,7 +85,8 @@ func NewRacial(scale float64, seed uint64) *Workload {
 			BaseIPC:       1.9,
 			Distributions: []string{"normal", "half-cauchy", "binomial-logit"},
 		},
-		Model: w,
+		Model:  w,
+		legacy: &legacy,
 	}
 }
 
@@ -113,17 +132,21 @@ func (w *racial) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	}
 	b.Add(dist.NormalLPDF(t, searchBase, ad.Const(-2.5), ad.Const(1)))
 
+	if w.thr != nil {
+		b.Add(w.thr.LogLik(t, tRace, sigT, deptRaw, cellRaw, hRace, searchBase))
+		return b.Result()
+	}
 	// Per-cell latent thresholds and the two binomial likelihoods.
 	etaSearch := make([]ad.Var, w.nCells())
 	etaHit := make([]ad.Var, w.nCells())
 	for c := 0; c < w.nCells(); c++ {
-		thr := t.Add(tRace[w.race[c]], t.MulConst(deptRaw[w.dept[c]], 0.4))
+		thr := t.Add(tRace[w.race[c]], t.MulConst(deptRaw[w.dept[c]], deptScale))
 		thr = t.Add(thr, t.Mul(sigT, cellRaw[c]))
 		// Lower threshold -> more searches, fewer hits per search.
 		etaSearch[c] = t.Sub(searchBase, thr)
 		etaHit[c] = t.Add(hRace[w.race[c]], thr)
 	}
-	b.Add(dist.BinomialLogitLPMFSum(t, w.searches, w.stops, etaSearch))
-	b.Add(dist.BinomialLogitLPMFSum(t, w.hits, w.searches, etaHit))
+	b.Add(dist.BinomialLogitLPMFSum(t, w.searches, w.stops, w.lchooseSearch, etaSearch))
+	b.Add(dist.BinomialLogitLPMFSum(t, w.hits, w.searches, w.lchooseHit, etaHit))
 	return b.Result()
 }

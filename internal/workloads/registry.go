@@ -68,10 +68,11 @@ func (i Info) TapeFactor() float64 {
 
 // Workload is a runnable BayesSuite benchmark.
 //
-// Model is the default (fastest) implementation; for the GLM-shaped
-// workloads it evaluates the likelihood through the fused analytic
-// kernels in internal/kernels. legacy, when non-nil, is the same model
-// with the original node-per-observation tape likelihood.
+// Model is the default (fastest) implementation; for every workload but
+// ode it evaluates the likelihood through a fused — and, where the
+// likelihood allows, collapsed — analytic kernel in internal/kernels.
+// legacy, when non-nil, is the same model with the original
+// node-per-observation tape likelihood.
 type Workload struct {
 	Info  Info
 	Model model.Model

@@ -3,6 +3,7 @@ package workloads
 import (
 	"bayessuite/internal/ad"
 	"bayessuite/internal/data"
+	"bayessuite/internal/kernels"
 	"bayessuite/internal/mathx"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
@@ -15,11 +16,18 @@ import (
 // marginalized individual likelihood sweeps every history every
 // evaluation, giving this workload a large streamed working set — it is
 // one of the paper's three LLC-bound workloads.
+//
+// That sweep is what the legacy tape path keeps and the characterization
+// harness measures. The default path (cjs != nil) counts the histories
+// once at build time — the likelihood is a count-weighted sum of 4·T
+// distinct terms — and evaluates the collapsed form in O(T).
 type survival struct {
 	nOcc    int
 	history [][]uint8 // capture history per individual
 	first   []int     // first capture occasion per individual
 	last    []int     // last capture occasion per individual
+
+	cjs *kernels.CJS // nil on the legacy tape path
 }
 
 // NewSurvival builds the survival workload at the given dataset scale.
@@ -58,6 +66,9 @@ func NewSurvival(scale float64, seed uint64) *Workload {
 		w.first = append(w.first, f)
 		w.last = append(w.last, lastSeen)
 	}
+	w.cjs = kernels.NewCJS(w.history, w.first, w.last, nOcc)
+	legacy := *w
+	legacy.cjs = nil
 	return &Workload{
 		Info: Info{
 			Name:          "survival",
@@ -72,7 +83,8 @@ func NewSurvival(scale float64, seed uint64) *Workload {
 			BaseIPC:       2.2,
 			Distributions: []string{"uniform", "bernoulli"},
 		},
-		Model: w,
+		Model:  w,
+		legacy: &legacy,
 	}
 }
 
@@ -87,8 +99,13 @@ func (w *survival) ModeledDataBytes() int {
 }
 
 func (w *survival) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
-	b := model.NewBuilder(t)
 	nT := w.nOcc - 1
+	if w.cjs != nil {
+		// Uniform(0,1) priors are constant: the density is the logit
+		// Jacobian plus the collapsed likelihood, both over raw logits.
+		return t.Add(kernels.LogitJacobian(t, q), w.cjs.LogLik(t, q[:nT], q[nT:]))
+	}
+	b := model.NewBuilder(t)
 	phi := make([]ad.Var, nT) // survival from t to t+1
 	pc := make([]ad.Var, nT)  // recapture at occasion t+1
 	for i := 0; i < nT; i++ {

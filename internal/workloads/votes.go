@@ -6,6 +6,7 @@ import (
 	"bayessuite/internal/ad"
 	"bayessuite/internal/data"
 	"bayessuite/internal/dist"
+	"bayessuite/internal/kernels"
 	"bayessuite/internal/linalg"
 	"bayessuite/internal/mathx"
 	"bayessuite/internal/model"
@@ -20,11 +21,22 @@ import (
 // kernel matrix runs on the autodiff tape every evaluation, giving votes
 // the dense regular arithmetic that makes it the suite's highest-IPC
 // workload (Fig. 1a).
+//
+// That is the legacy tape path, a node per scalar step of the
+// factorization. The default path (gp != nil) runs kernel matrix,
+// Cholesky, the per-state products and the normal likelihood in floats
+// with a hand-written reverse sweep, as one tape node.
 type votes struct {
 	nStates, nYears int
 	years           []float64   // scaled election years
 	share           [][]float64 // logit Democratic vote share per state x year
+
+	gp *kernels.GPNormal // nil on the legacy tape path
 }
+
+// kernelJitter keeps the squared-exponential kernel matrix positive
+// definite.
+const kernelJitter = 1e-6
 
 // NewVotes builds the votes workload at the given dataset scale.
 func NewVotes(scale float64, seed uint64) *Workload {
@@ -39,7 +51,7 @@ func NewVotes(scale float64, seed uint64) *Workload {
 	}
 	// Generative truth: draw each state's trajectory from the GP.
 	alphaT, rhoT, sigT := 0.45, 1.2, 0.12
-	k := kernelMatrix(w.years, alphaT, rhoT, 1e-6)
+	k := kernelMatrix(w.years, alphaT, rhoT, kernelJitter)
 	l, err := linalg.Cholesky(k)
 	if err != nil {
 		panic("workloads: votes kernel not PD: " + err.Error())
@@ -57,6 +69,9 @@ func NewVotes(scale float64, seed uint64) *Workload {
 		}
 		w.share = append(w.share, row)
 	}
+	w.gp = kernels.NewGPNormal(w.years, w.share, kernelJitter)
+	legacy := *w
+	legacy.gp = nil
 	return &Workload{
 		Info: Info{
 			Name:          "votes",
@@ -71,7 +86,8 @@ func NewVotes(scale float64, seed uint64) *Workload {
 			BaseIPC:       2.8,
 			Distributions: []string{"normal", "half-cauchy", "lognormal", "multivariate-normal"},
 		},
-		Model: w,
+		Model:  w,
+		legacy: &legacy,
 	}
 }
 
@@ -128,6 +144,10 @@ func (w *votes) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	b.Add(dist.NormalLPDFVarData(t, muRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, z, ad.Const(0), ad.Const(1)))
 
+	if w.gp != nil {
+		b.Add(w.gp.LogLik(t, alpha, rho, sigma, mu0, tau, muRaw, z))
+		return b.Result()
+	}
 	// Differentiable kernel Cholesky: K = alpha^2 exp(-d^2/(2 rho^2)) + jI.
 	n := w.nYears
 	alpha2 := t.Square(alpha)
@@ -138,7 +158,7 @@ func (w *votes) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 			d := w.years[a] - w.years[c]
 			v := t.Mul(alpha2, t.Exp(t.MulConst(invRho2, -d*d)))
 			if a == c {
-				v = t.AddConst(v, 1e-6)
+				v = t.AddConst(v, kernelJitter)
 			}
 			km[a*n+c] = v
 			km[c*n+a] = v
@@ -170,7 +190,7 @@ func (w *votes) ForecastMean(q []float64, s int, future []float64) []float64 {
 	mu := mu0 + tau*q[5+s]
 	zs := q[5+w.nStates+s*w.nYears : 5+w.nStates+(s+1)*w.nYears]
 
-	k := kernelMatrix(w.years, alpha, rho, 1e-6)
+	k := kernelMatrix(w.years, alpha, rho, kernelJitter)
 	l, err := linalg.Cholesky(k)
 	if err != nil {
 		return nil
@@ -201,7 +221,7 @@ func (w *votes) Forecast(q []float64, s int, future []float64, r *rng.RNG) []flo
 	zs := q[5+w.nStates+s*w.nYears : 5+w.nStates+(s+1)*w.nYears]
 
 	// Reconstruct f_s at observed years.
-	k := kernelMatrix(w.years, alpha, rho, 1e-6)
+	k := kernelMatrix(w.years, alpha, rho, kernelJitter)
 	l, err := linalg.Cholesky(k)
 	if err != nil {
 		return nil

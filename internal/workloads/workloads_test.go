@@ -16,68 +16,60 @@ import (
 func TestGradientsMatchFiniteDifferences(t *testing.T) {
 	for _, w := range All(0.25, 7) {
 		w := w
-		paths := []struct {
-			label string
-			m     model.Model
-		}{{"kernel", w.Model}}
-		if w.UsesKernels() {
-			paths = append(paths, struct {
-				label string
-				m     model.Model
-			}{"tape", w.TapeModel()})
-		}
-		for _, path := range paths {
-			path := path
-			name := w.Info.Name
-			if w.UsesKernels() {
-				name += "/" + path.label
+		t.Run(w.Info.Name, func(t *testing.T) {
+			if !w.UsesKernels() {
+				checkFiniteDifferences(t, w.Info.Name, w.Model)
+				return
 			}
-			t.Run(name, func(t *testing.T) {
-				ev := model.NewEvaluator(path.m)
-				r := rng.New(99)
-				dim := ev.Dim()
-				q := make([]float64, dim)
-				grad := make([]float64, dim)
-				for trial := 0; trial < 3; trial++ {
-					for i := range q {
-						q[i] = 0.5 * r.Norm()
-					}
-					lp := ev.LogDensityGrad(q, grad)
-					if math.IsInf(lp, -1) {
-						t.Logf("trial %d: -Inf density at random point, skipping", trial)
-						continue
-					}
-					if math.IsNaN(lp) {
-						t.Fatalf("NaN log density")
-					}
-					// Check a subset of coordinates (all for small models).
-					step := 1
-					if dim > 40 {
-						step = dim / 40
-					}
-					h := 1e-5
-					for i := 0; i < dim; i += step {
-						qp := append([]float64(nil), q...)
-						qm := append([]float64(nil), q...)
-						qp[i] += h
-						qm[i] -= h
-						fd := (ev.LogDensity(qp) - ev.LogDensity(qm)) / (2 * h)
-						if math.IsNaN(fd) || math.IsInf(fd, 0) {
-							continue
-						}
-						diff := math.Abs(fd - grad[i])
-						tol := 1e-4 * (1 + math.Abs(fd) + math.Abs(grad[i]))
-						if w.Info.Name == "ode" {
-							// RK4 tape values are smooth but large; loosen.
-							tol = 1e-3 * (1 + math.Abs(fd) + math.Abs(grad[i]))
-						}
-						if diff > tol {
-							t.Errorf("param %d: ad=%.8g fd=%.8g (|diff|=%.3g > tol=%.3g)",
-								i, grad[i], fd, diff, tol)
-						}
-					}
-				}
-			})
+			t.Run("kernel", func(t *testing.T) { checkFiniteDifferences(t, w.Info.Name, w.Model) })
+			t.Run("tape", func(t *testing.T) { checkFiniteDifferences(t, w.Info.Name, w.TapeModel()) })
+		})
+	}
+}
+
+func checkFiniteDifferences(t *testing.T, name string, m model.Model) {
+	ev := model.NewEvaluator(m)
+	r := rng.New(99)
+	dim := ev.Dim()
+	q := make([]float64, dim)
+	grad := make([]float64, dim)
+	for trial := 0; trial < 3; trial++ {
+		for i := range q {
+			q[i] = 0.5 * r.Norm()
+		}
+		lp := ev.LogDensityGrad(q, grad)
+		if math.IsInf(lp, -1) {
+			t.Logf("trial %d: -Inf density at random point, skipping", trial)
+			continue
+		}
+		if math.IsNaN(lp) {
+			t.Fatalf("NaN log density")
+		}
+		// Check a subset of coordinates (all for small models).
+		step := 1
+		if dim > 40 {
+			step = dim / 40
+		}
+		h := 1e-5
+		for i := 0; i < dim; i += step {
+			qp := append([]float64(nil), q...)
+			qm := append([]float64(nil), q...)
+			qp[i] += h
+			qm[i] -= h
+			fd := (ev.LogDensity(qp) - ev.LogDensity(qm)) / (2 * h)
+			if math.IsNaN(fd) || math.IsInf(fd, 0) {
+				continue
+			}
+			diff := math.Abs(fd - grad[i])
+			tol := 1e-4 * (1 + math.Abs(fd) + math.Abs(grad[i]))
+			if name == "ode" {
+				// RK4 tape values are smooth but large; loosen.
+				tol = 1e-3 * (1 + math.Abs(fd) + math.Abs(grad[i]))
+			}
+			if diff > tol {
+				t.Errorf("param %d: ad=%.8g fd=%.8g (|diff|=%.3g > tol=%.3g)",
+					i, grad[i], fd, diff, tol)
+			}
 		}
 	}
 }
