@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-json
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-json bench-compare
 
-ci: fmt-check vet test race fault-matrix cluster-smoke crash-smoke
+ci: fmt-check vet test race fuzz fault-matrix cluster-smoke crash-smoke
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,15 @@ test:
 # serving layer (admission queue, worker pool, cancellation).
 race:
 	$(GO) test -race ./internal/mcmc/... ./internal/elide/... ./internal/serve/... ./internal/cluster/... ./internal/journal/...
+
+# A few seconds of coverage-guided fuzzing per target on bytes that arrive
+# from outside the process: the BSDW draw block (result uploads, blob
+# store) and the lease route's JSON body, wait_ms included. One -fuzz
+# pattern per invocation is the toolchain's rule. New inputs go to the Go
+# build cache; only a failing one is written under testdata/.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDraws$$' -fuzztime 5s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzLeaseRequestJSON$$' -fuzztime 5s ./internal/cluster/
 
 # Deterministic fault-injection matrix under the race detector: every
 # sampler crossed with every injectable fault kind (panic, non-finite,
@@ -87,6 +96,14 @@ bench-runner:
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...
+
+# Compare two result files of the repository benchmark (benchmark/README.md:
+# `go run -C benchmark . -seed 7 -repeat 5` on each commit) with the
+# benchmark's own comparator: one row per workload and end-to-end metric
+# with its verdict, layer deltas below, non-zero exit on a regression.
+bench-compare:
+	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare PARENT=<result.json> CHANGE=<result.json>"; exit 2; }
+	$(GO) run -C benchmark . compare $(abspath $(PARENT)) $(abspath $(CHANGE))
 
 # Regenerate BENCH_2.json (fused-kernel vs legacy-tape gradient cost for
 # every kernel-backed workload), BENCH_5.json (cross-chain gradient

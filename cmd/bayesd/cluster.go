@@ -177,8 +177,8 @@ func smokeFleetServing(seed uint64) error {
 	mk := func(name string, plat hw.Platform) (*cluster.Worker, error) {
 		return cluster.NewWorker(cluster.WorkerConfig{
 			Name: name, Coordinator: base, Platform: plat, Slots: 2,
-			LeaseInterval: 20 * time.Millisecond, HeartbeatInterval: 100 * time.Millisecond,
-			Engine: serve.Config{CheckpointEvery: 50},
+			HeartbeatInterval: 100 * time.Millisecond,
+			Engine:            serve.Config{CheckpointEvery: 50},
 		})
 	}
 	w1, err := mk("skylake-1", hw.Skylake)
@@ -208,7 +208,7 @@ func smokeFleetServing(seed uint64) error {
 	}
 	fmt.Printf("bayesd: coordinator capability: %s", body)
 
-	// Wait until both workers have polled in, so the placement below runs
+	// Wait until both workers have registered, so the placement below runs
 	// over the full fleet rather than whoever registered first.
 	for {
 		if len(co.Workers()) >= 2 {
@@ -313,13 +313,14 @@ func smokeMigration(seed uint64) error {
 	defer hs.Close()
 
 	// Worker A carries the scheduled fault: WorkerLoss at (chain 0, iter
-	// 60). Checkpoints upload synchronously every 20 iterations, so the
-	// coordinator holds the iteration-40 snapshot when A dies.
+	// 60). Checkpoints stream every 20 iterations, one boundary behind the
+	// sampler at most, so the coordinator holds the iteration-40 snapshot
+	// (or, if that upload was still in flight, iteration 20) when A dies.
 	var w1 *cluster.Worker
 	inj := fault.New(seed).Schedule(0, killAtIter, fault.WorkerLoss)
 	w1, err = cluster.NewWorker(cluster.WorkerConfig{
 		Name: "doomed", Coordinator: base, Platform: hw.Skylake,
-		LeaseInterval: 10 * time.Millisecond, HeartbeatInterval: 40 * time.Millisecond,
+		HeartbeatInterval: 40 * time.Millisecond,
 		Engine: serve.Config{
 			CheckpointEvery: checkpointEvery,
 			InjectFaultHook: func(job *serve.Job, attempt int) func(chain, iter int) mcmc.FaultAction {
@@ -357,8 +358,8 @@ func smokeMigration(seed uint64) error {
 	// started anywhere before the loss.
 	w2, err := cluster.NewWorker(cluster.WorkerConfig{
 		Name: "rescue", Coordinator: base, Platform: hw.Broadwell,
-		LeaseInterval: 10 * time.Millisecond, HeartbeatInterval: 40 * time.Millisecond,
-		Engine: serve.Config{CheckpointEvery: checkpointEvery},
+		HeartbeatInterval: 40 * time.Millisecond,
+		Engine:            serve.Config{CheckpointEvery: checkpointEvery},
 	})
 	if err != nil {
 		return err

@@ -131,7 +131,6 @@ func runCrashSmoke(seed uint64) error {
 			Name:              fmt.Sprintf("crash-w%d", i+1),
 			Coordinator:       base,
 			Platform:          plat,
-			LeaseInterval:     20 * time.Millisecond,
 			HeartbeatInterval: 100 * time.Millisecond,
 			HeartbeatTimeout:  time.Second,
 			Engine:            serve.Config{CheckpointEvery: checkpointEvery},

@@ -4,15 +4,19 @@
 // generalizing the paper's two-platform LLC-aware placement (§V) to N
 // heterogeneous nodes.
 //
-// The protocol is pull-based HTTP. Workers poll the coordinator for work
-// (POST /cluster/v1/lease), carrying their capability document — the same
-// JSON the extended /readyz probe serves: LLC size, frequency, slot
-// occupancy, grad-batch support. The coordinator grants a queued job to
-// the polling worker only when its fleet scheduler would place that job
-// on that worker among all currently-free nodes, so pull order never
-// overrides placement policy. Granted jobs run on the worker's embedded
-// serve.Server; every checkpoint the sampler takes is uploaded back
-// synchronously (POST .../checkpoint), and the terminal status, posterior
+// The protocol is pull-based HTTP and event-driven. A worker with a free
+// slot keeps one lease request open at the coordinator (POST
+// /cluster/v1/lease, a long-poll held for LeaseRequest.WaitMS), carrying
+// its capability document — the same JSON the extended /readyz probe
+// serves: LLC size, frequency, slot occupancy, grad-batch support. The
+// coordinator re-evaluates every parked request whenever fleet state
+// changes (a job admitted or requeued, a slot freed, a grant elsewhere, a
+// worker joining or leaving) and grants a queued job to a worker only
+// when its fleet scheduler would place that job on that worker among all
+// currently-free nodes, so pull order never overrides placement policy.
+// Granted jobs run on the worker's embedded serve.Server; every
+// checkpoint the sampler takes is streamed back one boundary behind the
+// sampler (POST .../checkpoint), and the terminal status, posterior
 // summaries, and raw draw bytes are uploaded at completion
 // (POST .../result).
 //
@@ -38,11 +42,16 @@ import (
 	"bayessuite/internal/serve"
 )
 
-// LeaseRequest is a worker's poll for work, carrying its live capability
+// LeaseRequest is a worker's ask for work, carrying its live capability
 // document so the coordinator's fleet view is fresh at grant time.
+// WaitMS is how long the coordinator's HTTP handler may hold the request
+// open while there is nothing to grant (clamped to [0, HeartbeatTimeout]);
+// absent or zero — an older worker, or a direct Coordinator.Lease call —
+// is answered at once.
 type LeaseRequest struct {
 	Worker     string           `json:"worker"`
 	Capability serve.Capability `json:"capability"`
+	WaitMS     int64            `json:"wait_ms,omitempty"`
 }
 
 // Lease grants one job to a worker. CheckpointB64, when non-empty, is the

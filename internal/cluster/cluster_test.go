@@ -19,8 +19,15 @@ import (
 // arranges bounded cleanup.
 func startTestCoordinator(t *testing.T, cfg cluster.CoordinatorConfig) (*cluster.Coordinator, string) {
 	t.Helper()
+	return startTestCoordinatorBehind(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// startTestCoordinatorBehind is startTestCoordinator with the test's own
+// handler wrapped around the coordinator's.
+func startTestCoordinatorBehind(t *testing.T, cfg cluster.CoordinatorConfig, wrap func(http.Handler) http.Handler) (*cluster.Coordinator, string) {
+	t.Helper()
 	co := cluster.NewCoordinator(cfg)
-	hs := httptest.NewServer(co.Handler())
+	hs := httptest.NewServer(wrap(co.Handler()))
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
@@ -37,7 +44,6 @@ func startTestWorker(t *testing.T, coordinator, name string, plat hw.Platform, e
 		Name:              name,
 		Coordinator:       coordinator,
 		Platform:          plat,
-		LeaseInterval:     10 * time.Millisecond,
 		HeartbeatInterval: 40 * time.Millisecond,
 		Engine:            engine,
 	})

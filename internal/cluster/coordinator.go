@@ -124,6 +124,14 @@ type workerState struct {
 	lastSeen time.Time
 	assigned map[string]*clusterJob
 	lost     bool
+	// left: lost by the worker's own Leaving heartbeat rather than by the
+	// reaper. A reaped worker that asks for work again was slow, not dead,
+	// and re-registers; one that said goodbye is gone, and a lease request
+	// of its that is evaluated after the goodbye (parked, duplicated, or
+	// overtaken on the wire) must not bring the name back. Only a
+	// heartbeat — which a new process under the same name sends first —
+	// re-registers it.
+	left bool
 }
 
 // Coordinator is the fleet control plane: admission, fleet-aware
@@ -143,6 +151,15 @@ type Coordinator struct {
 	jobs     map[string]*clusterJob
 	order    []string
 	workers  map[string]*workerState
+
+	// The change signal parked lease requests wait on (awaitLease):
+	// changed is closed and replaced by wake on every transition that can
+	// alter some worker's lease answer. sigMu is a leaf lock, taken with
+	// or without mu and cj.mu held. halted: draining or Killed, park no
+	// more.
+	sigMu   sync.Mutex
+	changed chan struct{}
+	halted  atomic.Bool
 
 	migrations atomic.Int64
 	reaped     atomic.Int64
@@ -172,6 +189,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		queue:     serve.NewQueue[*clusterJob](cfg.QueueCap),
 		jobs:      make(map[string]*clusterJob),
 		workers:   make(map[string]*workerState),
+		changed:   make(chan struct{}),
 		recovered: make(chan struct{}),
 		reapStop:  make(chan struct{}),
 		reapDone:  make(chan struct{}),
@@ -250,6 +268,7 @@ func (co *Coordinator) SubmitJob(spec serve.JobSpec) (serve.JobStatus, error) {
 	co.seq++
 	co.jobs[cj.id] = cj
 	co.order = append(co.order, cj.id)
+	co.wake() // a job to place
 	return cj.statusLocked(), nil
 }
 
@@ -305,6 +324,7 @@ func (co *Coordinator) CancelJob(id string) (serve.JobStatus, error) {
 		cj.cancelRequested = true
 		cj.cancelCause = "canceled by client while queued"
 		co.finishJob(cj, serve.Canceled, cj.cancelCause)
+		co.wake() // the queue changed
 	default: // running on a worker
 		if !cj.cancelRequested {
 			cj.cancelRequested = true
@@ -457,11 +477,14 @@ func (co *Coordinator) Capability() serve.Capability {
 	return c
 }
 
-// Lease handles a worker's poll for work: refresh the worker's liveness
-// and capability, then grant the first queued job whose fleet placement —
-// computed over every live worker with a free slot — picks this worker.
-// Pull order never overrides placement: a job whose best node is busy or
-// someone else stays queued until that node polls.
+// Lease evaluates a worker's ask for work once, answering at once
+// (req.WaitMS is the HTTP handler's business: it parks an empty answer and
+// calls Lease again on every change): refresh the worker's liveness and
+// capability, then grant the first queued job whose fleet placement —
+// sched.Fleet.Place over a snapshot of every live worker, which itself
+// skips the ones without a free slot — picks this worker. Pull order
+// never overrides placement: a job whose best node is busy or someone
+// else stays queued until that node's own request is evaluated.
 func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	if req.Worker == "" {
 		return LeaseResponse{}, fmt.Errorf("%w: lease without worker name", serve.ErrBadSpec)
@@ -470,7 +493,7 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{}, err
 	}
 	co.mu.Lock()
-	if co.draining {
+	if old, ok := co.workers[req.Worker]; co.draining || (ok && old.left) {
 		co.mu.Unlock()
 		return LeaseResponse{}, nil
 	}
@@ -479,9 +502,9 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		co.mu.Unlock()
 		return LeaseResponse{}, nil
 	}
-	// Snapshot placement candidates: live workers with a free slot,
-	// Running counted from coordinator-side assignments (authoritative at
-	// grant time; the heartbeat-reported occupancy lags by one lease).
+	// Snapshot placement candidates: every live worker, Running counted
+	// from coordinator-side assignments (authoritative at grant time; the
+	// heartbeat-reported occupancy lags by one lease).
 	nodes := make([]sched.Node, 0, len(co.workers))
 	for name, w := range co.workers {
 		if w.lost || w.cap.Draining {
@@ -564,6 +587,7 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		w.assigned[cj.id] = cj
 	}
 	co.mu.Unlock()
+	co.wake() // the free-node set shrank: the next queued job may place elsewhere now
 	return LeaseResponse{Lease: lease}, nil
 }
 
@@ -587,12 +611,13 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error
 	if req.Leaving {
 		// Graceful goodbye: the worker drained its running jobs (their
 		// results are already uploaded); anything still assigned migrates.
-		ws.lost = true
+		ws.lost, ws.left = true, true
 		for id, cj := range assigned {
 			delete(ws.assigned, id)
 			co.requeueJob(cj, fmt.Sprintf("worker %s draining", req.Worker))
 		}
 		co.mu.Unlock()
+		co.wake() // a node fewer to place on
 		return resp, nil
 	}
 	co.mu.Unlock()
@@ -778,6 +803,7 @@ func (co *Coordinator) UploadResult(up ResultUpload) error {
 		delete(ws.assigned, up.JobID)
 	}
 	co.mu.Unlock()
+	co.wake() // a slot freed
 	return nil
 }
 
@@ -822,6 +848,7 @@ func (co *Coordinator) Shutdown(ctx context.Context) error {
 		co.queue.Close()
 	}
 	co.mu.Unlock()
+	co.halt()
 
 	for _, cj := range co.snapshot() {
 		cj.mu.Lock()
@@ -876,12 +903,13 @@ func (co *Coordinator) reaper() {
 		case <-t.C:
 		}
 		now := time.Now()
+		lost := false
 		co.mu.Lock()
 		for name, ws := range co.workers {
 			if ws.lost || now.Sub(ws.lastSeen) <= co.cfg.HeartbeatTimeout {
 				continue
 			}
-			ws.lost = true
+			ws.lost, lost = true, true
 			co.reaped.Add(1)
 			for id, cj := range ws.assigned {
 				delete(ws.assigned, id)
@@ -889,6 +917,9 @@ func (co *Coordinator) reaper() {
 			}
 		}
 		co.mu.Unlock()
+		if lost {
+			co.wake() // a node fewer to place on
+		}
 	}
 }
 
@@ -927,6 +958,7 @@ func (co *Coordinator) requeueJob(cj *clusterJob, reason string) {
 	}
 	co.logRecord(record{T: "requeue", ID: cj.id, Reason: cj.errMsg, ResumeAt: resumeAt,
 		Leases: cj.leases, Requeues: cj.requeues})
+	co.wake() // a job to place
 }
 
 // touchWorker upserts a worker's registration. Caller holds co.mu. A
@@ -938,10 +970,37 @@ func (co *Coordinator) touchWorker(name string, cap serve.Capability) *workerSta
 	if !ok || ws.lost {
 		ws = &workerState{assigned: make(map[string]*clusterJob)}
 		co.workers[name] = ws
+		co.wake() // a node more to place on
 	}
 	ws.cap = cap
 	ws.lastSeen = time.Now()
 	return ws
+}
+
+// changeSignal returns the channel the next wake closes. A parked lease
+// takes it before evaluating, so a transition that lands between the
+// evaluation and the wait has already closed the channel it waits on.
+func (co *Coordinator) changeSignal() <-chan struct{} {
+	co.sigMu.Lock()
+	defer co.sigMu.Unlock()
+	return co.changed
+}
+
+// wake releases every parked lease request to evaluate again. Called
+// once the change it announces is made — under the lock that guards the
+// change (the woken evaluation queues behind it) or after its release.
+func (co *Coordinator) wake() {
+	co.sigMu.Lock()
+	close(co.changed)
+	co.changed = make(chan struct{})
+	co.sigMu.Unlock()
+}
+
+// halt stops lease parking for good (drain, Kill) and releases what is
+// parked, so an HTTP server's Close never waits out a hold.
+func (co *Coordinator) halt() {
+	co.halted.Store(true)
+	co.wake()
 }
 
 // job resolves an ID, blocking until recovery has rebuilt the job table.

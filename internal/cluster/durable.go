@@ -434,6 +434,7 @@ func (co *Coordinator) finishJob(cj *clusterJob, state serve.JobState, msg strin
 // coordinator built on the same state directory afterward must
 // reconstruct everything acknowledged before the Kill.
 func (co *Coordinator) Kill() {
+	co.halt()
 	co.stopOnce.Do(func() { close(co.reapStop) })
 	<-co.reapDone
 	<-co.recovered

@@ -102,7 +102,6 @@ func crashRestart(t *testing.T, spec serve.JobSpec) {
 		Name:              "survivor",
 		Coordinator:       base,
 		Platform:          hw.Skylake,
-		LeaseInterval:     10 * time.Millisecond,
 		HeartbeatInterval: 40 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
 		Engine:            serve.Config{CheckpointEvery: checkpointEvery},

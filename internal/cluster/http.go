@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"bayessuite/internal/serve"
 )
@@ -14,7 +16,7 @@ import (
 // client API (serve.NewAPIHandler over the coordinator — clients cannot
 // tell a fleet from a single node) plus the worker protocol:
 //
-//	POST /cluster/v1/lease                  poll for work     → 200 LeaseResponse
+//	POST /cluster/v1/lease                  ask for work      → 200 LeaseResponse (held up to wait_ms while empty)
 //	POST /cluster/v1/heartbeat              liveness report   → 200 HeartbeatResponse
 //	POST /cluster/v1/jobs/{id}/checkpoint   checkpoint upload → 204 (body: raw BSCK bytes, ?worker=&attempt=)
 //	POST /cluster/v1/jobs/{id}/result       terminal upload   → 204 ResultUpload
@@ -27,7 +29,7 @@ func (co *Coordinator) Handler() http.Handler {
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		resp, err := co.Lease(req)
+		resp, err := co.awaitLease(r.Context(), req)
 		if err != nil {
 			writeClusterErr(w, err)
 			return
@@ -85,6 +87,43 @@ func (co *Coordinator) Handler() http.Handler {
 		writeClusterJSON(w, http.StatusOK, co.Workers())
 	})
 	return mux
+}
+
+// awaitLease is the long-poll around Lease: while Lease has nothing for
+// this worker the request stays parked — for at most req.WaitMS, clamped
+// to [0, HeartbeatTimeout] — and Lease runs again on every fleet change
+// (wake's callers: a job admitted, requeued or canceled in the queue, a
+// lease granted to anyone, a result accepted, a worker registered, gone
+// or reaped). The change signal is taken before each evaluation, so a
+// change racing the evaluation is never slept through. A request whose
+// context has ended (the worker stopped, was killed, or its connection
+// died) is not evaluated again — granting it a job would strand the job
+// until the orphaned-lease scan — and a draining or Killed coordinator
+// answers whatever it holds at once.
+func (co *Coordinator) awaitLease(ctx context.Context, req LeaseRequest) (LeaseResponse, error) {
+	hold := time.Duration(min(max(req.WaitMS, 0), co.cfg.HeartbeatTimeout.Milliseconds())) * time.Millisecond
+	var expired <-chan time.Time
+	for {
+		if err := ctx.Err(); err != nil {
+			return LeaseResponse{}, err
+		}
+		changed := co.changeSignal()
+		resp, err := co.Lease(req)
+		if err != nil || resp.Lease != nil || hold <= 0 || co.halted.Load() {
+			return resp, err
+		}
+		if expired == nil {
+			t := time.NewTimer(hold)
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-changed:
+		case <-expired:
+			return LeaseResponse{}, nil
+		case <-ctx.Done():
+		}
+	}
 }
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {

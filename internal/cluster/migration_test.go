@@ -106,9 +106,10 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 			defer cancel()
 
-			// Worker A dies at (chain 0, iter 60); the iteration-40 snapshot
-			// is already on the coordinator (checkpoint uploads are
-			// synchronous).
+			// Worker A dies at (chain 0, iter 60); the iteration-20 snapshot
+			// is on the coordinator for certain and the iteration-40 one
+			// unless its upload was still in flight (the checkpoint stream
+			// runs at most one boundary behind the sampler).
 			inj := fault.New(17).Schedule(0, killAtIter, fault.WorkerLoss)
 			w1 := startTestWorker(t, base, "doomed", hw.Skylake, serve.Config{
 				CheckpointEvery: checkpointEvery,

@@ -67,7 +67,6 @@ func TestClusterFaultPartitionMatrix(t *testing.T) {
 					Name:              "chaotic",
 					Coordinator:       base,
 					Platform:          hw.Skylake,
-					LeaseInterval:     10 * time.Millisecond,
 					HeartbeatInterval: 40 * time.Millisecond,
 					HeartbeatTimeout:  time.Second,
 					HTTP:              &http.Client{Transport: chaos},

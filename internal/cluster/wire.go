@@ -54,6 +54,11 @@ func DecodeDraws(data []byte) ([][][]float64, error) {
 	}
 	chains := int(binary.LittleEndian.Uint32(data[8:]))
 	off := 12
+	// Every count below is checked against the bytes actually present
+	// before anything is allocated from it: the block comes off the wire.
+	if chains > (len(data)-off)/8 {
+		return nil, fmt.Errorf("cluster: draws block claims %d chains in %d bytes", chains, len(data))
+	}
 	out := make([][][]float64, 0, chains)
 	for c := 0; c < chains; c++ {
 		if len(data)-off < 8 {
@@ -62,8 +67,7 @@ func DecodeDraws(data []byte) ([][][]float64, error) {
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		dim := int(binary.LittleEndian.Uint32(data[off+4:]))
 		off += 8
-		need := n * dim * 8
-		if n < 0 || dim < 0 || len(data)-off < need {
+		if room := (len(data) - off) / 8; dim == 0 && n != 0 || dim != 0 && n > room/dim {
 			return nil, fmt.Errorf("cluster: truncated draws block (chain %d body)", c)
 		}
 		draws := make([][]float64, n)

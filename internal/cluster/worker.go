@@ -34,22 +34,26 @@ type WorkerConfig struct {
 	Platform hw.Platform
 	// Slots is the worker's concurrent job capacity (default 1).
 	Slots int
-	// LeaseInterval is the idle poll cadence (default 50ms); a worker
-	// with a free slot asks for work this often.
+	// LeaseInterval is the pause before asking again after a lease call
+	// that failed or that the coordinator answered empty without holding
+	// it (default 50ms). A healthy fleet never waits it out: a worker
+	// with a free slot keeps one request parked at the coordinator.
 	LeaseInterval time.Duration
 	// HeartbeatInterval is the liveness cadence (default 500ms). It must
 	// be well under the coordinator's HeartbeatTimeout.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout mirrors the coordinator's liveness bound (default
 	// 2s) and is the base every RPC deadline and retry budget derives
-	// from: leases get HeartbeatTimeout, heartbeats half of it,
-	// uploads twice it per attempt. No coordinator call is ever issued
-	// without a deadline.
+	// from: leases get HeartbeatTimeout (and ask to be held for half of
+	// it), heartbeats half of it, uploads twice it per attempt. No
+	// coordinator call is ever issued without a deadline.
 	HeartbeatTimeout time.Duration
 	// HTTP is the client used for coordinator calls. Default: a client
 	// with an explicit Timeout backstopping the per-call deadlines (the
-	// bare http.DefaultClient, which has none, is never used). Tests
-	// substitute a chaos-transport client here.
+	// bare http.DefaultClient, which has none, is never used) over a
+	// transport of its own that keeps as many idle connections as the
+	// worker has concurrent calls. Tests substitute a chaos-transport
+	// client here.
 	HTTP *http.Client
 	// Engine, when non-zero, overrides pieces of the embedded
 	// serve.Server config (checkpoint cadence, retries, fault hook for
@@ -83,25 +87,38 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type leaseRef struct {
 	cluster string
 	attempt int
+	// stream is the checkpoint stream's depth-one window: a token held
+	// from the moment a snapshot is handed to its uploader until that
+	// upload has ended, so at most one checkpoint of a lease is in flight
+	// and uploads leave in iteration order.
+	stream chan struct{}
 }
 
 // Worker is one fleet member: an embedded single-platform serve.Server
-// plus the pull/heartbeat/upload loops that connect it to a coordinator.
+// plus the lease/heartbeat/upload loops that connect it to a coordinator.
 type Worker struct {
 	cfg    WorkerConfig
 	engine *serve.Server
-	http   *http.Client
+	http   *http.Client // cfg.HTTP, or the default client over a transport of its own
 
-	stopc chan struct{}
-	donec chan struct{}
+	// leaseCtx ends leasing — Stop's first act, and Kill's — cancelling the
+	// parked lease request with it; leaseDone closes when the lease loop
+	// has exited. slotFree kicks the loop when a local job finishes.
+	// stopc/donec stop and await the heartbeat loop.
+	leaseCtx  context.Context
+	leaseStop context.CancelFunc
+	leaseDone chan struct{}
+	slotFree  chan struct{}
+	stopc     chan struct{}
+	donec     chan struct{}
 
-	killed   atomic.Bool
-	draining atomic.Bool
+	killed atomic.Bool
 
-	mu      sync.Mutex
-	byLoc   map[string]leaseRef // engine job ID → lease
-	inflit  int                 // local jobs not yet uploaded
-	stopped bool
+	mu       sync.Mutex
+	byLoc    map[string]*leaseRef // engine job ID → lease
+	sampling int                  // leased jobs still holding a local slot
+	inflit   int                  // leased jobs not yet uploaded
+	stopped  bool
 
 	rmu    sync.Mutex
 	jitter *rng.RNG // backoff jitter, seeded from the worker name
@@ -122,17 +139,28 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	h := fnv.New64a()
 	h.Write([]byte(cfg.Name))
 	w := &Worker{
-		cfg:    cfg,
-		stopc:  make(chan struct{}),
-		donec:  make(chan struct{}),
-		byLoc:  make(map[string]leaseRef),
-		jitter: rng.New(h.Sum64()),
+		cfg:       cfg,
+		leaseDone: make(chan struct{}),
+		slotFree:  make(chan struct{}, 1),
+		stopc:     make(chan struct{}),
+		donec:     make(chan struct{}),
+		byLoc:     make(map[string]*leaseRef),
+		jitter:    rng.New(h.Sum64()),
 	}
+	w.leaseCtx, w.leaseStop = context.WithCancel(context.Background())
 	w.http = cfg.HTTP
 	if w.http == nil {
-		// Explicit client-level timeout as a backstop above the per-call
+		// A worker routinely has a parked lease, a heartbeat and, per slot,
+		// a checkpoint or result upload open to the one coordinator host;
+		// http.DefaultTransport keeps two idle connections per host and
+		// would close and re-dial the rest after every burst.
+		// The explicit client-level timeout is a backstop above the per-call
 		// context deadlines (largest deadline is 2×HeartbeatTimeout).
-		w.http = &http.Client{Timeout: 4 * cfg.HeartbeatTimeout}
+		w.http = &http.Client{Timeout: 4 * cfg.HeartbeatTimeout, Transport: &http.Transport{
+			Proxy:               http.ProxyFromEnvironment,
+			MaxIdleConnsPerHost: cfg.Slots + 3,
+			IdleConnTimeout:     90 * time.Second,
+		}}
 	}
 	ecfg := cfg.Engine
 	ecfg.Node = cfg.Name
@@ -140,10 +168,11 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	plat := cfg.Platform
 	ecfg.PinnedPlatform = &plat
 	ecfg.Workers = cfg.Slots
-	// Synchronous checkpoint upload: by the time the sampler advances past
-	// a checkpoint boundary, the coordinator already holds that snapshot —
-	// so a worker killed at iteration k can always migrate from the last
-	// boundary ≤ k, never an older one.
+	// Overlapped checkpoint stream, depth one: by the time the sampler
+	// passes boundary k+1 the coordinator holds boundary k — so a worker
+	// killed at iteration i migrates from no further back than the
+	// boundary before the last one ≤ i, and the resumed run is still
+	// bit-identical, because resume is bit-identical from any checkpoint.
 	ecfg.OnCheckpoint = w.uploadCheckpoint
 	w.engine = serve.NewServer(ecfg)
 	go w.heartbeatLoop()
@@ -168,18 +197,27 @@ func (w *Worker) Kill() {
 	if !w.killed.CompareAndSwap(false, true) {
 		return
 	}
+	w.leaseStop()
 	w.closeStop()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already expired: cancel running jobs, don't wait politely
-	go func() { _ = w.engine.Shutdown(ctx) }()
+	go func() {
+		_ = w.engine.Shutdown(ctx)
+		w.closeIdle()
+	}()
 }
 
 // Stop drains the worker gracefully: leasing stops, running jobs finish
 // and upload (bounded by ctx), and the final heartbeat says Leaving so
 // the coordinator removes this worker from the fleet without waiting for
-// the reaper.
+// the reaper. Order matters at both ends. Leasing is over — the parked
+// request cancelled, a grant that raced the cancel admitted locally —
+// before the drain looks for in-flight jobs, so none can arrive behind
+// its back; and both loops have exited before the goodbye is sent, so no
+// lease or heartbeat of this worker is issued after it.
 func (w *Worker) Stop(ctx context.Context) error {
-	w.draining.Store(true)
+	w.leaseStop()
+	<-w.leaseDone
 	poll := time.NewTicker(5 * time.Millisecond)
 	defer poll.Stop()
 drain:
@@ -197,11 +235,21 @@ drain:
 		}
 	}
 	err := w.engine.Shutdown(ctx)
+	w.closeStop()
+	<-w.donec
 	if !w.killed.Load() {
 		_ = w.sendHeartbeat(true)
 	}
-	w.closeStop()
+	w.closeIdle()
 	return err
+}
+
+// closeIdle drops the default client's kept-alive connections once the
+// worker has nothing more to say; a caller's client is the caller's.
+func (w *Worker) closeIdle() {
+	if w.cfg.HTTP == nil {
+		w.http.CloseIdleConnections()
+	}
 }
 
 func (w *Worker) closeStop() {
@@ -213,31 +261,45 @@ func (w *Worker) closeStop() {
 	}
 }
 
-// leaseLoop polls the coordinator for work whenever a slot is free. A
-// failed poll is not retried in place — the next tick is the retry.
+// leaseLoop keeps one lease request parked at the coordinator whenever a
+// slot is free: the first at start-up (it registers the worker), the next
+// the moment a local job finishes — before its result upload; the
+// coordinator holds the request until that upload frees the slot on its
+// side — or the moment the previous one comes back. The coordinator
+// holds each for half the liveness bound, under the per-call deadline,
+// under the client's backstop. Only a call that failed, or an empty
+// answer that came back before the hold could have run out (a draining
+// coordinator, or one that predates wait_ms), waits LeaseInterval before
+// the next: never a spin.
 func (w *Worker) leaseLoop() {
-	t := time.NewTicker(w.cfg.LeaseInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopc:
-			return
-		case <-t.C:
-		}
-		if w.draining.Load() || w.killed.Load() {
-			continue
-		}
-		cap := w.engine.Capability()
-		if cap.Running >= cap.Slots {
+	defer close(w.leaseDone)
+	ctx := w.leaseCtx
+	hold := w.cfg.HeartbeatTimeout / 2
+	for ctx.Err() == nil {
+		w.mu.Lock()
+		free := w.sampling < w.cfg.Slots
+		w.mu.Unlock()
+		if !free {
+			select {
+			case <-w.slotFree:
+			case <-ctx.Done():
+			}
 			continue
 		}
 		var resp LeaseResponse
-		err := w.post("/cluster/v1/lease", LeaseRequest{Worker: w.cfg.Name, Capability: cap},
+		asked := time.Now()
+		err := w.post(ctx, "/cluster/v1/lease", LeaseRequest{Worker: w.cfg.Name,
+			Capability: w.engine.Capability(), WaitMS: hold.Milliseconds()},
 			&resp, w.cfg.HeartbeatTimeout)
-		if err != nil || resp.Lease == nil {
-			continue
+		switch {
+		case err == nil && resp.Lease != nil:
+			w.runLease(resp.Lease)
+		case err != nil || time.Since(asked) < hold:
+			select {
+			case <-time.After(w.cfg.LeaseInterval):
+			case <-ctx.Done():
+			}
 		}
-		w.runLease(resp.Lease)
 	}
 }
 
@@ -261,9 +323,10 @@ func (w *Worker) runLease(l *Lease) {
 	if err != nil {
 		return // spec/checkpoint mismatch or local drain; the lease lapses
 	}
-	ref := leaseRef{cluster: l.JobID, attempt: l.Attempt}
+	ref := &leaseRef{cluster: l.JobID, attempt: l.Attempt, stream: make(chan struct{}, 1)}
 	w.mu.Lock()
 	w.byLoc[job.ID()] = ref
+	w.sampling++
 	w.inflit++
 	w.mu.Unlock()
 	go w.awaitAndUpload(job, ref)
@@ -275,7 +338,7 @@ func (w *Worker) runLease(l *Lease) {
 // coordinator-side (keyed on the lease attempt), so a response lost by
 // the network is safely re-sent. A killed worker uploads nothing: from
 // the fleet's point of view it died mid-run.
-func (w *Worker) awaitAndUpload(job *serve.Job, ref leaseRef) {
+func (w *Worker) awaitAndUpload(job *serve.Job, ref *leaseRef) {
 	defer func() {
 		w.mu.Lock()
 		delete(w.byLoc, job.ID())
@@ -283,9 +346,22 @@ func (w *Worker) awaitAndUpload(job *serve.Job, ref leaseRef) {
 		w.mu.Unlock()
 	}()
 	<-job.Done()
+	// The local slot is free: let the lease loop ask for the next job now,
+	// so its request is already parked when the upload below lands.
+	w.mu.Lock()
+	w.sampling--
+	w.mu.Unlock()
+	select {
+	case w.slotFree <- struct{}{}:
+	default:
+	}
 	if w.killed.Load() {
 		return
 	}
+	// Drain the checkpoint stream (the token is never given back: the
+	// lease is over), so the coordinator never sees a checkpoint after a
+	// result from the same attempt.
+	ref.stream <- struct{}{}
 	st := job.Status()
 	payload, _ := job.Result()
 	up := ResultUpload{Worker: w.cfg.Name, JobID: ref.cluster, Attempt: ref.attempt,
@@ -294,16 +370,20 @@ func (w *Worker) awaitAndUpload(job *serve.Job, ref leaseRef) {
 		up.DrawsB64 = base64.StdEncoding.EncodeToString(EncodeDraws(raw))
 	}
 	_ = w.withRetry(2*time.Minute, func() error {
-		return w.post("/cluster/v1/jobs/"+url.PathEscape(ref.cluster)+"/result", up, nil,
-			2*w.cfg.HeartbeatTimeout)
+		return w.post(context.Background(), "/cluster/v1/jobs/"+url.PathEscape(ref.cluster)+"/result",
+			up, nil, 2*w.cfg.HeartbeatTimeout)
 	})
 }
 
-// uploadCheckpoint is the engine's OnCheckpoint observer: stream every
-// snapshot to the coordinator, synchronously, so migration state is never
-// behind local state by more than zero checkpoints. The retry budget is
-// short — this call stalls the sampler, and a dropped snapshot is safe
-// (the coordinator keeps the previous one; the next boundary re-covers).
+// uploadCheckpoint is the engine's OnCheckpoint observer, called on the
+// sampling loop at every checkpoint boundary: hand the snapshot — a
+// self-contained copy nothing writes to again — to an uploader and go
+// back to sampling. The sampler waits here only while the previous
+// boundary's upload is still in flight, so migration state is never
+// behind local state by more than one checkpoint. The retry budget is
+// short — an upload that outlasts a checkpoint interval stalls the
+// sampler, and a dropped snapshot is safe (the coordinator keeps the
+// previous one; the next boundary re-covers).
 func (w *Worker) uploadCheckpoint(job *serve.Job, ck *mcmc.Checkpoint) {
 	if w.killed.Load() {
 		return
@@ -314,6 +394,17 @@ func (w *Worker) uploadCheckpoint(job *serve.Job, ck *mcmc.Checkpoint) {
 	if !ok {
 		return // locally-submitted job (not leased); nothing to stream
 	}
+	ref.stream <- struct{}{}
+	go func() {
+		defer func() { <-ref.stream }()
+		w.sendCheckpoint(ref, ck)
+	}()
+}
+
+// sendCheckpoint encodes and uploads one snapshot, off the sampling loop.
+// It ends with the upload accepted, refused (4xx), or the retry budget
+// spent; awaitAndUpload waits for it before the lease's result goes out.
+func (w *Worker) sendCheckpoint(ref *leaseRef, ck *mcmc.Checkpoint) {
 	u := w.cfg.Coordinator + "/cluster/v1/jobs/" + url.PathEscape(ref.cluster) +
 		"/checkpoint?worker=" + url.QueryEscape(w.cfg.Name) +
 		"&attempt=" + strconv.Itoa(ref.attempt)
@@ -339,23 +430,24 @@ func (w *Worker) uploadCheckpoint(job *serve.Job, ck *mcmc.Checkpoint) {
 	})
 }
 
-// heartbeatLoop reports liveness until the worker stops or dies. Like
-// leases, a failed beat is not retried in place; the cadence is the
-// retry.
+// heartbeatLoop reports liveness until the worker stops or dies, starting
+// at once: the first beat is what re-registers a name whose previous
+// holder said goodbye. A failed beat is not retried in place; the cadence
+// is the retry.
 func (w *Worker) heartbeatLoop() {
 	defer close(w.donec)
 	t := time.NewTicker(w.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
+		if w.killed.Load() {
+			return
+		}
+		_ = w.sendHeartbeat(false)
 		select {
 		case <-w.stopc:
 			return
 		case <-t.C:
 		}
-		if w.killed.Load() {
-			return
-		}
-		_ = w.sendHeartbeat(false)
 	}
 }
 
@@ -371,7 +463,7 @@ func (w *Worker) sendHeartbeat(leaving bool) error {
 		Leaving:    leaving,
 	}
 	w.mu.Lock()
-	refs := make(map[string]leaseRef, len(w.byLoc))
+	refs := make(map[string]*leaseRef, len(w.byLoc))
 	for loc, ref := range w.byLoc {
 		refs[loc] = ref
 	}
@@ -384,7 +476,7 @@ func (w *Worker) sendHeartbeat(leaving bool) error {
 		req.Jobs = append(req.Jobs, JobProgress{JobID: ref.cluster, State: st.State, Progress: st.Progress})
 	}
 	var resp HeartbeatResponse
-	if err := w.post("/cluster/v1/heartbeat", req, &resp, w.cfg.HeartbeatTimeout/2); err != nil {
+	if err := w.post(context.Background(), "/cluster/v1/heartbeat", req, &resp, w.cfg.HeartbeatTimeout/2); err != nil {
 		return err
 	}
 	cancel := make(map[string]bool, len(resp.Cancel))
@@ -453,14 +545,14 @@ func (w *Worker) jittered(d time.Duration) time.Duration {
 }
 
 // post issues one JSON POST to the coordinator with an explicit per-call
-// deadline. The body is a bytes.Reader, so net/http can replay it
-// (GetBody) — required for the chaos transport's duplicate deliveries.
-func (w *Worker) post(path string, in, out any, timeout time.Duration) error {
+// deadline under ctx. The body is a bytes.Reader, so net/http can replay
+// it (GetBody) — required for the chaos transport's duplicate deliveries.
+func (w *Worker) post(ctx context.Context, path string, in, out any, timeout time.Duration) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, bytes.NewReader(body))
 	if err != nil {
