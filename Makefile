@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-json bench-compare
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-hw bench-json bench-compare
 
 ci: fmt-check vet test race fuzz fault-matrix cluster-smoke crash-smoke
 
@@ -32,9 +32,12 @@ test:
 # Race pass over the packages that run goroutines against shared state:
 # the lockstep worker pool, the free-running parallel chains, the
 # streaming R-hat detector invoked from the coordinator, and the bayesd
-# serving layer (admission queue, worker pool, cancellation).
+# serving layer (admission queue, worker pool, cancellation) — and the
+# hardware model, whose memo tables (hw.Memo: the LLC simulator's, and
+# serve's per-spec energy account) are reached by every job runner and by
+# the parallel start-up calibration.
 race:
-	$(GO) test -race ./internal/mcmc/... ./internal/elide/... ./internal/serve/... ./internal/cluster/... ./internal/journal/...
+	$(GO) test -race ./internal/hw/... ./internal/mcmc/... ./internal/elide/... ./internal/serve/... ./internal/cluster/... ./internal/journal/...
 
 # A few seconds of coverage-guided fuzzing per target on bytes that arrive
 # from outside the process: the BSDW draw block (result uploads, blob
@@ -93,6 +96,13 @@ crash-smoke:
 # gradient on each path and report its tape nodes and edges.
 bench-runner:
 	$(GO) test -run xxx -bench 'BenchmarkRunner|BenchmarkGradient' -benchmem -cpu 1,2 ./internal/mcmc/
+
+# Hardware-model benchmarks: the LLC simulator cold (the core itself) and
+# as a memo hit at the suite's largest and smallest streams, and bayesd's
+# start-up calibration cold and warm, at one and two procs (the
+# calibration's goroutines are the only thing -cpu changes).
+bench-hw:
+	$(GO) test -run xxx -bench 'BenchmarkSimulateLLC|BenchmarkSuiteCalibration' -benchmem -cpu 1,2 ./internal/hw/
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./...

@@ -24,7 +24,7 @@ import (
 // journal replays before any lease is granted, while /readyz reports
 // "recovering"), and serve the client API plus the /cluster/v1 worker
 // protocol until a signal drains it.
-func runCoordinator(addr string, queueCap int, seed uint64, node, stateDir string) error {
+func runCoordinator(addr string, queueCap int, seed uint64, node, stateDir string, pprofOn bool) error {
 	pts, err := serve.SuiteCalibration(seed)
 	if err != nil {
 		return fmt.Errorf("calibrating predictor: %w", err)
@@ -39,7 +39,7 @@ func runCoordinator(addr string, queueCap int, seed uint64, node, stateDir strin
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: co.Handler()}
+	hs := &http.Server{Handler: withPprof(co.Handler(), pprofOn)}
 	if stateDir != "" {
 		fmt.Printf("bayesd: coordinator %s durable in %s\n", node, stateDir)
 	}
@@ -72,7 +72,7 @@ func runCoordinator(addr string, queueCap int, seed uint64, node, stateDir strin
 // runWorker boots one fleet worker: an embedded single-platform engine
 // pulling work from the coordinator, its own API served on addr (the
 // /readyz capability probe is how operators inspect a worker directly).
-func runWorker(addr, coordinator, name, platform string, slots, retries int) error {
+func runWorker(addr, coordinator, name, platform string, slots, retries int, pprofOn bool) error {
 	plat, ok := hw.ByName(platform)
 	if !ok {
 		return fmt.Errorf("unknown platform %q (want Skylake or Broadwell)", platform)
@@ -91,7 +91,7 @@ func runWorker(addr, coordinator, name, platform string, slots, retries int) err
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: w.Engine().Handler()}
+	hs := &http.Server{Handler: withPprof(w.Engine().Handler(), pprofOn)}
 	fmt.Printf("bayesd: worker %s (%s, %d slots) on http://%s, pulling from %s\n",
 		name, plat.Codename, slots, ln.Addr(), coordinator)
 

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	bayesd [-addr 127.0.0.1:8080] [-queue 64] [-workers 2]
-//	       [-timeout 0] [-seed 7] [-retries 2]
+//	       [-timeout 0] [-seed 7] [-retries 2] [-pprof]
 //	bayesd -smoke          # boot on a random port, run one job end-to-end
 //	bayesd -coordinator [-node NAME] [-state-dir DIR]   # fleet control plane
 //	bayesd -worker URL [-node NAME] [-platform P] [-slots N]
@@ -36,6 +36,11 @@
 // is liveness (200 while the process serves); GET /readyz is readiness
 // (503 once a drain begins).
 //
+// With -pprof (off by default; node, coordinator and worker roles alike)
+// the role's own listener also serves net/http/pprof under /debug/pprof/,
+// so a daemon under load can be profiled as it runs:
+// go tool pprof http://ADDR/debug/pprof/profile?seconds=10.
+//
 // On SIGINT/SIGTERM the daemon drains: admission stops (503), queued
 // jobs and pending retries are canceled, running jobs complete.
 package main
@@ -47,6 +52,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -70,6 +76,7 @@ func main() {
 	slots := flag.Int("slots", 1, "concurrent job slots for -worker mode")
 	clusterSmoke := flag.Bool("cluster-smoke", false, "self-test: coordinator + two workers in one process; verifies fleet placement and that a job migrated off a killed worker yields bit-identical draws")
 	stateDir := flag.String("state-dir", "", "durable coordinator state directory (journal + blob store); a restarted coordinator replays it and resumes unfinished jobs from their checkpoints")
+	pprofOn := flag.Bool("pprof", false, "also serve net/http/pprof under /debug/pprof/ on this role's listener")
 	crashSmoke := flag.Bool("crash-smoke", false, "self-test: SIGKILL a durable coordinator subprocess mid-run, restart it on the same -state-dir, and verify every job finishes with draws bit-identical to an uninterrupted run")
 	flag.Parse()
 
@@ -97,7 +104,7 @@ func main() {
 		if name == "" {
 			name = "coordinator"
 		}
-		if err := runCoordinator(*addr, *queueCap, *seed, name, *stateDir); err != nil {
+		if err := runCoordinator(*addr, *queueCap, *seed, name, *stateDir, *pprofOn); err != nil {
 			fmt.Fprintln(os.Stderr, "bayesd:", err)
 			os.Exit(1)
 		}
@@ -106,12 +113,12 @@ func main() {
 		if name == "" {
 			name = fmt.Sprintf("worker-%d", os.Getpid())
 		}
-		if err := runWorker(*addr, *workerOf, name, *platform, *slots, *retries); err != nil {
+		if err := runWorker(*addr, *workerOf, name, *platform, *slots, *retries, *pprofOn); err != nil {
 			fmt.Fprintln(os.Stderr, "bayesd:", err)
 			os.Exit(1)
 		}
 	default:
-		if err := run(*addr, *queueCap, *workers, *timeout, *seed, *retries); err != nil {
+		if err := run(*addr, *queueCap, *workers, *timeout, *seed, *retries, *pprofOn); err != nil {
 			fmt.Fprintln(os.Stderr, "bayesd:", err)
 			os.Exit(1)
 		}
@@ -144,12 +151,28 @@ func boot(addr string, queueCap, workers int, timeout time.Duration, seed uint64
 	return srv, ln, nil
 }
 
-func run(addr string, queueCap, workers int, timeout time.Duration, seed uint64, retries int) error {
+// withPprof returns h, with the runtime profiling endpoints mounted under
+// /debug/pprof/ in front of it when on.
+func withPprof(h http.Handler, on bool) http.Handler {
+	if !on {
+		return h
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", h)
+	return mux
+}
+
+func run(addr string, queueCap, workers int, timeout time.Duration, seed uint64, retries int, pprofOn bool) error {
 	srv, ln, err := boot(addr, queueCap, workers, timeout, seed, retries)
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: withPprof(srv.Handler(), pprofOn)}
 	fmt.Printf("bayesd: listening on http://%s\n", ln.Addr())
 
 	errc := make(chan error, 1)

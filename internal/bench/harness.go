@@ -63,12 +63,11 @@ func Fast() Options {
 type Harness struct {
 	opt Options
 
-	mu        sync.Mutex
-	suite     []*workloads.Workload
-	profiles  *perf.Cache
-	elisions  map[string]*ElisionOutcome
-	fullRuns  map[string]*mcmc.Result // key: name/chains
-	staticMPK map[string]float64      // key: name/scale, 4-core Skylake MPKI
+	mu       sync.Mutex
+	suite    []*workloads.Workload
+	profiles *perf.Cache
+	elisions map[string]*ElisionOutcome
+	fullRuns map[string]*mcmc.Result // key: name/chains
 }
 
 // New builds a harness.
@@ -92,9 +91,8 @@ func New(opt Options) *Harness {
 			Seed:              opt.Seed,
 			Parallel:          opt.Parallel,
 		}),
-		elisions:  make(map[string]*ElisionOutcome),
-		fullRuns:  make(map[string]*mcmc.Result),
-		staticMPK: make(map[string]float64),
+		elisions: make(map[string]*ElisionOutcome),
+		fullRuns: make(map[string]*mcmc.Result),
 	}
 }
 
@@ -251,26 +249,12 @@ func (h *Harness) GroundTruthKL(name string, run *mcmc.Result, iters int) float6
 }
 
 // StaticMPKI returns the simulated 4-core Skylake LLC MPKI for a
-// workload at an arbitrary dataset scale (cached) — the Fig. 3 y-axis.
+// workload at an arbitrary dataset scale — the Fig. 3 y-axis. Repeated
+// calls cost a dataset build; hw memoises the simulation.
 func (h *Harness) StaticMPKI(name string, scale float64) (mpki float64, modeledKB float64) {
-	key := fmt.Sprintf("%s/%g", name, scale)
 	w, err := workloads.New(name, scale*h.opt.Scale, h.opt.Seed)
 	if err != nil {
 		panic(err)
 	}
-	modeledKB = float64(w.ModeledDataBytes()) / 1024
-
-	h.mu.Lock()
-	if v, ok := h.staticMPK[key]; ok {
-		h.mu.Unlock()
-		return v, modeledKB
-	}
-	h.mu.Unlock()
-
-	p := perf.Static(w)
-	v := hw.SimulateLLC(p, hw.Skylake, 4)
-	h.mu.Lock()
-	h.staticMPK[key] = v
-	h.mu.Unlock()
-	return v, modeledKB
+	return hw.SimulateLLC(perf.Static(w), hw.Skylake, 4), float64(w.ModeledDataBytes()) / 1024
 }

@@ -115,6 +115,9 @@ func Explore(cfg Config) *Result {
 	}
 	res := &Result{}
 
+	// The LLC simulation behind Characterize reads the profile's
+	// footprint and min(cores, chains), never the iteration count: hw
+	// memoises it, so the iterations axis costs arithmetic only.
 	eval := func(cores, chains, iters int, kind PointKind) Point {
 		p := cfg.Profile.WithChains(chains).ScaleIterations(iters)
 		m := hw.Characterize(p, cfg.Platform, cores)

@@ -137,30 +137,136 @@ func SimulateLLC(p *Profile, plat Platform, cores int) float64 {
 	return misses / (p.InstrPerEval() / 1000)
 }
 
-// simulateMissesPerEval interleaves the active chains' access streams
-// through one shared LLC and returns steady-state misses per evaluation
-// per chain.
-func simulateMissesPerEval(p *Profile, plat Platform, active int) float64 {
-	llc := NewCache(plat.LLCBytes, plat.LLCWays, plat.LineBytes, RandomReplacement)
-	line := uint64(plat.LineBytes)
+// llcKey is everything the trace-driven simulation reads. Two profiles
+// that agree on it — the same workload at another iteration count, a
+// ScaleIterations or WithChains copy, another seed's identical tape —
+// have the same misses per evaluation, bit for bit.
+type llcKey struct {
+	stream, resident int64
+	llcBytes         int64
+	ways, line       int
+	active           int
+}
 
-	stream := p.StreamBytes()
-	if stream < int64(plat.LineBytes) {
-		stream = int64(plat.LineBytes)
+// llcMemo holds one simulation result per key for the life of the process.
+var llcMemo = NewMemo(llcKey.simulate)
+
+// simulateMissesPerEval returns steady-state LLC misses per evaluation per
+// chain with the given number of concurrently active chains: a memoised
+// pure function of llcKey.
+func simulateMissesPerEval(p *Profile, plat Platform, active int) float64 {
+	return llcMemo.Get(llcKey{
+		stream:   p.StreamBytes(),
+		resident: p.ResidentBytes(),
+		llcBytes: plat.LLCBytes,
+		ways:     plat.LLCWays,
+		line:     plat.LineBytes,
+		active:   active,
+	})
+}
+
+// Incidental traffic: code, runtime services, and OS activity touch a
+// scattered per-chain region beyond the modeled working set. This is what
+// gives real machines their small nonzero LLC miss floor and the gentle
+// growth with core count that the paper's Fig. 2 shows even for workloads
+// that nominally fit.
+const (
+	noiseBytes = 2 << 20
+	noiseEvery = 96
+)
+
+// chainTrace generates one chain's access stream, one evaluation at a
+// time, into buf.
+type chainTrace struct {
+	hotBase, streamBase, noiseBase uint64
+	// cursor is the stream line the next evaluation's window starts at.
+	cursor uint64
+	// untilNoise counts modeled accesses down to the next incidental one.
+	untilNoise int
+	noiseRng   uint64
+	noiseLines uint64
+	line       uint64
+
+	buf []uint64
+	n   int
+}
+
+// emit appends one modeled access, preceded by an incidental one every
+// noiseEvery-th time.
+func (cs *chainTrace) emit(addr uint64) {
+	cs.untilNoise--
+	if cs.untilNoise == 0 {
+		cs.emitNoise()
 	}
-	resident := p.ResidentBytes()
+	cs.buf[cs.n] = addr
+	cs.n++
+}
+
+func (cs *chainTrace) emitNoise() {
+	x := cs.noiseRng
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	cs.noiseRng = x
+	cs.buf[cs.n] = cs.noiseBase + (x%cs.noiseLines)*cs.line
+	cs.n++
+	cs.untilNoise = noiseEvery
+}
+
+// eval fills buf with one evaluation: touch the hot region, then sweep a
+// window of the stream forward and backward (tape build + reverse sweep),
+// wrapping at the end of the stream region. windowLines <= regionLines
+// and cursor < regionLines, so one conditional subtraction wraps.
+func (cs *chainTrace) eval(hotLines, windowLines, regionLines uint64) []uint64 {
+	cs.n = 0
+	line := cs.line
+	for a, end := cs.hotBase, cs.hotBase+hotLines*line; a < end; a += line {
+		cs.emit(a)
+	}
+	start := cs.cursor
+	for l := uint64(0); l < windowLines; l++ {
+		pos := start + l
+		if pos >= regionLines {
+			pos -= regionLines
+		}
+		cs.emit(cs.streamBase + pos*line)
+	}
+	for l := windowLines; l > 0; l-- {
+		pos := start + l - 1
+		if pos >= regionLines {
+			pos -= regionLines
+		}
+		cs.emit(cs.streamBase + pos*line)
+	}
+	cs.cursor = start + windowLines
+	if cs.cursor >= regionLines {
+		cs.cursor -= regionLines
+	}
+	return cs.buf[:cs.n]
+}
+
+// simulate interleaves the active chains' access streams through one
+// shared LLC and returns steady-state misses per evaluation per chain.
+func (k llcKey) simulate() float64 {
+	llc := NewCache(k.llcBytes, k.ways, k.line, RandomReplacement)
+	line := int64(k.line)
+
+	stream := k.stream
+	if stream < line {
+		stream = line
+	}
 	hot := int64(hotBytes)
-	if hot > resident/2 {
-		hot = resident / 2
+	if hot > k.resident/2 {
+		hot = k.resident / 2
 	}
-	streamRegion := resident - hot
+	streamRegion := k.resident - hot
 	if stream > streamRegion {
 		stream = streamRegion
 	}
 
-	hotLines := hot / int64(line)
-	windowLines := stream / int64(line)
-	regionLines := streamRegion / int64(line)
+	hotLines := hot / line
+	windowLines := stream / line
+	regionLines := streamRegion / line
 
 	// Evals per chain: enough to cycle the resident region ~2.5x, so the
 	// second half measures steady state.
@@ -169,75 +275,27 @@ func simulateMissesPerEval(p *Profile, plat Platform, active int) float64 {
 		evals = 400
 	}
 
-	// Incidental traffic: code, runtime services, and OS activity touch a
-	// scattered per-chain region beyond the modeled working set. This is
-	// what gives real machines their small nonzero LLC miss floor and the
-	// gentle growth with core count that the paper's Fig. 2 shows even
-	// for workloads that nominally fit.
-	const (
-		noiseBytes = 2 << 20
-		noiseEvery = 96
-	)
-	noiseLines := int64(noiseBytes) / int64(line)
-
-	type chainState struct {
-		hotBase, streamBase, noiseBase uint64
-		cursor                         uint64
-		emitted                        uint64
-		noiseRng                       uint64
-	}
-	chains := make([]chainState, active)
+	// Whole evaluations are materialized per chain and interleaved in
+	// blocks, which keeps the trace memory bounded.
+	perEval := int(hotLines + 2*windowLines)
+	chains := make([]chainTrace, k.active)
 	for c := range chains {
 		base := uint64(c+1) << 40
-		chains[c] = chainState{
+		chains[c] = chainTrace{
 			hotBase:    base,
 			streamBase: base + uint64(hot),
-			noiseBase:  base + uint64(resident),
+			noiseBase:  base + uint64(k.resident),
+			untilNoise: noiseEvery,
 			noiseRng:   uint64(c)*0x9e3779b97f4a7c15 + 1,
+			noiseLines: uint64(noiseBytes / line),
+			line:       uint64(line),
+			buf:        make([]uint64, perEval+perEval/noiseEvery+1),
 		}
 	}
 
-	// Each chain's evaluation: touch the hot region, then sweep a window
-	// of the stream forward and backward (tape build + reverse sweep),
-	// with incidental accesses sprinkled in. Chains interleave in blocks
-	// to mimic concurrent cores.
+	// Chains interleave in blocks to mimic concurrent cores.
 	const block = 128
-	oneEval := func(cs *chainState, emit func(addr uint64)) {
-		emitN := func(addr uint64) {
-			cs.emitted++
-			if cs.emitted%noiseEvery == 0 {
-				x := cs.noiseRng
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				cs.noiseRng = x
-				emit(cs.noiseBase + (x%uint64(noiseLines))*line)
-			}
-			emit(addr)
-		}
-		for l := int64(0); l < hotLines; l++ {
-			emitN(cs.hotBase + uint64(l)*line)
-		}
-		start := cs.cursor
-		for l := int64(0); l < windowLines; l++ {
-			pos := (start + uint64(l)) % uint64(regionLines)
-			emitN(cs.streamBase + pos*line)
-		}
-		for l := windowLines - 1; l >= 0; l-- {
-			pos := (start + uint64(l)) % uint64(regionLines)
-			emitN(cs.streamBase + pos*line)
-		}
-		cs.cursor = (start + uint64(windowLines)) % uint64(regionLines)
-	}
-
-	// Materializing whole evaluations per chain and interleaving in
-	// blocks keeps the trace memory bounded.
-	perEval := int(hotLines + 2*windowLines)
-	bufs := make([][]uint64, active)
-	for c := range bufs {
-		bufs[c] = make([]uint64, 0, perEval)
-	}
-
+	bufs := make([][]uint64, k.active)
 	half := evals / 2
 	var measured int
 	for e := 0; e < evals; e++ {
@@ -246,27 +304,21 @@ func simulateMissesPerEval(p *Profile, plat Platform, active int) float64 {
 		}
 		maxLen := 0
 		for c := range chains {
-			bufs[c] = bufs[c][:0]
-			oneEval(&chains[c], func(a uint64) { bufs[c] = append(bufs[c], a) })
+			bufs[c] = chains[c].eval(uint64(hotLines), uint64(windowLines), uint64(regionLines))
 			if len(bufs[c]) > maxLen {
 				maxLen = len(bufs[c])
 			}
 		}
 		for off := 0; off < maxLen; off += block {
-			end := off + block
-			if end > maxLen {
-				end = maxLen
-			}
-			for c := range chains {
-				b := bufs[c]
+			for _, b := range bufs {
 				if off >= len(b) {
 					continue
 				}
-				e2 := end
-				if e2 > len(b) {
-					e2 = len(b)
+				end := off + block
+				if end > len(b) {
+					end = len(b)
 				}
-				for _, a := range b[off:e2] {
+				for _, a := range b[off:end] {
 					llc.Access(a)
 				}
 			}
@@ -275,8 +327,8 @@ func simulateMissesPerEval(p *Profile, plat Platform, active int) float64 {
 			measured++
 		}
 	}
-	if measured == 0 || active == 0 {
+	if measured == 0 || k.active == 0 {
 		return 0
 	}
-	return float64(llc.Misses) / float64(measured) / float64(active)
+	return float64(llc.Misses) / float64(measured) / float64(k.active)
 }

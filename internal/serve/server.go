@@ -892,7 +892,7 @@ func (s *Server) runJobLocked(job *Job) {
 	if res.Elided {
 		perChain := job.budget - res.Iterations
 		savedIters = int64(perChain) * int64(job.spec.Chains)
-		savedJoules = elisionJoules(w, pl, perChain, job.spec.Chains)
+		savedJoules = elisionJoules(w, job.spec.Scale, pl, perChain, job.spec.Chains)
 	}
 
 	job.mu.Lock()
@@ -1061,8 +1061,10 @@ func (s *Server) abandonRetry(job *Job, msg string) {
 
 // elisionJoules converts a job's elided iterations into simulated energy
 // on its assigned platform: the hardware model's whole-run energy for the
-// workload, prorated by the fraction of the budget not executed.
-func elisionJoules(w *workloads.Workload, pl PlacementDecision, savedPerChain, chains int) float64 {
+// job's spec, prorated by the fraction of the budget not executed. It is
+// a per-spec model estimate: the seed does not enter it, so equal specs
+// report equal savings per elided iteration whatever their draws.
+func elisionJoules(w *workloads.Workload, scale float64, pl PlacementDecision, savedPerChain, chains int) float64 {
 	plat, ok := hw.ByName(pl.Platform)
 	if !ok || w.Info.Iterations <= 0 || savedPerChain <= 0 {
 		return 0
@@ -1071,6 +1073,36 @@ func elisionJoules(w *workloads.Workload, pl PlacementDecision, savedPerChain, c
 	if cores > plat.Cores {
 		cores = plat.Cores
 	}
-	m := hw.Characterize(perf.Static(w), plat, cores)
-	return m.EnergyJoules * float64(savedPerChain) / float64(w.Info.Iterations)
+	wholeRun := specEnergy.Get(energyKey{w.Info.Name, scale, plat, cores})
+	return wholeRun * float64(savedPerChain) / float64(w.Info.Iterations)
 }
+
+// energyKey is what the whole-run energy of a job depends on once its
+// dataset is the canonical one.
+type energyKey struct {
+	workload string
+	scale    float64
+	plat     hw.Platform
+	cores    int
+}
+
+// canonicalSeed builds the dataset a spec is characterised on (the seed
+// workloads.Defaults probes with). The autodiff tape of 12cities,
+// butterfly and survival changes shape with the synthetic data, by a few
+// per cent in stream bytes; characterising the job's own draw would make
+// the simulator's input differ from job to job for nothing the model
+// claims to resolve.
+const canonicalSeed = 1
+
+// specEnergy characterises each spec once per process. This is the
+// paper's own move — a static feature of the spec stands in for a
+// measurement of the job — applied to the energy account: the trace-driven
+// LLC simulation behind hw.Characterize costs 10–190 ms, a short job's
+// whole sampling time, and was on every elided job's critical path.
+var specEnergy = hw.NewMemo(func(k energyKey) float64 {
+	w, err := workloads.New(k.workload, k.scale, canonicalSeed)
+	if err != nil {
+		return 0
+	}
+	return hw.Characterize(perf.Static(w), k.plat, k.cores).EnergyJoules
+})
