@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-hw bench-json bench-compare
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-kernels bench-hw bench-json bench-compare
 
 ci: fmt-check vet test race fuzz fault-matrix cluster-smoke crash-smoke
 
@@ -20,8 +20,14 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# go vet's asmdecl check holds internal/mathx/vec_amd64.s to its Go
+# declarations. The arm64 pass cross-compiles (offline, no cgo) what every
+# non-amd64 build uses instead of that file: the Go encoding of the link
+# functions and the kernels on top of it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/mathx/ ./internal/kernels/
+	GOARCH=arm64 $(GO) build ./...
 
 # Full suite. internal/bench regenerates paper figures from real sampler
 # runs and is by far the slowest package; give it room (it can need well
@@ -41,12 +47,15 @@ race:
 
 # A few seconds of coverage-guided fuzzing per target on bytes that arrive
 # from outside the process: the BSDW draw block (result uploads, blob
-# store) and the lease route's JSON body, wait_ms included. One -fuzz
-# pattern per invocation is the toolchain's rule. New inputs go to the Go
-# build cache; only a failing one is written under testdata/.
+# store) and the lease route's JSON body, wait_ms included — and on the
+# link functions' two encodings, which must agree on every float64 bit
+# pattern. One -fuzz pattern per invocation is the toolchain's rule. New
+# inputs go to the Go build cache; only a failing one is written under
+# testdata/.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDraws$$' -fuzztime 5s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseRequestJSON$$' -fuzztime 5s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkTwin$$' -fuzztime 5s ./internal/mathx/
 
 # Deterministic fault-injection matrix under the race detector: every
 # sampler crossed with every injectable fault kind (panic, non-finite,
@@ -96,6 +105,13 @@ crash-smoke:
 # gradient on each path and report its tape nodes and edges.
 bench-runner:
 	$(GO) test -run xxx -bench 'BenchmarkRunner|BenchmarkGradient' -benchmem -cpu 1,2 ./internal/mcmc/
+
+# The block link functions, one 128-observation block on each encoding
+# (ns/obs), then one gradient of every kernel-backed workload
+# (BenchmarkGradientGLMKernel is tickets at full scale).
+bench-kernels:
+	$(GO) test -run xxx -bench 'BenchmarkLogisticBlock|BenchmarkExpBlock' ./internal/mathx/
+	$(GO) test -run xxx -bench 'BenchmarkGradient.*Kernel' -benchmem -cpu 1 ./internal/mcmc/
 
 # Hardware-model benchmarks: the LLC simulator cold (the core itself) and
 # as a memo hit at the suite's largest and smallest streams, and bayesd's

@@ -15,6 +15,7 @@ import (
 	"bayessuite/internal/cluster"
 	"bayessuite/internal/fault"
 	"bayessuite/internal/hw"
+	"bayessuite/internal/mathx"
 	"bayessuite/internal/mcmc"
 	"bayessuite/internal/serve"
 )
@@ -92,8 +93,8 @@ func runWorker(addr, coordinator, name, platform string, slots, retries int, ppr
 		return err
 	}
 	hs := &http.Server{Handler: withPprof(w.Engine().Handler(), pprofOn)}
-	fmt.Printf("bayesd: worker %s (%s, %d slots) on http://%s, pulling from %s\n",
-		name, plat.Codename, slots, ln.Addr(), coordinator)
+	fmt.Printf("bayesd: worker %s (%s, %d slots, %s kernels) on http://%s, pulling from %s\n",
+		name, plat.Codename, slots, mathx.VectorISA(), ln.Addr(), coordinator)
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

@@ -58,6 +58,7 @@ import (
 	"syscall"
 	"time"
 
+	"bayessuite/internal/mathx"
 	"bayessuite/internal/serve"
 )
 
@@ -173,7 +174,7 @@ func run(addr string, queueCap, workers int, timeout time.Duration, seed uint64,
 		return err
 	}
 	hs := &http.Server{Handler: withPprof(srv.Handler(), pprofOn)}
-	fmt.Printf("bayesd: listening on http://%s\n", ln.Addr())
+	fmt.Printf("bayesd: listening on http://%s (%s kernels)\n", ln.Addr(), mathx.VectorISA())
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()

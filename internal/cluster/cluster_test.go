@@ -12,6 +12,7 @@ import (
 
 	"bayessuite/internal/cluster"
 	"bayessuite/internal/hw"
+	"bayessuite/internal/mathx"
 	"bayessuite/internal/serve"
 )
 
@@ -141,6 +142,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if ws[1].LLCBytes != hw.Skylake.LLCBytes {
 		t.Fatalf("skylake-1 capability LLC %d, want %d", ws[1].LLCBytes, hw.Skylake.LLCBytes)
+	}
+	if ws[0].KernelISA != mathx.VectorISA() || co.Capability().KernelISA != "" {
+		t.Fatalf("kernel_isa: worker %q, coordinator %q; want %q and none", ws[0].KernelISA, co.Capability().KernelISA, mathx.VectorISA())
 	}
 
 	// /v1/stats over HTTP serves the same fleet document.

@@ -236,12 +236,10 @@ func (d *glmData) batchEval(fam glmFamily, yf []float64, valConst float64, param
 //	acc[(s*nAct+a)*width : +width] = [val, dBeta[p], dU[nGroups], dSigma]
 //
 // rows are padWidth-padded and the block alignRows-aligned (invariant at
-// padWidth). Within the shard, chains are swept observation-outer /
-// chain-inner: each observation's predictors are loaded once and feed
-// every chain's independent accumulators, which is where the batched
-// win comes from. Per chain the per-observation operation sequence is
-// exactly glmShard's, keeping results bit-identical to single
-// evaluation regardless of batch composition.
+// padWidth). Chains take the shard one after another through glmShard,
+// the single-evaluation body, so a chain's result is bit-identical to its
+// single evaluation by construction, whatever the batch holds; only the
+// normal-id p == 2 shape has a chain-paired body of its own.
 func (d *glmData) batchShard(s int) {
 	b := &d.batch
 	nAct := len(b.act)
@@ -260,25 +258,12 @@ func (d *glmData) batchShard(s int) {
 			d.normalP2Duo(s, a, lo, hi)
 		}
 	}
-	switch rem := nAct - a; {
-	case rem == 0:
-	case rem >= 2 && d.p >= 8:
-		// Wide covariate rows (tickets p=13, ad p=16): re-reading the row
-		// once per chain dominates, so the chain-inner sweep that loads
-		// each row exactly once wins despite its memory accumulators.
-		d.batchRange(s, a, nAct, lo, hi)
-	default:
-		// Each remaining chain sweeps the shard with the single-eval
-		// body itself — hot accumulators in registers, bit-identity free
-		// (it IS the single-eval op sequence, writing the same row
-		// layout) — back-to-back while the shard block is cache-hot, so
-		// the data is streamed from the outer levels once per shard, not
-		// once per chain.
-		for ; a < nAct; a++ {
-			pk := b.params[b.act[a]]
-			row := b.acc[(s*nAct+a)*width : (s*nAct+a+1)*width]
-			glmShard(b.fam, d, b.yf, pk[:d.p], pk[d.p:d.p+d.nGroups], b.sigInv[a], row, lo, hi)
-		}
+	// Back-to-back while the shard block is cache-hot: the data is
+	// streamed from the outer levels once per shard, not once per chain.
+	for ; a < nAct; a++ {
+		pk := b.params[b.act[a]]
+		row := b.acc[(s*nAct+a)*width : (s*nAct+a+1)*width]
+		glmShard(b.fam, d, b.yf, pk[:d.p], pk[d.p:d.p+d.nGroups], b.sigInv[a], row, lo, hi)
 	}
 }
 
@@ -348,110 +333,6 @@ func (d *glmData) normalP2Duo(s, a0, lo, hi int) {
 	}
 	r0[0], r0[1], r0[2], r0[3+g] = v0, dA0, dB0, g0
 	r1[0], r1[1], r1[2], r1[3+g] = v1, dA1, dB1, g1
-}
-
-// batchRange is the generic observation-outer / chain-inner sweep for
-// active chains [aLo, aHi) of shard s. Every per-observation expression
-// mirrors glmShard exactly; the accumulator rows start at zero (cleared
-// by batchShard), so the += sequence per chain is the same FP add chain
-// glmShard produces with its local accumulators.
-func (d *glmData) batchRange(s, aLo, aHi, lo, hi int) {
-	b := &d.batch
-	p, g := d.p, d.nGroups
-	nAct := len(b.act)
-	width := b.width
-	base := s * nAct * width
-	yf := b.yf
-	for i := lo; i < hi; i++ {
-		eb := 0.0
-		if d.offset != nil {
-			eb = d.offset[i]
-		}
-		gi := -1
-		if d.group != nil {
-			gi = d.group[i]
-		}
-		fy := yf[i]
-		var x0, x1 float64
-		var xr []float64
-		switch {
-		case p == 1:
-			x0 = d.x[i]
-		case p == 2:
-			x0, x1 = d.x[2*i], d.x[2*i+1]
-		case p > 0:
-			xr = d.x[i*p : i*p+p]
-		}
-		for a := aLo; a < aHi; a++ {
-			pk := b.params[b.act[a]]
-			row := b.acc[base+a*width : base+a*width+width]
-			eta := eb
-			switch {
-			case p == 1:
-				eta += x0 * pk[0]
-			case p == 2:
-				eta += x0*pk[0] + x1*pk[1]
-			case p > 0:
-				bv := pk[:len(xr)]
-				var e0, e1, e2, e3 float64
-				j := 0
-				for ; j+3 < len(xr); j += 4 {
-					e0 += xr[j] * bv[j]
-					e1 += xr[j+1] * bv[j+1]
-					e2 += xr[j+2] * bv[j+2]
-					e3 += xr[j+3] * bv[j+3]
-				}
-				for ; j < len(xr); j++ {
-					e0 += xr[j] * bv[j]
-				}
-				eta += (e0 + e1) + (e2 + e3)
-			}
-			if gi >= 0 {
-				eta += pk[p+gi]
-			}
-			var r float64
-			switch b.fam {
-			case famBernoulliLogit:
-				var l, q float64
-				if eta >= 0 {
-					z := math.Exp(-eta)
-					l = eta + math.Log1p(z)
-					q = 1 / (1 + z)
-				} else {
-					z := math.Exp(eta)
-					l = math.Log1p(z)
-					q = z / (1 + z)
-				}
-				row[0] += fy*eta - l
-				r = fy - q
-			case famPoissonLog:
-				lam := math.Exp(eta)
-				row[0] += fy*eta - lam
-				r = fy - lam
-			case famNormalID:
-				si := b.sigInv[a]
-				z := (fy - eta) * si
-				row[0] += -0.5 * z * z
-				r = z * si
-				row[1+p+g] += (z*z - 1) * si
-			}
-			switch {
-			case p == 1:
-				row[1] += r * x0
-			case p == 2:
-				row[1] += r * x0
-				row[2] += r * x1
-			case p > 0:
-				db := row[1 : 1+p]
-				for j, xj := range xr {
-					db[j] += r * xj
-				}
-			}
-			if gi >= 0 {
-				row[1+p+gi] += r
-			}
-		}
-	}
 }
 
 // NormalDeviationsKernel is the Batcher form of NormalDeviations for a

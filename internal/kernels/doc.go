@@ -19,6 +19,14 @@
 // *_glm_lpdf substitution: the math is identical, only the recording
 // granularity changes.
 //
+// The GLM kernels take each shard in blocks of 128 observations and make
+// three passes over a block: linear predictor, link, gradient
+// accumulation. The link pass is mathx.LogisticBlock (bernoulli-logit) or
+// mathx.ExpBlock (poisson-log) — AVX2+FMA assembly where the CPU has it,
+// a Go encoding of the same operation sequence, bit for bit, elsewhere —
+// so no GLM evaluation calls math.Exp or math.Log1p per observation. The
+// collapsed kernels' handful of links per evaluation stay scalar.
+//
 // Large-N kernels accumulate over fixed shards of the observation range.
 // Shard boundaries depend only on N and shard partials are reduced
 // sequentially in shard order, so a result's bits depend on the parameter

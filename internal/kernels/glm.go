@@ -246,100 +246,144 @@ func evalGLM(t *ad.Tape, fam glmFamily, d *glmData, yf []float64, valConst float
 	return t.Custom(val, ins, res[1:1+nIns])
 }
 
+// linkBlock is how many observations glmShard carries between its passes:
+// three float64 arrays of this length (3 KB) stay on the stack and in L1.
+const linkBlock = 128
+
 // glmShard sweeps observations [lo, hi) of shard s and writes its partial
 // sums into the shard's disjoint accumulator slot
 // acc[s*width : (s+1)*width] = [val, dBeta[p], dU[nGroups], dSigma].
+//
+// It takes the range in blocks of linkBlock observations and makes three
+// passes over each: the linear predictor eta (etaBlock), the link on the
+// whole block (mathx.LogisticBlock or mathx.ExpBlock, vector code where
+// the CPU has it; normal-id has none) leaving the residual
+// r = d loglik / d eta, and the gradient accumulation (scatterBlock).
+// Observations enter every sum in index order.
 func glmShard(fam glmFamily, d *glmData, yf []float64, betaVals, uVals []float64, sigInv float64, a []float64, lo, hi int) {
 	p, g := d.p, d.nGroups
 	for i := range a {
 		a[i] = 0
 	}
-	dBeta := a[1 : 1+p]
-	dU := a[1+p : 1+p+g]
 	var val, dSig float64
-	for i := lo; i < hi; i++ {
-		eta := 0.0
-		if d.offset != nil {
-			eta = d.offset[i]
+	var etaBuf, linkBuf, resBuf [linkBlock]float64
+	for ; lo < hi; lo += linkBlock {
+		n := hi - lo
+		if n > linkBlock {
+			n = linkBlock
 		}
-		switch {
-		case p == 1:
-			eta += d.x[i] * betaVals[0]
-		case p == 2:
-			eta += d.x[2*i]*betaVals[0] + d.x[2*i+1]*betaVals[1]
-		case p > 0:
-			xr := d.x[i*p : i*p+p]
-			bv := betaVals[:len(xr)]
-			// Four independent accumulators break the serial FP-add
-			// latency chain of the row dot product.
-			var e0, e1, e2, e3 float64
-			j := 0
-			for ; j+3 < len(xr); j += 4 {
-				e0 += xr[j] * bv[j]
-				e1 += xr[j+1] * bv[j+1]
-				e2 += xr[j+2] * bv[j+2]
-				e3 += xr[j+3] * bv[j+3]
-			}
-			for ; j < len(xr); j++ {
-				e0 += xr[j] * bv[j]
-			}
-			eta += (e0 + e1) + (e2 + e3)
-		}
-		gi := -1
-		if d.group != nil {
-			gi = d.group[i]
-			eta += uVals[gi]
-		}
-		var r float64
+		eta, l, r := etaBuf[:n], linkBuf[:n], resBuf[:n]
+		y := yf[lo : lo+n]
+		d.etaBlock(eta, lo, betaVals, uVals)
 		switch fam {
 		case famBernoulliLogit:
-			// Branchless over y via log pmf = y*eta - log1pexp(eta) and
-			// r = y - invlogit(eta); one exp + one log1p per observation
-			// with z = exp(-|eta|) feeding both. The recorder path pays
-			// two exps (Log1pExp + InvLogit) plus a data-dependent branch
-			// on y — on logit models this halves the transcendental bill
-			// and removes the unpredictable branch.
-			var l, q float64
-			if eta >= 0 {
-				z := math.Exp(-eta)
-				l = eta + math.Log1p(z) // log1pexp(eta)
-				q = 1 / (1 + z)
-			} else {
-				z := math.Exp(eta)
-				l = math.Log1p(z)
-				q = z / (1 + z)
+			// Branchless over y: log pmf = y*eta - log1pexp(eta) and
+			// r = y - invlogit(eta), both from the one z = exp(-|eta|)
+			// the block link computes per observation.
+			mathx.LogisticBlock(eta, l, r)
+			for j, fy := range y {
+				val += fy*eta[j] - l[j]
+				r[j] = fy - r[j]
 			}
-			fy := yf[i]
-			val += fy*eta - l
-			r = fy - q
 		case famPoissonLog:
-			lam := math.Exp(eta)
-			fy := yf[i]
-			val += fy*eta - lam
-			r = fy - lam
+			mathx.ExpBlock(l, eta)
+			for j, fy := range y {
+				val += fy*eta[j] - l[j]
+				r[j] = fy - l[j]
+			}
 		case famNormalID:
-			z := (yf[i] - eta) * sigInv
-			val += -0.5 * z * z
-			r = z * sigInv
-			dSig += (z*z - 1) * sigInv
-		}
-		switch {
-		case p == 1:
-			dBeta[0] += r * d.x[i]
-		case p == 2:
-			dBeta[0] += r * d.x[2*i]
-			dBeta[1] += r * d.x[2*i+1]
-		case p > 0:
-			xr := d.x[i*p : i*p+p]
-			db := dBeta[:len(xr)]
-			for j, xj := range xr {
-				db[j] += r * xj
+			for j, fy := range y {
+				z := (fy - eta[j]) * sigInv
+				val += -0.5 * z * z
+				r[j] = z * sigInv
+				dSig += (z*z - 1) * sigInv
 			}
 		}
-		if gi >= 0 {
-			dU[gi] += r
-		}
+		d.scatterBlock(r, lo, a[1:1+p], a[1+p:1+p+g])
 	}
 	a[0] = val
 	a[1+p+g] = dSig
+}
+
+// etaBlock sets eta[j] to the linear predictor of observation lo+j:
+// offset, plus the design row's dot product, plus the group effect, added
+// in that order.
+func (d *glmData) etaBlock(eta []float64, lo int, beta, u []float64) {
+	if d.offset != nil {
+		copy(eta, d.offset[lo:])
+	} else {
+		for j := range eta {
+			eta[j] = 0
+		}
+	}
+	switch p := d.p; {
+	case p == 1:
+		x, b0 := d.x[lo:lo+len(eta)], beta[0]
+		for j := range eta {
+			eta[j] += x[j] * b0
+		}
+	case p == 2:
+		x, b0, b1 := d.x[2*lo:2*(lo+len(eta))], beta[0], beta[1]
+		for j := range eta {
+			eta[j] += x[2*j]*b0 + x[2*j+1]*b1
+		}
+	case p > 0:
+		bv := beta[:p]
+		for j := range eta {
+			xr := d.x[(lo+j)*p : (lo+j)*p+p]
+			// Four independent accumulators break the serial FP-add
+			// latency chain of the row dot product.
+			var e0, e1, e2, e3 float64
+			k := 0
+			for ; k+3 < len(xr); k += 4 {
+				e0 += xr[k] * bv[k]
+				e1 += xr[k+1] * bv[k+1]
+				e2 += xr[k+2] * bv[k+2]
+				e3 += xr[k+3] * bv[k+3]
+			}
+			for ; k < len(xr); k++ {
+				e0 += xr[k] * bv[k]
+			}
+			eta[j] += (e0 + e1) + (e2 + e3)
+		}
+	}
+	if d.group != nil {
+		for j, gi := range d.group[lo : lo+len(eta)] {
+			eta[j] += u[gi]
+		}
+	}
+}
+
+// scatterBlock adds the residuals r[j] = d loglik / d eta of observations
+// lo+j into the coefficient and group-effect partials. Narrow rows
+// accumulate in registers; each partial still receives its terms in
+// observation order.
+func (d *glmData) scatterBlock(r []float64, lo int, dBeta, dU []float64) {
+	switch p := d.p; {
+	case p == 1:
+		x, d0 := d.x[lo:lo+len(r)], dBeta[0]
+		for j, rj := range r {
+			d0 += rj * x[j]
+		}
+		dBeta[0] = d0
+	case p == 2:
+		x, d0, d1 := d.x[2*lo:2*(lo+len(r))], dBeta[0], dBeta[1]
+		for j, rj := range r {
+			d0 += rj * x[2*j]
+			d1 += rj * x[2*j+1]
+		}
+		dBeta[0], dBeta[1] = d0, d1
+	case p > 0:
+		db := dBeta[:p]
+		for j, rj := range r {
+			for k, xk := range d.x[(lo+j)*p : (lo+j)*p+p] {
+				db[k] += rj * xk
+			}
+		}
+	}
+	if d.group != nil {
+		for j, gi := range d.group[lo : lo+len(r)] {
+			dU[gi] += r[j]
+		}
+	}
 }

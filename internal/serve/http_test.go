@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"bayessuite/internal/mathx"
 )
 
 func testAPI(t *testing.T, cfg Config) (*Server, *Client) {
@@ -180,6 +182,9 @@ func TestHTTPReadyzCapabilityNegotiation(t *testing.T) {
 	}
 	if full["grad_batch"] != true {
 		t.Fatalf("capability grad_batch %v, want true", full["grad_batch"])
+	}
+	if full["kernel_isa"] != mathx.VectorISA() {
+		t.Fatalf("capability kernel_isa %v, want %q", full["kernel_isa"], mathx.VectorISA())
 	}
 
 	// Draining flips both forms to 503.

@@ -286,7 +286,13 @@ type Capability struct {
 	// GradBatch reports cross-chain gradient batching support (fused
 	// multi-chain sweeps for batchable workloads).
 	GradBatch bool `json:"grad_batch"`
-	Draining  bool `json:"draining,omitempty"`
+	// KernelISA names the instruction set the GLM kernels' link functions
+	// run on here (mathx.VectorISA: "avx2+fma" or "generic"); empty on a
+	// coordinator, which samples nothing. Results are bit-identical
+	// either way, throughput is not. Descriptive only: placement does
+	// not read it.
+	KernelISA string `json:"kernel_isa,omitempty"`
+	Draining  bool   `json:"draining,omitempty"`
 }
 
 // JournalStatus is the durable-coordinator journal section of the

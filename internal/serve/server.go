@@ -13,6 +13,7 @@ import (
 	"bayessuite/internal/diag"
 	"bayessuite/internal/elide"
 	"bayessuite/internal/hw"
+	"bayessuite/internal/mathx"
 	"bayessuite/internal/mcmc"
 	"bayessuite/internal/model"
 	"bayessuite/internal/perf"
@@ -568,6 +569,7 @@ func (s *Server) Capability() Capability {
 		Running:      running,
 		QueueDepth:   s.queue.Len(),
 		GradBatch:    true,
+		KernelISA:    mathx.VectorISA(),
 		Draining:     draining,
 	}
 	if draining {

@@ -63,6 +63,115 @@ func TestCollapseInvariant(t *testing.T) {
 	}
 }
 
+// collapsedGLM evaluates a Bernoulli-logit or Poisson-log GLM likelihood
+// (p <= 2, grouped) from per-cell sufficient statistics, a cell being the
+// observations that share a design row and a group: with k_c the sum of
+// the outcomes and m_c the count,
+//
+//	sum_c k_c eta_c - m_c log1pexp(eta_c)   or   sum_c k_c eta_c - m_c exp(eta_c) - sum_i log y_i!
+//
+// and its gradient in (beta, u), using scalar mathx.Log1pExp,
+// mathx.InvLogit and math.Exp only. It shares no code with the kernels'
+// per-observation sweep or the block link functions under it.
+func collapsedGLM(poisson bool, y []int, x []float64, p int, group []int, beta, u []float64) (float64, []float64) {
+	type cell struct {
+		g      int
+		x0, x1 float64
+	}
+	stats := map[cell]*[2]float64{}
+	var order []cell
+	val := 0.0
+	for i, yi := range y {
+		c := cell{g: group[i], x0: x[i*p]}
+		if p == 2 {
+			c.x1 = x[i*p+1]
+		}
+		if stats[c] == nil {
+			stats[c] = new([2]float64)
+			order = append(order, c)
+		}
+		stats[c][0] += float64(yi)
+		stats[c][1]++
+		if poisson {
+			val -= mathx.Lgamma(float64(yi) + 1)
+		}
+	}
+	grad := make([]float64, p+len(u))
+	for _, c := range order {
+		k, m := stats[c][0], stats[c][1]
+		xc := []float64{c.x0, c.x1}[:p]
+		eta := u[c.g]
+		for j, xj := range xc {
+			eta += xj * beta[j]
+		}
+		var res float64
+		if poisson {
+			val += k*eta - m*math.Exp(eta)
+			res = k - m*math.Exp(eta)
+		} else {
+			val += k*eta - m*mathx.Log1pExp(eta)
+			res = k - m*mathx.InvLogit(eta)
+		}
+		for j, xj := range xc {
+			grad[j] += res * xj
+		}
+		grad[p+c.g] += res
+	}
+	return val, grad
+}
+
+// TestGLMKernelsMatchCollapsedCells is the independent oracle for the two
+// families whose floats the vector link layer moved: where design rows
+// repeat within groups the per-observation kernels must reproduce the
+// closed form over cells, value and every partial to 1e-10 — on memory's
+// own accuracy block (2 conditions x subject) and on a synthetic
+// 5,000-row, 2-column, 25-group design with four distinct rows.
+func TestGLMKernelsMatchCollapsedCells(t *testing.T) {
+	check := func(name string, poisson bool, y []int, x []float64, p int, group []int, nGroups int, q []float64) {
+		t.Helper()
+		tp := ad.NewTape(0)
+		in := tp.Input(q)
+		var out ad.Var
+		if poisson {
+			out = kernels.NewPoissonLogGLM(y, x, p, nil, group, nGroups).LogLik(tp, in[:p], in[p:])
+		} else {
+			out = kernels.NewBernoulliLogitGLM(y, x, p, nil, group, nGroups).LogLik(tp, in[:p], in[p:])
+		}
+		got := make([]float64, len(q))
+		tp.Grad(out, got)
+		wantVal, want := collapsedGLM(poisson, y, x, p, group, q[:p], q[p:])
+		if math.Abs(out.Value()-wantVal) > 1e-10*math.Abs(wantVal) {
+			t.Errorf("%s: kernel value %.15g, collapsed cells %.15g", name, out.Value(), wantVal)
+		}
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-10*math.Max(1, math.Abs(want[j])) {
+				t.Errorf("%s: partial %d: kernel %.15g, collapsed cells %.15g", name, j, got[j], want[j])
+			}
+		}
+	}
+	r := rng.New(47)
+	for _, scale := range []float64{0.3, 1} {
+		mem := NewMemory(scale, 11).Model.(*memoryRetrieval)
+		check("memory accuracy block", false, mem.acc, mem.cond, 1, mem.subj, mem.nSubj, randomPoint(1+mem.nSubj, r))
+	}
+	const n, p, g = 5000, 2, 25
+	rows := [4][2]float64{{1, -0.5}, {1, 0.5}, {0.25, 2}, {-1.5, 0}}
+	x, group := make([]float64, 0, n*p), make([]int, n)
+	yb, yp := make([]int, n), make([]int, n)
+	for i := 0; i < n; i++ {
+		row := rows[r.Intn(len(rows))]
+		x = append(x, row[0], row[1])
+		group[i] = r.Intn(g)
+		if r.Bernoulli(0.4) {
+			yb[i] = 1
+		}
+		yp[i] = r.Intn(7)
+	}
+	q := randomPoint(p+g, r)
+	check("synthetic bernoulli-logit", false, yb, x, p, group, g, q)
+	check("synthetic poisson-log", true, yp, x, p, group, g, q)
+}
+
 func randomPoint(dim int, r *rng.RNG) []float64 {
 	q := make([]float64, dim)
 	for i := range q {
