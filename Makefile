@@ -47,7 +47,9 @@ race:
 
 # A few seconds of coverage-guided fuzzing per target on bytes that arrive
 # from outside the process: the BSDW draw block (result uploads, blob
-# store) and the lease route's JSON body, wait_ms included — and on the
+# store), the BSCK checkpoint block (checkpoint streams, blob store), the
+# BSJL journal file a durable coordinator replays, the lease route's JSON
+# body, wait_ms included, and the job-submission JSON body — and on the
 # link functions' two encodings, which must agree on every float64 bit
 # pattern. One -fuzz pattern per invocation is the toolchain's rule. New
 # inputs go to the Go build cache; only a failing one is written under
@@ -55,16 +57,22 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDraws$$' -fuzztime 5s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseRequestJSON$$' -fuzztime 5s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCheckpoint$$' -fuzztime 5s ./internal/mcmc/
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 5s ./internal/journal/
+	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecJSON$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkTwin$$' -fuzztime 5s ./internal/mathx/
 
 # Deterministic fault-injection matrix under the race detector: every
 # sampler crossed with every injectable fault kind (panic, non-finite,
-# slow iteration, cancel), plus the checkpoint/resume and quarantine
-# suites and the serve-layer retry tests they feed. Includes the
-# batched-lockstep column (TestFaultMatrixBatched): faults injected while
-# chains share fused gradient sweeps must quarantine identically, with
-# bit-identical draws and checkpoint-resume replay on the batched path —
-# and the cluster columns: worker loss migration, the network-chaos
+# slow iteration, cancel, worker loss), plus the checkpoint/resume and
+# quarantine suites and the serve-layer retry tests they feed. Includes
+# the batched-lockstep column (TestFaultMatrixBatched, HMC and NUTS ×
+# the same five kinds): faults injected while chains share fused gradient
+# sweeps must quarantine identically, with bit-identical draws and
+# checkpoint-resume replay on the batched path, and slow iterations,
+# cancels and worker losses must behave as they do unbatched — its
+# service column (TestFaultMatrixBatchedSpec: the same ten cells on a
+# batchable job submitted as a serve.JobSpec), and the cluster columns: worker loss migration, the network-chaos
 # partition matrix ({HMC,NUTS} × {drop,dup,delay,partition-then-heal}),
 # and coordinator crash-restart from the durable journal.
 fault-matrix:
@@ -132,11 +140,8 @@ bench-compare:
 	$(GO) run -C benchmark . compare $(abspath $(PARENT)) $(abspath $(CHANGE))
 
 # Regenerate BENCH_2.json (fused-kernel vs legacy-tape gradient cost for
-# every kernel-backed workload), BENCH_5.json (cross-chain gradient
+# every kernel-backed workload) and BENCH_5.json (cross-chain gradient
 # batching: fused multi-chain sweeps vs per-chain evaluation, gradient
-# layer and end-to-end lockstep, with the bytes-streamed traffic proxy),
-# and BENCH_10.json (speculative leapfrog prefetching: lockstep runs with
-# the slot-filling speculation layer off vs on — occupancy split, hit
-# rate, and the straggler-bound sweep conservation check).
+# layer and end-to-end lockstep, with the bytes-streamed traffic proxy).
 bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_2.json -o5 BENCH_5.json -o10 BENCH_10.json
+	$(GO) run ./cmd/benchjson -o BENCH_2.json -o5 BENCH_5.json

@@ -32,6 +32,7 @@ import (
 	"bayessuite/internal/model"
 	"bayessuite/internal/perf"
 	"bayessuite/internal/sched"
+	"bayessuite/internal/serve"
 	"bayessuite/internal/stanio"
 	"bayessuite/internal/vi"
 	"bayessuite/internal/workloads"
@@ -220,20 +221,9 @@ func Characterize(p *HWProfile, plat Platform, cores int) Metrics {
 // suite's simulated 4-core miss rates (the Fig. 3 procedure) and returns
 // a ready scheduler over the Skylake/Broadwell pair.
 func CalibrateScheduler(seed uint64) (*sched.Scheduler, error) {
-	var pts []sched.Point
-	for _, name := range workloads.Names() {
-		for _, frac := range []float64{1, 0.5, 0.25} {
-			w, err := workloads.New(name, frac, seed)
-			if err != nil {
-				return nil, err
-			}
-			p := perf.Static(w)
-			pts = append(pts, sched.Point{
-				Name:          name,
-				ModeledDataKB: float64(w.ModeledDataBytes()) / 1024,
-				LLCMPKI4Core:  hw.SimulateLLC(p, hw.Skylake, 4),
-			})
-		}
+	pts, err := serve.SuiteCalibration(seed)
+	if err != nil {
+		return nil, err
 	}
 	pred, err := sched.Fit(pts)
 	if err != nil {

@@ -3,6 +3,9 @@ package bayessuite
 import (
 	"math"
 	"testing"
+
+	"bayessuite/internal/sched"
+	"bayessuite/internal/serve"
 )
 
 // tinyModel is a 2-D Gaussian through the public API.
@@ -107,5 +110,25 @@ func TestVotesForecasterInterface(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Error("NaN forecast")
 		}
+	}
+}
+
+// TestCalibrateSchedulerFitsSuiteCalibration: the library's scheduler is
+// fitted on exactly the service's calibration points.
+func TestCalibrateSchedulerFitsSuiteCalibration(t *testing.T) {
+	s, err := CalibrateScheduler(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := serve.SuiteCalibration(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sched.Fit(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *s.Predictor != *want {
+		t.Fatalf("CalibrateScheduler predictor %+v, want %+v", *s.Predictor, *want)
 	}
 }

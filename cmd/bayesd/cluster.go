@@ -281,7 +281,7 @@ func smokeFleetServing(seed uint64) error {
 func smokeMigration(seed uint64) error {
 	spec := serve.JobSpec{
 		Workload: "12cities", Scale: 0.25, Seed: seed,
-		Iterations: 160, NoElide: true, Speculate: true,
+		Iterations: 160, NoElide: true,
 	}
 	const checkpointEvery = 20
 	const killAtIter = 60
@@ -401,19 +401,19 @@ func smokeMigration(seed uint64) error {
 	fmt.Printf("bayesd: migrated draws bit-identical to uninterrupted reference (%d bytes, %d chains × %d iterations)\n",
 		len(migDraws), final.Spec.Chains, final.Progress)
 
-	// The job speculated; the rescue worker's heartbeat stats must carry
-	// the prefetch counters into the fleet rollup.
+	// The job ran batched; the rescue worker's heartbeat stats must carry
+	// its batching counters into the fleet rollup.
 	for {
 		fs := co.ServiceStats().(cluster.FleetStats)
-		if fs.SpecRows > 0 && fs.SpecCommitted+fs.SpecDiscarded == fs.SpecRows {
-			fmt.Printf("bayesd: fleet speculation counters: %d rows, %d committed (hit rate %.2f, effective occupancy %.2f)\n",
-				fs.SpecRows, fs.SpecCommitted, fs.SpecHitRate, fs.EffectiveBatchOccupancy)
+		if fs.BatchChainEvals > 0 {
+			fmt.Printf("bayesd: fleet batching counters: %d chain evals in %d sweeps (occupancy %.2f)\n",
+				fs.BatchChainEvals, fs.BatchSweeps, fs.MeanBatchOccupancy)
 			break
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("timed out waiting for speculation counters in fleet stats (rows %d, committed %d, discarded %d)",
-				fs.SpecRows, fs.SpecCommitted, fs.SpecDiscarded)
+			return fmt.Errorf("timed out waiting for batching counters in fleet stats (sweeps %d, chain evals %d)",
+				fs.BatchSweeps, fs.BatchChainEvals)
 		case <-time.After(20 * time.Millisecond):
 		}
 	}

@@ -8,16 +8,12 @@
 //
 // Usage:
 //
-//	benchjson [-o BENCH_2.json] [-o5 BENCH_5.json] [-o10 BENCH_10.json] [-scale 1.0] [-benchtime 1s]
+//	benchjson [-o BENCH_2.json] [-o5 BENCH_5.json] [-scale 1.0] [-benchtime 1s]
 //
-// Three files come out: BENCH_2.json (fused kernel vs legacy tape, one
-// chain), BENCH_5.json (cross-chain gradient batching: fused
+// Two files come out: BENCH_2.json (fused kernel vs legacy tape, one
+// chain) and BENCH_5.json (cross-chain gradient batching: fused
 // multi-chain sweeps vs independent per-chain evaluation, at the
-// gradient layer and end to end on the lockstep runner), and
-// BENCH_10.json (speculative leapfrog prefetching: the same lockstep
-// runs with the coalescer's slot-filling speculation off vs on —
-// occupancy split, cache hit rate, and the straggler-bound sweep
-// conservation check).
+// gradient layer and end to end on the lockstep runner).
 package main
 
 import (
@@ -87,7 +83,6 @@ func main() {
 	testing.Init() // registers test.* flags so test.benchtime can be set
 	out := flag.String("o", "BENCH_2.json", "kernel-vs-tape output path")
 	out5 := flag.String("o5", "BENCH_5.json", "cross-chain batching output path")
-	out10 := flag.String("o10", "BENCH_10.json", "speculative prefetch output path")
 	lockIters := flag.Int("lockstep-iters", 12, "iterations per end-to-end lockstep run")
 	scale := flag.Float64("scale", 1.0, "workload dataset scale")
 	benchtime := flag.Duration("benchtime", 0, "per-measurement budget (0 = testing default)")
@@ -130,13 +125,6 @@ func main() {
 	}
 	fmt.Printf("wrote %s (%d gradient-layer entries, %d lockstep entries)\n",
 		*out5, len(rep5.GradientLayer), len(rep5.Lockstep))
-
-	rep10 := specReport(*lockIters)
-	if err := writeJSON(*out10, rep10); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s (%d lockstep entries)\n", *out10, len(rep10.Lockstep))
 }
 
 func writeJSON(path string, v any) error {

@@ -17,9 +17,8 @@ import (
 	"strconv"
 	"strings"
 
-	"bayessuite/internal/hw"
-	"bayessuite/internal/perf"
 	"bayessuite/internal/sched"
+	"bayessuite/internal/serve"
 	"bayessuite/internal/workloads"
 )
 
@@ -36,21 +35,10 @@ func main() {
 
 	// Calibrate the predictor from the suite's simulated 4-core MPKI at
 	// three dataset scales (the Fig. 3 procedure).
-	var pts []sched.Point
-	for _, name := range workloads.Names() {
-		for _, frac := range []float64{1, 0.5, 0.25} {
-			w, err := workloads.New(name, frac, *seed)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "schedule:", err)
-				os.Exit(1)
-			}
-			p := perf.Static(w)
-			pts = append(pts, sched.Point{
-				Name:          name,
-				ModeledDataKB: float64(w.ModeledDataBytes()) / 1024,
-				LLCMPKI4Core:  hw.SimulateLLC(p, hw.Skylake, 4),
-			})
-		}
+	pts, err := serve.SuiteCalibration(*seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "schedule:", err)
+		os.Exit(1)
 	}
 	pred, err := sched.Fit(pts)
 	if err != nil {

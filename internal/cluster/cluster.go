@@ -175,18 +175,10 @@ type FleetStats struct {
 	SavedJoules     float64 `json:"saved_joules"`
 
 	// Gradient batching rolled up over worker heartbeat stats: fused
-	// sweeps, demanded chain evaluations, and the speculative prefetch
-	// split (rows speculated into empty slots, committed as cache hits,
-	// or discarded). MeanBatchOccupancy counts demanded rows per sweep;
-	// EffectiveBatchOccupancy adds the committed speculative rows.
-	BatchSweeps             int64   `json:"batch_sweeps,omitempty"`
-	BatchChainEvals         int64   `json:"batch_chain_evals,omitempty"`
-	MeanBatchOccupancy      float64 `json:"mean_batch_occupancy,omitempty"`
-	SpecRows                int64   `json:"spec_rows,omitempty"`
-	SpecCommitted           int64   `json:"spec_committed,omitempty"`
-	SpecDiscarded           int64   `json:"spec_discarded,omitempty"`
-	SpecHitRate             float64 `json:"spec_hit_rate,omitempty"`
-	EffectiveBatchOccupancy float64 `json:"effective_batch_occupancy,omitempty"`
+	// sweeps, the chain evaluations they carried, and their ratio.
+	BatchSweeps        int64   `json:"batch_sweeps,omitempty"`
+	BatchChainEvals    int64   `json:"batch_chain_evals,omitempty"`
+	MeanBatchOccupancy float64 `json:"mean_batch_occupancy,omitempty"`
 
 	// Placement state: the fitted threshold on the calibration platform
 	// (each node's effective threshold scales with its LLC), or the

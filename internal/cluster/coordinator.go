@@ -390,18 +390,11 @@ func (co *Coordinator) ServiceStats() any {
 		st.SavedJoules += ws.stats.SavedJoules
 		st.BatchSweeps += ws.stats.BatchSweeps
 		st.BatchChainEvals += ws.stats.BatchChainEvals
-		st.SpecRows += ws.stats.SpecRows
-		st.SpecCommitted += ws.stats.SpecCommitted
-		st.SpecDiscarded += ws.stats.SpecDiscarded
 		st.PerWorker = append(st.PerWorker, w)
 	}
 	co.mu.Unlock()
 	if st.BatchSweeps > 0 {
 		st.MeanBatchOccupancy = float64(st.BatchChainEvals) / float64(st.BatchSweeps)
-		st.EffectiveBatchOccupancy = float64(st.BatchChainEvals+st.SpecCommitted) / float64(st.BatchSweeps)
-	}
-	if st.SpecRows > 0 {
-		st.SpecHitRate = float64(st.SpecCommitted) / float64(st.SpecRows)
 	}
 
 	st.QueueDepth = co.queue.Len()

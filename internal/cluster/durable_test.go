@@ -12,6 +12,7 @@ import (
 
 	"bayessuite/internal/cluster"
 	"bayessuite/internal/hw"
+	"bayessuite/internal/journal"
 	"bayessuite/internal/serve"
 )
 
@@ -252,7 +253,9 @@ func TestClusterCoordinatorRecoveringState(t *testing.T) {
 // TestClusterCoordinatorReplayDeterminism replays byte-for-byte copies
 // of one state directory in two coordinators: recovery must be a pure
 // function of the bytes on disk, so both must reconstruct identical job
-// tables.
+// tables. The directory also holds an admit record written before the
+// job spec lost its "speculate" field; replay reads specs leniently, so
+// that job must still run, to the same draws as its field-free twin.
 func TestClusterCoordinatorReplayDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow; skipping in -short")
@@ -286,7 +289,12 @@ func TestClusterCoordinatorReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit queued: %v", err)
 	}
+	want, err := co.Draws(done.ID)
+	if err != nil {
+		t.Fatalf("draws: %v", err)
+	}
 	co.Kill()
+	legacy := appendLegacyAdmit(t, seedDir, done.ID)
 
 	load := func(dir string) map[string]serve.JobStatus {
 		re := cluster.NewCoordinator(cluster.CoordinatorConfig{
@@ -324,8 +332,8 @@ func TestClusterCoordinatorReplayDeterminism(t *testing.T) {
 	copyDir(dirB)
 
 	a, b := load(dirA), load(dirB)
-	if len(a) != 2 || len(b) != 2 {
-		t.Fatalf("replayed %d and %d jobs, want 2 each", len(a), len(b))
+	if len(a) != 3 || len(b) != 3 {
+		t.Fatalf("replayed %d and %d jobs, want 3 each", len(a), len(b))
 	}
 	for id, sa := range a {
 		sb, ok := b[id]
@@ -343,6 +351,67 @@ func TestClusterCoordinatorReplayDeterminism(t *testing.T) {
 	if a[queued.ID].State != serve.Queued {
 		t.Errorf("live job replayed as %s, want queued (awaiting re-lease)", a[queued.ID].State)
 	}
+	if a[legacy].State != serve.Queued {
+		t.Fatalf("legacy-spec job replayed as %s, want queued", a[legacy].State)
+	}
+
+	// The legacy job runs to the draws of the job whose spec it copied.
+	re, reBase := startTestCoordinator(t, cluster.CoordinatorConfig{
+		StateDir:         dirA,
+		HeartbeatTimeout: time.Second,
+		ReapInterval:     50 * time.Millisecond,
+	})
+	rw := startTestWorker(t, reBase, "w2", hw.Skylake, serve.Config{CheckpointEvery: 20})
+	defer stopWorker(t, rw)
+	final, err := serve.NewClient(reBase).Wait(ctx, legacy, 20*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait legacy job: %v", err)
+	}
+	if final.State != serve.Done {
+		t.Fatalf("legacy-spec job ended %s (%s), want done", final.State, final.Error)
+	}
+	got, err := re.Draws(legacy)
+	if err != nil {
+		t.Fatalf("legacy draws: %v", err)
+	}
+	if !cluster.DrawsEqual(want, got) {
+		t.Fatal("legacy-spec job's draws differ from the job whose spec it copied")
+	}
+}
+
+// appendLegacyAdmit journals, in the coordinator state directory dir, a
+// copy of job id's admit record whose spec also carries "speculate": true
+// — a field job specs no longer have — under a fresh job ID, which it
+// returns.
+func appendLegacyAdmit(t *testing.T, dir, id string) string {
+	t.Helper()
+	j, recs, err := journal.Open(filepath.Join(dir, "coordinator.journal"))
+	if err != nil {
+		t.Fatalf("opening journal: %v", err)
+	}
+	defer j.Close()
+	const legacyID = "cjob-000099"
+	for _, raw := range recs {
+		var r map[string]any
+		if err := json.Unmarshal(raw, &r); err != nil {
+			t.Fatalf("journal record: %v", err)
+		}
+		if r["t"] != "admit" || r["id"] != id {
+			continue
+		}
+		r["id"] = legacyID
+		r["spec"].(map[string]any)["speculate"] = true
+		out, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(out); err != nil {
+			t.Fatalf("appending legacy admit: %v", err)
+		}
+		return legacyID
+	}
+	t.Fatalf("no admit record for %s", id)
+	return ""
 }
 
 // TestClusterCheckpointRetention verifies the bounded-retention

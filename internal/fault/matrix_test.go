@@ -387,32 +387,15 @@ func (m *batchGLM) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.BatchRe
 }
 
 // TestFaultMatrixBatched extends the matrix with the batched-lockstep
-// column: for the gradient samplers and each quarantining fault kind, a
-// run whose chains coalesce gradients into fused sweeps must (a) produce
-// draws bit-identical to the per-chain lockstep run under the same
-// injection plan — batch membership never perturbs results, even as the
-// faulting chain drops out of the rendezvous mid-run — and (b) replay
-// bit-identically when resumed from the last pre-fault checkpoint on the
-// batched path.
+// column: every injectable fault kind against the gradient samplers on a
+// run whose chains coalesce gradients into fused sweeps. Quarantining
+// kinds must (a) produce draws bit-identical to the per-chain lockstep run
+// under the same injection plan — batch membership never perturbs
+// results, even as the faulting chain drops out of the rendezvous mid-run
+// — and (b) replay bit-identically when resumed from the last pre-fault
+// checkpoint on the batched path. Slow iterations, cancels and worker
+// losses must behave exactly as they do without the coalescer.
 func TestFaultMatrixBatched(t *testing.T) {
-	for _, kind := range []mcmc.SamplerKind{mcmc.HMC, mcmc.NUTS} {
-		kind := kind
-		for _, fk := range []Kind{Panic, NonFinite} {
-			fk := fk
-			t.Run(kind.String()+"/"+fk.String(), func(t *testing.T) {
-				t.Parallel()
-				testBatchedQuarantine(t, kind, fk, false)
-			})
-		}
-	}
-}
-
-// TestFaultMatrixBatchedSpec is the speculation column of the matrix:
-// every injectable fault kind against the batched lockstep path with
-// speculative prefetching on. Quarantines, cancels, worker losses, and
-// slow iterations must behave exactly as without speculation, and draws
-// must stay bit-identical to the per-chain reference throughout.
-func TestFaultMatrixBatchedSpec(t *testing.T) {
 	for _, kind := range []mcmc.SamplerKind{mcmc.HMC, mcmc.NUTS} {
 		kind := kind
 		for _, fk := range []Kind{Panic, NonFinite, Slow, Cancel, WorkerLoss} {
@@ -421,29 +404,28 @@ func TestFaultMatrixBatchedSpec(t *testing.T) {
 				t.Parallel()
 				switch fk {
 				case Panic, NonFinite:
-					testBatchedQuarantine(t, kind, fk, true)
+					testBatchedQuarantine(t, kind, fk)
 				case Slow:
-					testBatchedSpecSlow(t, kind)
+					testBatchedSlow(t, kind)
 				case Cancel:
-					testBatchedSpecCancel(t, kind)
+					testBatchedCancel(t, kind)
 				case WorkerLoss:
-					testBatchedSpecWorkerLoss(t, kind)
+					testBatchedWorkerLoss(t, kind)
 				}
 			})
 		}
 	}
 }
 
-// batchedSpecTargets wires cfg's fused gradient path over a fresh
-// evaluator for m, optionally with speculative prefetching.
-func batchedSpecTargets(t *testing.T, cfg *mcmc.Config, m *batchGLM, speculate bool) mcmc.TargetFactory {
+// batchedTargets wires cfg's fused gradient path over a fresh evaluator
+// for m.
+func batchedTargets(t *testing.T, cfg *mcmc.Config, m *batchGLM) mcmc.TargetFactory {
 	t.Helper()
 	be, ok := model.NewBatchEvaluator(m, chains)
 	if !ok {
 		t.Fatal("batchGLM is not batchable")
 	}
 	cfg.BatchGrad = be.LogDensityGradBatch
-	cfg.Speculate = speculate
 	next := 0
 	return func() mcmc.Target {
 		c := next
@@ -452,7 +434,7 @@ func batchedSpecTargets(t *testing.T, cfg *mcmc.Config, m *batchGLM, speculate b
 	}
 }
 
-func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind, speculate bool) {
+func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind) {
 	m := newBatchGLM(5)
 	run := func(batched bool, resume *mcmc.Checkpoint, sink func(*mcmc.Checkpoint)) *mcmc.Result {
 		cfg := baseConfig(kind)
@@ -463,7 +445,7 @@ func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind, specula
 		cfg.FaultHook = inj.Hook
 		var factory mcmc.TargetFactory
 		if batched {
-			factory = batchedSpecTargets(t, &cfg, m, speculate)
+			factory = batchedTargets(t, &cfg, m)
 		} else {
 			factory = func() mcmc.Target { return model.NewEvaluator(m) }
 		}
@@ -497,23 +479,17 @@ func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind, specula
 	sameChainDraws(t, "batched resume replay", res, replay)
 }
 
-// specAccounting checks the speculative ledger invariant on a finished
-// run: every speculated row was either committed or discarded.
-func specAccounting(t *testing.T, res *mcmc.Result) {
+// coalesced fails a run that never went through the gradient coalescer.
+func coalesced(t *testing.T, res *mcmc.Result) {
 	t.Helper()
-	gb := res.GradBatch
-	if gb == nil {
-		t.Fatal("speculating lockstep run reported no GradBatch")
-	}
-	if gb.SpecCommitted+gb.SpecDiscarded != gb.SpecRows {
-		t.Fatalf("spec accounting: committed %d + discarded %d != rows %d",
-			gb.SpecCommitted, gb.SpecDiscarded, gb.SpecRows)
+	if res.GradBatch == nil {
+		t.Fatal("batched lockstep run reported no GradBatch")
 	}
 }
 
-// testBatchedSpecSlow: slow injection on the speculating batched path
-// changes pace only — draws stay bit-identical to a clean per-chain run.
-func testBatchedSpecSlow(t *testing.T, kind mcmc.SamplerKind) {
+// testBatchedSlow: slow injection on the batched path changes pace only —
+// draws stay bit-identical to a clean per-chain run.
+func testBatchedSlow(t *testing.T, kind mcmc.SamplerKind) {
 	m := newBatchGLM(5)
 	ref := mcmc.Run(baseConfig(kind), func() mcmc.Target { return model.NewEvaluator(m) })
 
@@ -521,7 +497,7 @@ func testBatchedSpecSlow(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // lockstep engages the coalescer
 	cfg.FaultHook = inj.Hook
-	factory := batchedSpecTargets(t, &cfg, m, true)
+	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.Run(cfg, factory)
 
 	if inj.Injected() == 0 {
@@ -530,17 +506,13 @@ func testBatchedSpecSlow(t *testing.T, kind mcmc.SamplerKind) {
 	if len(res.Faults()) != 0 {
 		t.Fatalf("slow iterations must not quarantine: %v", res.Faults())
 	}
-	sameChainDraws(t, "batched-spec slow", ref, res)
-	specAccounting(t, res)
-	if res.GradBatch.SpecRows == 0 {
-		t.Error("speculating run filled no slots (expected stragglers to leave empty rows)")
-	}
+	sameChainDraws(t, "batched slow", ref, res)
+	coalesced(t, res)
 }
 
-// testBatchedSpecCancel: a cooperative cancel mid-round on the
-// speculating batched path interrupts cleanly — completed draws retained,
-// nothing quarantined, ledger balanced.
-func testBatchedSpecCancel(t *testing.T, kind mcmc.SamplerKind) {
+// testBatchedCancel: a cooperative cancel mid-round on the batched path
+// interrupts cleanly — completed draws retained, nothing quarantined.
+func testBatchedCancel(t *testing.T, kind mcmc.SamplerKind) {
 	m := newBatchGLM(5)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -548,7 +520,7 @@ func testBatchedSpecCancel(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // lockstep: aligned prefixes after cancel
 	cfg.FaultHook = inj.Hook
-	factory := batchedSpecTargets(t, &cfg, m, true)
+	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)
 
 	if inj.Fired(Cancel) != 1 {
@@ -563,12 +535,12 @@ func testBatchedSpecCancel(t *testing.T, kind mcmc.SamplerKind) {
 	if res.Iterations < faultIter || res.Iterations >= iterations {
 		t.Errorf("Iterations = %d, want in [%d, %d)", res.Iterations, faultIter, iterations)
 	}
-	specAccounting(t, res)
+	coalesced(t, res)
 }
 
-// testBatchedSpecWorkerLoss: an abrupt kill under the speculating batched
-// sampler honors the kill-once contract and quarantines nothing.
-func testBatchedSpecWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
+// testBatchedWorkerLoss: an abrupt kill under the batched sampler honors
+// the kill-once contract and quarantines nothing.
+func testBatchedWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	m := newBatchGLM(5)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -583,7 +555,7 @@ func testBatchedSpecWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // lockstep: aligned prefixes after the kill
 	cfg.FaultHook = inj.Hook
-	factory := batchedSpecTargets(t, &cfg, m, true)
+	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)
 
 	if kills != 1 {
@@ -595,5 +567,5 @@ func testBatchedSpecWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	if len(res.Faults()) != 0 {
 		t.Fatalf("worker loss must not quarantine chains (the whole node died): %v", res.Faults())
 	}
-	specAccounting(t, res)
+	coalesced(t, res)
 }

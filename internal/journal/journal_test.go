@@ -12,7 +12,7 @@ import (
 
 // openAppend opens the journal at path, appends each payload, and
 // closes it — the common arrange step.
-func openAppend(t *testing.T, path string, payloads ...[]byte) {
+func openAppend(t testing.TB, path string, payloads ...[]byte) {
 	t.Helper()
 	j, _, err := Open(path)
 	if err != nil {
@@ -86,40 +86,57 @@ func TestJournalEmptyAndAbsent(t *testing.T) {
 	}
 }
 
+// tornTails are the shapes a crash mid-append leaves at the end of an
+// intact log.
+var tornTails = []struct {
+	name string
+	tear func(data []byte) []byte
+}{
+	{"cut-mid-record-header", func(data []byte) []byte {
+		return append(data, 0x03, 0x00, 0x00) // 3 of the 8 header bytes
+	}},
+	{"cut-mid-payload", func(data []byte) []byte {
+		var rh [8]byte
+		binary.LittleEndian.PutUint32(rh[:], 100) // claims 100 bytes...
+		return append(append(data, rh[:]...), []byte("only-a-few")...)
+	}},
+	{"corrupt-final-crc", func(data []byte) []byte {
+		payload := []byte("torn-write")
+		var rh [8]byte
+		binary.LittleEndian.PutUint32(rh[:], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(rh[4:], 0xdeadbeef) // wrong CRC
+		return append(append(data, rh[:]...), payload...)
+	}},
+}
+
+// logBytes returns the bytes of a journal holding payloads.
+func logBytes(t testing.TB, payloads ...[]byte) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "j.log")
+	openAppend(t, path, payloads...)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// corruptMidLog flips the first payload byte of a log whose first record
+// has records after it.
+func corruptMidLog(data []byte) []byte {
+	data[headerSize+8] ^= 0xff
+	return data
+}
+
 // TestJournalTornTail covers every shape of crash-mid-append: the tail
 // is silently truncated, the earlier records survive, and the journal
 // stays appendable at the record boundary.
 func TestJournalTornTail(t *testing.T) {
 	intact := [][]byte{[]byte("one"), []byte("two")}
-	cases := []struct {
-		name string
-		tear func(data []byte) []byte
-	}{
-		{"cut-mid-record-header", func(data []byte) []byte {
-			return append(data, 0x03, 0x00, 0x00) // 3 of the 8 header bytes
-		}},
-		{"cut-mid-payload", func(data []byte) []byte {
-			var rh [8]byte
-			binary.LittleEndian.PutUint32(rh[:], 100) // claims 100 bytes...
-			return append(append(data, rh[:]...), []byte("only-a-few")...)
-		}},
-		{"corrupt-final-crc", func(data []byte) []byte {
-			payload := []byte("torn-write")
-			var rh [8]byte
-			binary.LittleEndian.PutUint32(rh[:], uint32(len(payload)))
-			binary.LittleEndian.PutUint32(rh[4:], 0xdeadbeef) // wrong CRC
-			return append(append(data, rh[:]...), payload...)
-		}},
-	}
-	for _, tc := range cases {
+	for _, tc := range tornTails {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "j.log")
-			openAppend(t, path, intact...)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.tear(data), 0o644); err != nil {
+			if err := os.WriteFile(path, tc.tear(logBytes(t, intact...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 
@@ -150,20 +167,14 @@ func TestJournalTornTail(t *testing.T) {
 // state.
 func TestJournalMidLogCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.log")
-	openAppend(t, path, []byte("first-record"), []byte("second-record"), []byte("third-record"))
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Flip a byte inside the FIRST record's payload (offset 8 header + 8
 	// record header puts us at its first payload byte).
-	data[headerSize+8] ^= 0xff
+	data := corruptMidLog(logBytes(t, []byte("first-record"), []byte("second-record"), []byte("third-record")))
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(path)
+	_, _, err := Open(path)
 	var ce *CorruptError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Open(mid-log corruption) = %v, want *CorruptError", err)

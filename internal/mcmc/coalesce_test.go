@@ -81,8 +81,8 @@ func (m *batchedGLMModel) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.
 	return m.logPost(t, q, pre)
 }
 
-// runBatched runs cfg over a fresh BatchEvaluator for m, wiring both the
-// fused gradient path and the kernel-layer speculation accounting.
+// runBatched runs cfg over a fresh BatchEvaluator for m, wired to the
+// fused gradient path.
 func runBatched(t *testing.T, m *batchedGLMModel, cfg Config) (*Result, *model.BatchEvaluator) {
 	t.Helper()
 	be, ok := model.NewBatchEvaluator(m, cfg.Chains)
@@ -91,7 +91,6 @@ func runBatched(t *testing.T, m *batchedGLMModel, cfg Config) (*Result, *model.B
 	}
 	next := 0
 	cfg.BatchGrad = be.LogDensityGradBatch
-	cfg.BatchSpecNote = be.NoteSpeculated
 	res := Run(cfg, func() Target {
 		c := next
 		next++
@@ -320,7 +319,7 @@ func TestCoalescerFullSetFiresOnce(t *testing.T) {
 					t.Errorf("chain %d request %d got lp %v grad %v", c, i, lp, g[0])
 				}
 			}
-			co.leave(c, true)
+			co.leave(c)
 		}(c)
 	}
 	wg.Wait()
@@ -358,10 +357,10 @@ func TestCoalescerLastLeaverFlushes(t *testing.T) {
 		}(c)
 	}
 	waitState(co, 2, 0)
-	co.leave(2, true) // chain 2 needs no gradient this round: flush on its way out
+	co.leave(2) // chain 2 needs no gradient this round: flush on its way out
 	wg.Wait()
-	co.leave(0, true)
-	co.leave(1, true)
+	co.leave(0)
+	co.leave(1)
 	if len(sizes) != 1 || sizes[0] != 2 {
 		t.Fatalf("batch sizes %v, want [2]", sizes)
 	}
@@ -392,14 +391,14 @@ func TestCoalescerLoneStragglerFires(t *testing.T) {
 		co := newGradCoalescer(2, tc.lanes, countingEval(&sizes, &mu), tc.inner)
 		co.arm([]bool{true, true})
 		if tc.leaveFirst {
-			co.leave(1, true)
+			co.leave(1)
 		}
 		if lp := co.submit(0, []float64{0}, []float64{0}); lp != tc.want {
 			t.Errorf("%s: lp %v, want %v", tc.name, lp, tc.want)
 		}
-		co.leave(0, true)
+		co.leave(0)
 		if !tc.leaveFirst {
-			co.leave(1, true)
+			co.leave(1)
 		}
 		if len(sizes) != tc.batches {
 			t.Errorf("%s: fused batch sizes %v, want %d of them", tc.name, sizes, tc.batches)
@@ -467,7 +466,7 @@ func TestCoalescerLanesDisjoint(t *testing.T) {
 						t.Errorf("round %d chain %d request %d: got lp %v grad %v", r, c, i, lp, g[0])
 					}
 				}
-				co.leave(c, true)
+				co.leave(c)
 			}(c)
 		}
 		wg.Wait()
@@ -511,8 +510,8 @@ func TestCoalescerPanicQuarantine(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	co.leave(0, true)
-	co.leave(1, true)
+	co.leave(0)
+	co.leave(1)
 	panics, nans := 0, 0
 	for c := 0; c < 2; c++ {
 		if res[c].panic != nil {
@@ -571,7 +570,7 @@ func TestCoalescerPanicStaysInItsLane(t *testing.T) {
 	close(cleanGate)
 	cleaned.Wait()
 	for c := 0; c < 3; c++ {
-		co.leave(c, c == 2)
+		co.leave(c)
 	}
 	if recovered != "kernel fault" {
 		t.Errorf("leader recovered %v, want the kernel fault", recovered)
@@ -614,7 +613,7 @@ func TestCoalescerRoundZeroAlloc(t *testing.T) {
 			for range start[c] {
 				co.submit(c, q, g)
 				co.submit(c, q, g)
-				co.leave(c, true)
+				co.leave(c)
 				done.Done()
 			}
 		}()
@@ -627,7 +626,7 @@ func TestCoalescerRoundZeroAlloc(t *testing.T) {
 			start[c] <- struct{}{}
 		}
 		co.submit(0, q, g)
-		co.leave(0, true)
+		co.leave(0)
 		done.Wait()
 	}
 	for i := 0; i < 20; i++ {

@@ -41,35 +41,20 @@ func (h *hamiltonian) kinetic(p []float64) float64 {
 	return 0.5 * s
 }
 
-// halfKickDrift is the first half of a leapfrog step: half momentum kick
-// with the gradient at q, then the position drift. Shared verbatim by the
-// integrator and the speculative shadows: the shadow's predicted position
-// must be bit-identical to the one the committed chain will request, so
-// both must run the exact same floating-point code, not a re-derivation.
-func (h *hamiltonian) halfKickDrift(q, p, grad []float64, eps float64) {
+// leapfrog advances (q, p) one step of size eps; grad must hold the
+// gradient at q on entry and holds the gradient at the new q on exit.
+// It returns the new log density.
+func (h *hamiltonian) leapfrog(q, p, grad []float64, eps float64) float64 {
 	for i := range p {
 		p[i] += 0.5 * eps * grad[i]
 	}
 	for i := range q {
 		q[i] += eps * h.invMass[i] * p[i]
 	}
-}
-
-// finishKick is the second half momentum kick, with the gradient at the
-// post-drift position.
-func (h *hamiltonian) finishKick(p, grad []float64, eps float64) {
+	lp := h.target.LogDensityGrad(q, grad)
 	for i := range p {
 		p[i] += 0.5 * eps * grad[i]
 	}
-}
-
-// leapfrog advances (q, p) one step of size eps; grad must hold the
-// gradient at q on entry and holds the gradient at the new q on exit.
-// It returns the new log density.
-func (h *hamiltonian) leapfrog(q, p, grad []float64, eps float64) float64 {
-	h.halfKickDrift(q, p, grad, eps)
-	lp := h.target.LogDensityGrad(q, grad)
-	h.finishKick(p, grad, eps)
 	return lp
 }
 
@@ -151,9 +136,6 @@ type hmcSampler struct {
 	warmup     int
 	lastAccept float64
 	divergent  bool
-	initilzd   bool
-
-	shadow *hmcShadow // speculative prefetch replica (lazily allocated)
 }
 
 func newHMCSampler(target Target, r *rng.RNG, targetAccept, intTime float64, warmup int) *hmcSampler {
@@ -181,7 +163,6 @@ func (s *hmcSampler) Init(q []float64) {
 	eps, _ := s.ham.findReasonableEpsilon(s.q, s.r)
 	s.eps = eps
 	s.da = newDualAveraging(eps, s.daTA)
-	s.initilzd = true
 }
 
 func (s *hmcSampler) Current() []float64 { return s.q }
@@ -266,137 +247,6 @@ func (s *hmcSampler) AcceptStat() float64 { return s.lastAccept }
 func (s *hmcSampler) StepSize() float64   { return s.eps }
 func (s *hmcSampler) Divergent() bool     { return s.divergent }
 
-// hmcShadow is the speculative replica of an hmcSampler: a fork of the
-// committed state (RNG copied by value, so the committed stream is
-// untouched) that replays the sampler's arithmetic exactly, one leapfrog
-// prediction per fused sweep. Because the static trajectory, the accept
-// draw, and the momentum refresh are all deterministic given the forked
-// RNG, the shadow is an exact replay of the chain's future: post-warmup
-// it rolls from one iteration into the next until the prefetch ring
-// fills. During warmup it stops at the first trajectory end — adaptation
-// (dual averaging, Welford mass updates) runs on the committed chain
-// after that iteration and is not replicated.
-type hmcShadow struct {
-	r          rng.RNG // forked stream; advancing it never touches the chain's
-	q, p, grad []float64
-	q0, grad0  []float64 // trajectory start, for the reject branch
-	lp, lp0    float64
-	joint0     float64
-	eps        float64
-	steps      int // leapfrog steps left in the current trajectory
-	iter       int // iteration the current trajectory replicates
-	pending    bool
-	dead       bool
-}
-
-func (s *hmcSampler) specReset() bool {
-	if !s.initilzd {
-		return false
-	}
-	if s.shadow == nil {
-		dim := s.ham.dim
-		s.shadow = &hmcShadow{
-			q:     make([]float64, dim),
-			p:     make([]float64, dim),
-			grad:  make([]float64, dim),
-			q0:    make([]float64, dim),
-			grad0: make([]float64, dim),
-		}
-	}
-	sh := s.shadow
-	sh.r = *s.r
-	copy(sh.q, s.q)
-	copy(sh.grad, s.grad)
-	sh.lp = s.lp
-	sh.iter = s.iter
-	sh.eps = s.eps
-	sh.pending = false
-	sh.dead = false
-	s.shadowBeginTrajectory()
-	return true
-}
-
-// shadowBeginTrajectory replicates Step's preamble on the fork: momentum
-// refresh, initial joint density, and the step count.
-func (s *hmcSampler) shadowBeginTrajectory() {
-	sh := s.shadow
-	s.ham.sampleMomentum(&sh.r, sh.p)
-	sh.joint0 = sh.lp - s.ham.kinetic(sh.p)
-	n := int(math.Max(1, math.Round(s.intTime/sh.eps)))
-	if n > 1024 {
-		n = 1024
-	}
-	sh.steps = n
-	copy(sh.q0, sh.q)
-	copy(sh.grad0, sh.grad)
-	sh.lp0 = sh.lp
-}
-
-func (s *hmcSampler) speculate(dst []float64) bool {
-	sh := s.shadow
-	if sh == nil || sh.dead || sh.pending || sh.steps == 0 {
-		return false
-	}
-	s.ham.halfKickDrift(sh.q, sh.p, sh.grad, sh.eps)
-	copy(dst, sh.q)
-	sh.pending = true
-	return true
-}
-
-func (s *hmcSampler) specStepSize() float64 { return s.shadow.eps }
-
-func (s *hmcSampler) specFeed(lp float64, grad []float64) {
-	sh := s.shadow
-	if sh == nil || !sh.pending {
-		return
-	}
-	sh.pending = false
-	copy(sh.grad, grad)
-	sh.lp = lp
-	s.ham.finishKick(sh.p, sh.grad, sh.eps)
-	sh.steps--
-	if math.IsInf(lp, -1) || math.IsNaN(lp) {
-		// The committed chain abandons the trajectory on a non-finite
-		// density; the remaining predicted steps would never be asked for.
-		sh.steps = 0
-	}
-	if sh.steps > 0 {
-		return
-	}
-	// Trajectory complete: replicate the accept/reject decision on the
-	// forked stream, mirroring Step's arithmetic exactly.
-	joint := sh.lp - s.ham.kinetic(sh.p)
-	accept := math.Exp(math.Min(0, joint-sh.joint0))
-	if math.IsNaN(sh.lp) || math.IsNaN(accept) {
-		accept = 0
-	}
-	if joint-sh.joint0 < -1000 {
-		accept = 0
-	}
-	if sh.r.Float64() < accept {
-		// Accepted: the frontier already is the next state.
-	} else {
-		copy(sh.q, sh.q0)
-		copy(sh.grad, sh.grad0)
-		sh.lp = sh.lp0
-	}
-	if sh.iter < s.warmup {
-		// Adaptation runs on the committed chain after this iteration and
-		// is not replicated; the shadow cannot see past it.
-		sh.dead = true
-		return
-	}
-	sh.iter++
-	s.shadowBeginTrajectory()
-}
-
-func (s *hmcSampler) specAbort() {
-	if s.shadow != nil {
-		s.shadow.pending = false
-		s.shadow.dead = true
-	}
-}
-
 func (s *hmcSampler) snapshot(dst *SamplerState) {
 	*dst = SamplerState{
 		RNG:         s.r.State(),
@@ -428,5 +278,4 @@ func (s *hmcSampler) restore(src *SamplerState) {
 	s.wf.n = src.WelfordN
 	copy(s.wf.mean, src.WelfordMean)
 	copy(s.wf.m2, src.WelfordM2)
-	s.initilzd = true
 }

@@ -164,31 +164,6 @@ type Config struct {
 	// own Target instead. Ignored on the free path and on sequential
 	// runs, where there is nothing to coalesce.
 	BatchGrad func(qs, grads [][]float64, lps []float64)
-	// Speculate enables speculative leapfrog prefetching on the batched
-	// lockstep path (requires BatchGrad): chains that finished their
-	// trajectory leave batch slots empty, and the coalescer fills those
-	// slots with each idle chain's predicted next gradient requests —
-	// computed on a forked RNG so the committed stream is untouched. A
-	// prediction that the chain actually requests next (bit-exact
-	// position and step size) is served from the prefetch cache without
-	// a sweep; a miss is discarded silently. Draws are bit-identical
-	// with speculation on or off — only wall-clock and the occupancy
-	// accounting change. Ignored without BatchGrad.
-	Speculate bool
-	// BatchSpecNote, when non-nil, is called with the number of
-	// speculative rows each fused sweep carried, letting the batch
-	// evaluator split its occupancy accounting into real vs speculative
-	// rows (model.BatchEvaluator.NoteSpeculated satisfies it). Called
-	// under the coalescer lock; must be cheap.
-	BatchSpecNote func(rows int64)
-
-	// specForceMissEvery is a test-only knob (unexported: settable only by
-	// this package's tests): every Nth committed prefetch entry has its
-	// step-size cache key corrupted by one ulp, forcing the owning chain's
-	// probe to miss and flush. The prediction machinery is exact by
-	// construction, so natural misses never occur; this proves the
-	// miss path discards silently without perturbing draws.
-	specForceMissEvery int
 }
 
 // StopRule decides whether sampling has converged. chains[c] is chain c's
@@ -294,15 +269,13 @@ type Result struct {
 	// Config echoes the effective configuration.
 	Config Config
 	// GradBatch carries the gradient coalescer's accounting when the run
-	// used cross-chain batching (nil otherwise): fused sweeps executed,
-	// the real vs speculative row split, and the speculation
-	// commit/discard outcome.
+	// used cross-chain batching (nil otherwise): batch evaluations and the
+	// rows they served.
 	GradBatch *GradBatchReport
 }
 
 // GradBatchReport is the batched lockstep path's occupancy accounting,
-// kept by the gradient coalescer (the authoritative row-level split; the
-// kernel-layer counters see only total rows per sweep).
+// kept by the gradient coalescer.
 type GradBatchReport struct {
 	// Sweeps counts batch evaluations, one-row batches served by the
 	// chain's own target included. How requests group into batches
@@ -311,23 +284,6 @@ type GradBatchReport struct {
 	Sweeps int64
 	// RealRows counts rows demanded by live chain steps.
 	RealRows int64
-	// SpecRows counts speculative rows that rode otherwise-empty slots.
-	SpecRows int64
-	// SpecCommitted counts speculative rows later served as cache hits —
-	// each one a real gradient evaluation the chain skipped.
-	SpecCommitted int64
-	// SpecDiscarded counts speculative rows thrown away: flushed on a
-	// prediction miss, dropped by a batch fault, or left unconsumed when
-	// the run ended.
-	SpecDiscarded int64
-}
-
-// SpecHitRate is SpecCommitted/SpecRows, or 0 with no speculation.
-func (g *GradBatchReport) SpecHitRate() float64 {
-	if g.SpecRows == 0 {
-		return 0
-	}
-	return float64(g.SpecCommitted) / float64(g.SpecRows)
 }
 
 // RealOccupancy is mean demanded rows per sweep.
@@ -336,24 +292,6 @@ func (g *GradBatchReport) RealOccupancy() float64 {
 		return 0
 	}
 	return float64(g.RealRows) / float64(g.Sweeps)
-}
-
-// EffectiveOccupancy is mean useful rows per sweep: real rows plus the
-// speculative rows that were committed as cache hits.
-func (g *GradBatchReport) EffectiveOccupancy() float64 {
-	if g.Sweeps == 0 {
-		return 0
-	}
-	return float64(g.RealRows+g.SpecCommitted) / float64(g.Sweeps)
-}
-
-// SlotOccupancy is mean rows riding each sweep, committed or not — the
-// batch engine's slot utilization.
-func (g *GradBatchReport) SlotOccupancy() float64 {
-	if g.Sweeps == 0 {
-		return 0
-	}
-	return float64(g.RealRows+g.SpecRows) / float64(g.Sweeps)
 }
 
 // Faults returns the fault records of every quarantined chain, in chain
@@ -514,29 +452,6 @@ type stepper interface {
 	// consumes no randomness and leaves the sampler bit-identical to the
 	// one the snapshot was taken from.
 	restore(src *SamplerState)
-
-	// Speculative prefetch interface (see coalesce.go). All four methods
-	// are called under the coalescer lock while the chain's own goroutine
-	// is quiescent, and touch only the sampler's shadow state — never the
-	// committed chain state or its RNG stream.
-
-	// specReset forks a speculative shadow of the sampler from its
-	// committed state (RNG copied by value). Returns false when the
-	// sampler cannot predict its next gradient requests.
-	specReset() bool
-	// speculate writes the shadow's next predicted position into dst and
-	// returns true, or returns false when the predictor is exhausted or
-	// awaiting the result of its previous prediction.
-	speculate(dst []float64) bool
-	// specStepSize reports the step size the last prediction was made at
-	// (the second half of the prefetch cache key).
-	specStepSize() float64
-	// specFeed delivers the fused-sweep result for the last speculated
-	// position, letting the shadow advance to its next prediction.
-	specFeed(lp float64, grad []float64)
-	// specAbort invalidates the shadow after its in-flight row was
-	// dropped (batch fault); it stays dead until the next specReset.
-	specAbort()
 }
 
 // newStepper builds the configured sampler for one chain.

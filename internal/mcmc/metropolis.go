@@ -85,14 +85,6 @@ func (s *mhSampler) AcceptStat() float64 { return s.lastAccept }
 func (s *mhSampler) StepSize() float64   { return s.scale }
 func (s *mhSampler) Divergent() bool     { return false }
 
-// Metropolis-Hastings uses value-only density evaluations, so there are
-// no gradient requests to prefetch; the speculation interface is inert.
-func (s *mhSampler) specReset() bool              { return false }
-func (s *mhSampler) speculate(dst []float64) bool { return false }
-func (s *mhSampler) specStepSize() float64        { return 0 }
-func (s *mhSampler) specFeed(float64, []float64)  {}
-func (s *mhSampler) specAbort()                   {}
-
 func (s *mhSampler) snapshot(dst *SamplerState) {
 	*dst = SamplerState{
 		RNG:         s.r.State(),

@@ -42,8 +42,6 @@ type nutsSampler struct {
 	plus   *treeState
 	states *statePool
 	bufs   *bufPool
-
-	shadow *nutsShadow // speculative prefetch replica (lazily allocated)
 }
 
 // treeState carries one endpoint of a NUTS trajectory.
@@ -295,83 +293,6 @@ func (s *nutsSampler) EndWarmup() {
 func (s *nutsSampler) AcceptStat() float64 { return s.lastAccept }
 func (s *nutsSampler) StepSize() float64   { return s.eps }
 func (s *nutsSampler) Divergent() bool     { return s.divergent }
-
-// nutsShadow predicts the accept branch of the next NUTS doubling tree:
-// the first base-case leapfrog of the next iteration. On a forked RNG the
-// momentum refresh, the slice variable, and the first doubling direction
-// are all deterministic, so the predicted position is exactly the first
-// gradient request the committed chain will make — the prediction depth
-// stops there because replaying the full doubling recursion would
-// duplicate the tree builder. One prediction per fork.
-type nutsShadow struct {
-	r       rng.RNG
-	q, p    []float64
-	grad    []float64
-	eps     float64
-	pending bool
-	dead    bool
-}
-
-func (s *nutsSampler) specReset() bool {
-	if s.da == nil { // Init has not run
-		return false
-	}
-	if s.shadow == nil {
-		s.shadow = &nutsShadow{
-			q:    make([]float64, s.dim),
-			p:    make([]float64, s.dim),
-			grad: make([]float64, s.dim),
-		}
-	}
-	sh := s.shadow
-	sh.r = *s.r
-	copy(sh.q, s.q)
-	copy(sh.grad, s.grad)
-	sh.eps = s.eps
-	// Replicate Step's preamble in exact draw order: momentum, the slice
-	// variable (unused at prediction depth one, but consumed to keep the
-	// forked stream aligned with the committed one), the first doubling
-	// direction — then the base-case half-kick and drift that produce the
-	// first tree frontier.
-	s.ham.sampleMomentum(&sh.r, sh.p)
-	_ = sh.r.Exp()
-	dir := 1.0
-	if sh.r.Float64() < 0.5 {
-		dir = -1.0
-	}
-	s.ham.halfKickDrift(sh.q, sh.p, sh.grad, dir*sh.eps)
-	sh.pending = false
-	sh.dead = false
-	return true
-}
-
-func (s *nutsSampler) speculate(dst []float64) bool {
-	sh := s.shadow
-	if sh == nil || sh.dead || sh.pending {
-		return false
-	}
-	copy(dst, sh.q)
-	sh.pending = true
-	return true
-}
-
-func (s *nutsSampler) specStepSize() float64 { return s.shadow.eps }
-
-func (s *nutsSampler) specFeed(lp float64, grad []float64) {
-	sh := s.shadow
-	if sh == nil || !sh.pending {
-		return
-	}
-	sh.pending = false
-	sh.dead = true // depth-one predictor: one row per fork
-}
-
-func (s *nutsSampler) specAbort() {
-	if s.shadow != nil {
-		s.shadow.pending = false
-		s.shadow.dead = true
-	}
-}
 
 func (s *nutsSampler) snapshot(dst *SamplerState) {
 	*dst = SamplerState{

@@ -103,13 +103,6 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 	if cfg.ResumeFrom != nil {
 		startIter = cfg.ResumeFrom.Iteration
 	}
-	if co != nil && cfg.Speculate {
-		// Speculative prefetch rides the coalescer: idle chains' shadow
-		// predictors fill empty batch slots. Enabled only after the
-		// steppers exist — the shadows fork from committed sampler state.
-		co.enableSpeculation(steppers, targets[0].Dim(), cfg.BatchSpecNote)
-		co.forceMissEvery = cfg.specForceMissEvery
-	}
 
 	// Cancellation is surfaced to the hot loops as a single atomic flag:
 	// one watcher goroutine waits on ctx.Done, and chains poll the flag
@@ -397,10 +390,8 @@ func runLockstep(cfg Config, steppers []stepper, chains []*ChainResult, acceptSu
 		faults[c] = css[c].step(curIter)
 		if co != nil {
 			// The chain is done requesting gradients this round; shrink
-			// the rendezvous so stragglers stop waiting for it. A healthy
-			// leaver also (re)arms its speculative shadow; a faulted chain
-			// must never speculate from corrupt state.
-			co.leave(c, faults[c] == nil)
+			// the rendezvous so stragglers stop waiting for it.
+			co.leave(c)
 		}
 	}
 

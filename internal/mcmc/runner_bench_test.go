@@ -357,8 +357,8 @@ func BenchmarkRunnerUnbatchedLockstep2(b *testing.B) { benchLockstepGLM(b, false
 func BenchmarkRunnerBatchedLockstep4(b *testing.B)   { benchLockstepGLM(b, true, 4) }
 func BenchmarkRunnerUnbatchedLockstep4(b *testing.B) { benchLockstepGLM(b, false, 4) }
 
-// The Registry pair is the control for the speculation verdict and the
-// end-to-end check of the coalescer on real jobs: registry workloads wired
+// The Registry pair is the end-to-end check of the coalescer on real
+// jobs: registry workloads wired
 // the way bayesd runs them (NUTS, 4 chains, convergence stop rule,
 // a checkpoint every 50 iterations), with and without the coalescer.
 // NUTS trajectories differ in length chain to chain, so this is the

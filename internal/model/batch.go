@@ -57,7 +57,6 @@ type BatchEvaluator struct {
 
 	sweeps     atomic.Int64 // fused sweeps executed
 	chainEvals atomic.Int64 // chain evaluations carried by those sweeps
-	specRows   atomic.Int64 // of chainEvals, rows that were speculative prefetches
 }
 
 // batchLane is the state of one LogDensityGradBatch call in flight. The
@@ -202,15 +201,3 @@ func (b *BatchEvaluator) LogDensityGradBatch(qs, grads [][]float64, lps []float6
 func (b *BatchEvaluator) Occupancy() (sweeps, chainEvals int64) {
 	return b.sweeps.Load(), b.chainEvals.Load()
 }
-
-// NoteSpeculated records that n of the rows already counted by
-// LogDensityGradBatch were speculative prefetches rather than demanded
-// chain evaluations. The evaluator cannot tell the two apart — a row is
-// a row, by design — so the coalescer, which can, reports the split here
-// (mcmc.Config.BatchSpecNote). Keeping the split at the kernel layer
-// lets occupancy stats separate real from speculative load.
-func (b *BatchEvaluator) NoteSpeculated(n int64) { b.specRows.Add(n) }
-
-// SpecRows reports how many of the evaluated rows were speculative.
-// Real (demanded) rows are chainEvals - specRows.
-func (b *BatchEvaluator) SpecRows() int64 { return b.specRows.Load() }

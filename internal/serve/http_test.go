@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +94,17 @@ func TestHTTPErrors(t *testing.T) {
 
 	if _, err := c.Submit(ctx, JobSpec{Workload: "nope"}); apiStatus(t, err) != 400 {
 		t.Fatalf("bad spec: %v, want 400", err)
+	}
+	// A retired field is an unknown field: the decoder refuses it. The typed
+	// client cannot send it, so post the raw body.
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"12cities","scale":0.1,"speculate":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`"speculate": true: status %d, want 400`, resp.StatusCode)
 	}
 	if _, err := c.Status(ctx, "job-424242"); apiStatus(t, err) != 404 {
 		t.Fatalf("unknown job: %v, want 404", err)

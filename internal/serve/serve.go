@@ -74,12 +74,6 @@ type JobSpec struct {
 	// NoElide disables runtime convergence detection; the R̂ trajectory
 	// is still tracked and reported.
 	NoElide bool `json:"no_elide,omitempty"`
-	// Speculate enables speculative leapfrog prefetching on the batched
-	// gradient path: empty batch slots are filled with idle chains'
-	// predicted next gradient requests. Draws are bit-identical with it
-	// on or off; only wall-clock and the occupancy accounting change.
-	// Ignored for workloads without batched kernels.
-	Speculate bool `json:"speculate,omitempty"`
 	// TimeoutSec bounds the job's running time (0: the server default).
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
@@ -122,22 +116,10 @@ type PlacementDecision struct {
 // there were cores enough to run every request at once. ChainEvals is
 // fixed by the spec; Sweeps depends on how requests met at the rendezvous
 // and varies between runs of one spec.
-// With speculation (JobSpec.Speculate) the accounting splits: ChainEvals
-// and MeanOccupancy count only demanded rows, while SpecRows counts the
-// speculative prefetches that rode otherwise-empty slots. SpecCommitted
-// of those were later served as cache hits (SpecHitRate is the fraction),
-// and EffectiveOccupancy is the useful rows per sweep — demanded plus
-// committed speculative.
 type GradBatchStats struct {
 	Sweeps        int64   `json:"sweeps"`
 	ChainEvals    int64   `json:"chain_evals"`
 	MeanOccupancy float64 `json:"mean_occupancy"`
-
-	SpecRows           int64   `json:"spec_rows,omitempty"`
-	SpecCommitted      int64   `json:"spec_committed,omitempty"`
-	SpecDiscarded      int64   `json:"spec_discarded,omitempty"`
-	SpecHitRate        float64 `json:"spec_hit_rate,omitempty"`
-	EffectiveOccupancy float64 `json:"effective_occupancy,omitempty"`
 }
 
 // ChainFaultInfo is one quarantined chain's fault record, as reported
@@ -336,16 +318,6 @@ type Stats struct {
 	BatchChainEvals    int64   `json:"batch_chain_evals,omitempty"`
 	MeanBatchOccupancy float64 `json:"mean_batch_occupancy,omitempty"`
 
-	// Speculative prefetch aggregated over all jobs: rows speculated into
-	// empty batch slots, how many were committed as cache hits vs
-	// discarded, the aggregate hit rate, and the effective occupancy
-	// (demanded + committed rows per sweep).
-	SpecRows                int64   `json:"spec_rows,omitempty"`
-	SpecCommitted           int64   `json:"spec_committed,omitempty"`
-	SpecDiscarded           int64   `json:"spec_discarded,omitempty"`
-	SpecHitRate             float64 `json:"spec_hit_rate,omitempty"`
-	EffectiveBatchOccupancy float64 `json:"effective_batch_occupancy,omitempty"`
-
 	// Elision savings aggregated over completed jobs.
 	SavedIterations int64   `json:"saved_iterations"`
 	SavedJoules     float64 `json:"saved_joules"`
@@ -401,13 +373,9 @@ type Job struct {
 	maxRHat   float64
 
 	// Gradient batching accounting of the most recent attempt (zero when
-	// the model is not batchable). The spec* fields carry the speculative
-	// prefetch split when the job ran with JobSpec.Speculate.
+	// the model is not batchable).
 	batchSweeps     int64
 	batchChainEvals int64
-	batchSpecRows   int64
-	batchSpecCommit int64
-	batchSpecDrop   int64
 
 	done chan struct{}
 }
@@ -460,19 +428,11 @@ func (j *Job) Status() JobStatus {
 		st.RHatTrace = append([]RHatPoint(nil), j.rhat...)
 	}
 	if j.batchSweeps > 0 {
-		gb := &GradBatchStats{
+		st.GradBatch = &GradBatchStats{
 			Sweeps:        j.batchSweeps,
 			ChainEvals:    j.batchChainEvals,
 			MeanOccupancy: float64(j.batchChainEvals) / float64(j.batchSweeps),
-			SpecRows:      j.batchSpecRows,
-			SpecCommitted: j.batchSpecCommit,
-			SpecDiscarded: j.batchSpecDrop,
 		}
-		gb.EffectiveOccupancy = float64(j.batchChainEvals+j.batchSpecCommit) / float64(j.batchSweeps)
-		if j.batchSpecRows > 0 {
-			gb.SpecHitRate = float64(j.batchSpecCommit) / float64(j.batchSpecRows)
-		}
-		st.GradBatch = gb
 	}
 	return st
 }

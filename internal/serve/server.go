@@ -482,9 +482,6 @@ func (s *Server) Stats() Stats {
 		st.SavedJoules += job.savedJoules
 		st.BatchSweeps += job.batchSweeps
 		st.BatchChainEvals += job.batchChainEvals
-		st.SpecRows += job.batchSpecRows
-		st.SpecCommitted += job.batchSpecCommit
-		st.SpecDiscarded += job.batchSpecDrop
 		job.mu.Unlock()
 		switch state {
 		case Queued:
@@ -519,10 +516,6 @@ func (s *Server) Stats() Stats {
 	}
 	if st.BatchSweeps > 0 {
 		st.MeanBatchOccupancy = float64(st.BatchChainEvals) / float64(st.BatchSweeps)
-		st.EffectiveBatchOccupancy = float64(st.BatchChainEvals+st.SpecCommitted) / float64(st.BatchSweeps)
-	}
-	if st.SpecRows > 0 {
-		st.SpecHitRate = float64(st.SpecCommitted) / float64(st.SpecRows)
 	}
 	for _, ps := range perPlat {
 		if ps.CoresInUse > ps.Cores {
@@ -818,11 +811,6 @@ func (s *Server) runJobLocked(job *Job) {
 	if b, ok := model.NewBatchEvaluator(w.Model, job.spec.Chains); ok {
 		be = b
 		cfg.BatchGrad = be.LogDensityGradBatch
-		// Speculative leapfrog prefetching: fill empty batch slots with
-		// idle chains' predicted next gradients. Bit-identical draws
-		// either way, so retries and resumes are unaffected.
-		cfg.Speculate = job.spec.Speculate
-		cfg.BatchSpecNote = be.NoteSpeculated
 		next := 0
 		factory = func() mcmc.Target { // called sequentially by the runner
 			c := next
@@ -835,12 +823,9 @@ func (s *Server) runJobLocked(job *Job) {
 	if be != nil {
 		job.mu.Lock()
 		if gb := res.GradBatch; gb != nil {
-			// The coalescer's report is authoritative: it splits real from
-			// speculative rows, which the kernel-layer counters cannot.
+			// The coalescer's report is authoritative: the kernel-layer
+			// counters miss one-row batches served by a chain's own target.
 			job.batchSweeps, job.batchChainEvals = gb.Sweeps, gb.RealRows
-			job.batchSpecRows = gb.SpecRows
-			job.batchSpecCommit = gb.SpecCommitted
-			job.batchSpecDrop = gb.SpecDiscarded
 		} else {
 			sweeps, evals := be.Occupancy()
 			job.batchSweeps, job.batchChainEvals = sweeps, evals
