@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fuzz fault-matrix serve-smoke cluster-smoke crash-smoke bench bench-runner bench-kernels bench-hw bench-json bench-compare
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix bench bench-runner bench-kernels bench-hw bench-compare
 
-ci: fmt-check vet test race fuzz fault-matrix cluster-smoke crash-smoke
+ci: fmt-check vet test race fuzz fault-matrix
 
 build:
 	$(GO) build ./...
@@ -41,9 +41,10 @@ test:
 # serving layer (admission queue, worker pool, cancellation) — and the
 # hardware model, whose memo tables (hw.Memo: the LLC simulator's, and
 # serve's per-spec energy account) are reached by every job runner and by
-# the parallel start-up calibration.
+# the parallel start-up calibration — and bayesd itself, whose test
+# SIGKILLs a durable coordinator process and restarts it on its journal.
 race:
-	$(GO) test -race ./internal/hw/... ./internal/mcmc/... ./internal/elide/... ./internal/serve/... ./internal/cluster/... ./internal/journal/...
+	$(GO) test -race ./internal/hw/... ./internal/mcmc/... ./internal/elide/... ./internal/serve/... ./internal/cluster/... ./internal/journal/... ./cmd/bayesd/...
 
 # A few seconds of coverage-guided fuzzing per target on bytes that arrive
 # from outside the process: the BSDW draw block (result uploads, blob
@@ -79,38 +80,16 @@ fault-matrix:
 	$(GO) test -race -run 'Fault|Checkpoint|Quarantine|Retry|Resume|Injector|NetChaos' \
 		./internal/fault/... ./internal/mcmc/... ./internal/serve/... ./internal/cluster/...
 
-# End-to-end smoke test of the serving daemon: boots bayesd on a random
-# port, submits a small seeded job over HTTP, polls it to completion, and
-# asserts that convergence elision fired and savings were accounted.
-serve-smoke:
-	$(GO) run ./cmd/bayesd -smoke
-
-# End-to-end cluster smoke under the race detector: a coordinator and two
-# heterogeneous workers in one process over real HTTP. Phase 1 checks
-# fleet placement, capability probes, and fleet stats; phase 2 is the
-# acceptance criterion — a worker killed mid-run by an injected fault,
-# the job requeued from its last streamed checkpoint onto a worker that
-# did not exist before the kill, and the migrated draws compared bit for
-# bit against an uninterrupted single-node run.
-cluster-smoke:
-	$(GO) run -race ./cmd/bayesd -cluster-smoke
-
-# Durability smoke under the race detector: a durable coordinator runs as
-# a subprocess, gets SIGKILLed mid-run (after checkpoints have streamed),
-# and is restarted on the same -state-dir and address. The restarted
-# coordinator must replay its journal, requeue the unfinished jobs from
-# their newest fingerprint-verified checkpoints, and every job — still
-# under its original ID — must finish with draws bit-identical to an
-# uninterrupted run.
-crash-smoke:
-	$(GO) run -race ./cmd/bayesd -crash-smoke
-
 # Runner hot-path benchmarks with allocation accounting, at one and two
 # procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a
 # large GLM; …Registry: NUTS on registry jobs as bayesd runs them) one
 # proc is the sharing regime the coalescer must keep, two the lanes
 # regime it must win. The BenchmarkGradient*{Kernel,Tape} pairs time one
-# gradient on each path and report its tape nodes and edges.
+# gradient on each path, with its tape nodes and edges, for all nine
+# kernel-backed workloads (GLM is tickets; 12Cities, AD and Memory are the
+# other batchable three) and the large-N NormalGLM. BenchmarkGradientBatch
+# sweeps k = 1, 2, 4, 8: one fused K-chain gradient round (batched)
+# against the same K evaluations one by one (per-chain).
 bench-runner:
 	$(GO) test -run xxx -bench 'BenchmarkRunner|BenchmarkGradient' -benchmem -cpu 1,2 ./internal/mcmc/
 
@@ -138,10 +117,3 @@ bench:
 bench-compare:
 	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare PARENT=<result.json> CHANGE=<result.json>"; exit 2; }
 	$(GO) run -C benchmark . compare $(abspath $(PARENT)) $(abspath $(CHANGE))
-
-# Regenerate BENCH_2.json (fused-kernel vs legacy-tape gradient cost for
-# every kernel-backed workload) and BENCH_5.json (cross-chain gradient
-# batching: fused multi-chain sweeps vs per-chain evaluation, gradient
-# layer and end-to-end lockstep, with the bytes-streamed traffic proxy).
-bench-json:
-	$(GO) run ./cmd/benchjson -o BENCH_2.json -o5 BENCH_5.json

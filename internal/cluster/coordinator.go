@@ -254,6 +254,9 @@ func (co *Coordinator) SubmitJob(spec serve.JobSpec) (serve.JobStatus, error) {
 		state:        serve.Queued,
 		done:         make(chan struct{}),
 	}
+	// Snapshot the initial status while the job is still unshared: once
+	// offered, a concurrent lease may grant it before this returns.
+	st := cj.statusLocked()
 	if err := co.queue.Offer(cj); err != nil {
 		return serve.JobStatus{}, err
 	}
@@ -269,7 +272,7 @@ func (co *Coordinator) SubmitJob(spec serve.JobSpec) (serve.JobStatus, error) {
 	co.jobs[cj.id] = cj
 	co.order = append(co.order, cj.id)
 	co.wake() // a job to place
-	return cj.statusLocked(), nil
+	return st, nil
 }
 
 // GetJob returns a job's live status: the coordinator's view while the

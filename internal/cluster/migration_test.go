@@ -78,14 +78,15 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 		name     string
 		workload string
 		sampler  string
+		batched  bool
 	}{
-		{"hmc-batched", "12cities", "hmc"},
-		{"hmc-unbatched", "disease", "hmc"},
-		{"nuts-batched", "12cities", "nuts"},
-		{"nuts-unbatched", "disease", "nuts"},
+		{"hmc-batched", "12cities", "hmc", true},
+		{"hmc-unbatched", "disease", "hmc", false},
+		{"nuts-batched", "12cities", "nuts", true},
+		{"nuts-unbatched", "disease", "nuts", false},
 		// A collapsed kernel (build-time counts, no data sweep) crossing a
 		// checkpoint and a worker migration.
-		{"nuts-collapsed", "survival", "nuts"},
+		{"nuts-collapsed", "survival", "nuts", false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -154,6 +155,13 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			}
 			if _, err := cluster.DecodeDraws(got); err != nil {
 				t.Fatalf("decoding migrated draws: %v", err)
+			}
+			if tc.batched {
+				// The rescue worker's heartbeat carries its batching
+				// counters into the fleet rollup.
+				eventually(t, "batching counters in fleet stats", func() bool {
+					return co.ServiceStats().(cluster.FleetStats).BatchChainEvals > 0
+				})
 			}
 			stopWorker(t, w2)
 		})

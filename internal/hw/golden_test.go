@@ -92,9 +92,10 @@ var calibSink []sched.Point
 // BenchmarkSuiteCalibration times bayesd's start-up calibration — thirty
 // datasets, tape measurements and LLC simulations on GOMAXPROCS
 // goroutines. cold is what a daemon pays, once; warm is a second
-// calibration in one process (the in-process smokes), every simulation a
-// memo hit. It lives here and not beside serve.SuiteCalibration because
-// only this package's tests can empty the simulator's table.
+// calibration in one process (a test binary that boots several servers),
+// every simulation a memo hit. It lives here and not beside
+// serve.SuiteCalibration because only this package's tests can empty the
+// simulator's table.
 func BenchmarkSuiteCalibration(b *testing.B) {
 	run := func(b *testing.B, cold bool) {
 		for i := 0; i < b.N; i++ {

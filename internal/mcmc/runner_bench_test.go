@@ -90,7 +90,8 @@ func BenchmarkRunnerFree(b *testing.B) {
 // measures the same seeded sampling run with the likelihood evaluated
 // through the fused analytic kernel (the registry default) and through
 // the legacy node-per-observation tape; their ratio is the kernel
-// speedup tracked in BENCH_2.json.
+// speedup. The BenchmarkGradient*{Kernel,Tape} pairs below time one
+// gradient of each of the nine kernel-backed workloads on both paths.
 
 func benchWorkloadRun(b *testing.B, m model.Model) {
 	b.Helper()
@@ -130,6 +131,14 @@ func BenchmarkGradientGLMKernel(b *testing.B) { benchRegistryGradient(b, "ticket
 // BenchmarkGradientGLMTape isolates one gradient evaluation on the
 // legacy tape path.
 func BenchmarkGradientGLMTape(b *testing.B) { benchRegistryGradient(b, "tickets", true) }
+
+// The other three batchable workloads (the first kernel ports), full scale.
+func BenchmarkGradient12CitiesKernel(b *testing.B) { benchRegistryGradient(b, "12cities", false) }
+func BenchmarkGradient12CitiesTape(b *testing.B)   { benchRegistryGradient(b, "12cities", true) }
+func BenchmarkGradientADKernel(b *testing.B)       { benchRegistryGradient(b, "ad", false) }
+func BenchmarkGradientADTape(b *testing.B)         { benchRegistryGradient(b, "ad", true) }
+func BenchmarkGradientMemoryKernel(b *testing.B)   { benchRegistryGradient(b, "memory", false) }
+func BenchmarkGradientMemoryTape(b *testing.B)     { benchRegistryGradient(b, "memory", true) }
 
 func benchGradient(b *testing.B, m model.Model) {
 	b.Helper()
@@ -290,7 +299,8 @@ func BenchmarkGradientNormalGLMTape(b *testing.B) {
 // The Batched/Unbatched pairs below measure the same seeded parallel
 // lockstep run with and without the gradient coalescer: batched runs
 // fuse all chains' gradient requests into one cache-blocked data sweep
-// per round (BENCH_5.json tracks the ratio across chain counts).
+// per round. BenchmarkGradientBatch isolates that sweep across chain
+// counts.
 
 func (m *normalGLMBench) BatchKernels() []kernels.Batcher {
 	if m.kern == nil {
@@ -408,3 +418,56 @@ func benchRegistry(b *testing.B, batched bool) {
 
 func BenchmarkRunnerBatchedRegistry(b *testing.B)   { benchRegistry(b, true) }
 func BenchmarkRunnerUnbatchedRegistry(b *testing.B) { benchRegistry(b, false) }
+
+// batchGLMN sizes the normal GLM so its data (x, y and the group index,
+// ~7.7 MB) spills the L2 cache: the regime where one data sweep for K
+// chains pays, because the data streams from the outer cache levels once
+// per round instead of once per chain.
+const batchGLMN = 240000
+
+// BenchmarkGradientBatch times one K-chain gradient round at the same
+// (distinct per chain) points two ways: "batched" is one fused
+// LogDensityGradBatch sweep, "per-chain" the K evaluations one after
+// another. Their ratio is what fusing buys at the gradient layer; the
+// Runner{Batched,Unbatched}Lockstep pairs are the end-to-end view.
+func BenchmarkGradientBatch(b *testing.B) {
+	m := newNormalGLMBenchN(batchGLMN, true)
+	for _, k := range []int{1, 2, 4, 8} {
+		qs := make([][]float64, k)
+		grads := make([][]float64, k)
+		lps := make([]float64, k)
+		for c := range qs {
+			qs[c] = make([]float64, m.Dim())
+			grads[c] = make([]float64, m.Dim())
+			for i := range qs[c] {
+				qs[c][i] = 0.1*float64(i%7) + 0.01*float64(c)
+			}
+		}
+		b.Run(fmt.Sprintf("k=%d/batched", k), func(b *testing.B) {
+			be, ok := model.NewBatchEvaluator(m, k)
+			if !ok {
+				b.Fatal("bench model is not batchable")
+			}
+			be.LogDensityGradBatch(qs, grads, lps) // warm arenas
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				be.LogDensityGradBatch(qs, grads, lps)
+			}
+		})
+		b.Run(fmt.Sprintf("k=%d/per-chain", k), func(b *testing.B) {
+			evs := make([]*model.Evaluator, k)
+			for c := range evs {
+				evs[c] = model.NewEvaluator(m)
+				evs[c].LogDensityGrad(qs[c], grads[c]) // warm arenas
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c, ev := range evs {
+					lps[c] = ev.LogDensityGrad(qs[c], grads[c])
+				}
+			}
+		})
+	}
+}

@@ -84,7 +84,9 @@ func TestEqualSpecsDifferentSeedsEqualSavings(t *testing.T) {
 }
 
 // TestSuiteCalibrationIndependentOfGOMAXPROCS: the parallel calibration
-// returns the serial loop's points in the serial loop's order.
+// returns the serial loop's points in the serial loop's order, and a
+// server calibrated on them fits a predictor rather than falling back to
+// frequency-first placement.
 func TestSuiteCalibrationIndependentOfGOMAXPROCS(t *testing.T) {
 	const seed = 7
 	var want []sched.Point
@@ -111,5 +113,10 @@ func TestSuiteCalibrationIndependentOfGOMAXPROCS(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("GOMAXPROCS=%d: calibration points differ from the serial loop\n got  %v\n want %v", procs, got, want)
 		}
+	}
+	s := NewServer(Config{Workers: 1, CalibrationPoints: want})
+	defer s.Shutdown(context.Background())
+	if fallback, note := s.FrequencyFirst(); fallback {
+		t.Errorf("server on the suite calibration fell back to frequency-first placement (%s)", note)
 	}
 }

@@ -32,6 +32,11 @@ type API interface {
 	Capability() Capability
 }
 
+// maxSpecBytes bounds a job-submission body. A spec is a few hundred
+// bytes; the bound keeps one client from making a node or coordinator
+// buffer an arbitrarily large request.
+const maxSpecBytes = 1 << 20
+
 // NewAPIHandler builds the bayesd HTTP API over any API implementation:
 //
 //	POST   /v1/jobs            submit a job           → 202 JobStatus
@@ -51,15 +56,21 @@ type API interface {
 // from. Both forms share the 200/503 status semantics.
 //
 // Error mapping: bad spec → 400, unknown job → 404, result not ready or
-// cancel of a finished job → 409, queue full → 429 (with Retry-After),
-// draining → 503. Errors are {"error": "..."} JSON.
+// cancel of a finished job → 409, submission body over maxSpecBytes →
+// 413, queue full → 429 (with Retry-After), draining → 503. Errors are
+// {"error": "..."} JSON.
 func NewAPIHandler(api API) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&spec); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+				return
+			}
 			writeErr(w, errors.Join(ErrBadSpec, err))
 			return
 		}

@@ -106,6 +106,17 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf(`"speculate": true: status %d, want 400`, resp.StatusCode)
 	}
+	// A valid small spec padded inside the object with 2 MiB of JSON
+	// whitespace: the decoder must read past the 1 MiB bound to finish it.
+	padded := `{"workload":"12cities",` + strings.Repeat(" ", 2<<20) + `"scale":0.1,"iterations":40,"chains":2}`
+	resp, err = http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB submission body: status %d, want 413", resp.StatusCode)
+	}
 	if _, err := c.Status(ctx, "job-424242"); apiStatus(t, err) != 404 {
 		t.Fatalf("unknown job: %v, want 404", err)
 	}
