@@ -36,8 +36,8 @@ test:
 	$(GO) test -timeout 1800s ./...
 
 # Race pass over the packages that run goroutines against shared state:
-# the lockstep worker pool, the free-running parallel chains, the
-# streaming R-hat detector invoked from the coordinator, and the bayesd
+# the parallel chains of the segment runner and their Progress calls, the
+# streaming R-hat detector invoked where they meet, and the bayesd
 # serving layer (admission queue, worker pool, cancellation) — and the
 # hardware model, whose memo tables (hw.Memo: the LLC simulator's, and
 # serve's per-spec energy account) are reached by every job runner and by

@@ -125,8 +125,8 @@ type Config struct {
 	// 1.1 (the paper's computation elision).
 	Elide bool
 	// Parallel runs chains on separate goroutines. With Elide the chains
-	// advance in lockstep rounds (the convergence check needs aligned
-	// draws) but each round's steps still run concurrently.
+	// meet every 50 iterations for the convergence check, which needs
+	// aligned draws; between checks none waits for another.
 	Parallel bool
 }
 

@@ -31,7 +31,8 @@ const (
 	// numerical quarantine.
 	NonFinite
 	// Slow stalls the iteration for the configured duration, exercising
-	// straggler behavior (lockstep rounds wait; free chains drift).
+	// straggler behavior (the other chains run on; they wait for it only
+	// at the next segment end).
 	Slow
 	// Cancel invokes the configured cancel function (typically a
 	// context.CancelFunc), exercising cooperative interruption.

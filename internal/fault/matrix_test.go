@@ -117,7 +117,7 @@ func testWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	})
 	cfg := baseConfig(kind)
 	cfg.StopRule = nil
-	cfg.Progress = func(int) {} // lockstep: aligned prefixes after the kill
+	cfg.Progress = func(int) {} // observed like a served job; chains end level after the kill on every run
 	cfg.FaultHook = inj.Hook
 	res := mcmc.RunContext(ctx, cfg, target)
 
@@ -250,7 +250,7 @@ func testCancel(t *testing.T, kind mcmc.SamplerKind) {
 	inj := New(7).Schedule(faultChain, faultIter, Cancel).WithCancel(cancel)
 	cfg := baseConfig(kind)
 	cfg.StopRule = nil
-	cfg.Progress = func(int) {} // lockstep: aligned prefixes after cancel
+	cfg.Progress = func(int) {} // observed like a served job; chains end level after a cancel on every run
 	cfg.FaultHook = inj.Hook
 	res := mcmc.RunContext(ctx, cfg, target)
 
@@ -495,7 +495,7 @@ func testBatchedSlow(t *testing.T, kind mcmc.SamplerKind) {
 
 	inj := New(7).WithRandom(0.02, Slow, chains).WithSlow(0) // count-only stall
 	cfg := baseConfig(kind)
-	cfg.Progress = func(int) {} // lockstep engages the coalescer
+	cfg.Progress = func(int) {} // observed like a served job; any parallel run engages the coalescer
 	cfg.FaultHook = inj.Hook
 	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.Run(cfg, factory)
@@ -518,7 +518,7 @@ func testBatchedCancel(t *testing.T, kind mcmc.SamplerKind) {
 	defer cancel()
 	inj := New(7).Schedule(faultChain, faultIter, Cancel).WithCancel(cancel)
 	cfg := baseConfig(kind)
-	cfg.Progress = func(int) {} // lockstep: aligned prefixes after cancel
+	cfg.Progress = func(int) {} // observed like a served job; chains end level after a cancel on every run
 	cfg.FaultHook = inj.Hook
 	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)
@@ -553,7 +553,7 @@ func testBatchedWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 		cancel()
 	})
 	cfg := baseConfig(kind)
-	cfg.Progress = func(int) {} // lockstep: aligned prefixes after the kill
+	cfg.Progress = func(int) {} // observed like a served job; chains end level after the kill on every run
 	cfg.FaultHook = inj.Hook
 	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)

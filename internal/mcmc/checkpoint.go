@@ -16,10 +16,11 @@ import (
 // resumed from a checkpoint is bit-identical, draw for draw, to the
 // uninterrupted run — the determinism suite proves it — so a crashed or
 // preempted job loses at most one checkpoint interval of work instead of
-// everything. Checkpoints are taken on the lockstep path (the chains must
-// be aligned), travel in memory as *Checkpoint, and serialize to a compact
-// little-endian binary format (floats as IEEE-754 bit patterns, so NaN and
-// ±Inf round-trip exactly, which JSON cannot do).
+// everything. Checkpoints are taken where the chains meet at a segment's
+// end (the chains must be aligned), travel in memory as *Checkpoint, and
+// serialize to a compact little-endian binary format (floats as IEEE-754
+// bit patterns, so NaN and ±Inf round-trip exactly, which JSON cannot
+// do).
 
 // checkpointVersion is the current on-disk format version.
 const checkpointVersion = 1
@@ -139,6 +140,8 @@ func (ck *Checkpoint) Validate(cfg Config, dim int) error {
 		return fmt.Errorf("mcmc: checkpoint budget %d, config wants %d", ck.Iterations, cfg.Iterations)
 	case ck.WarmupFrac != cfg.WarmupFrac:
 		return fmt.Errorf("mcmc: checkpoint warmup fraction %g, config wants %g", ck.WarmupFrac, cfg.WarmupFrac)
+	case ck.Seed != cfg.Seed:
+		return fmt.Errorf("mcmc: checkpoint seed %d, config wants %d", ck.Seed, cfg.Seed)
 	case ck.Iteration > ck.Iterations:
 		return fmt.Errorf("mcmc: checkpoint iteration %d beyond budget %d", ck.Iteration, ck.Iterations)
 	}
@@ -157,8 +160,7 @@ func (ck *Checkpoint) Validate(cfg Config, dim int) error {
 }
 
 // captureCheckpoint snapshots the run at the aligned iteration `done`.
-// Called from the lockstep coordinator between rounds, so no chain is
-// mid-step.
+// Called by the runner between segments, so no chain is mid-step.
 func captureCheckpoint(cfg Config, steppers []stepper, chains []*ChainResult, acceptSums []float64, done int) *Checkpoint {
 	ck := &Checkpoint{
 		Version:    checkpointVersion,

@@ -202,6 +202,7 @@ func TestCheckpointValidate(t *testing.T) {
 		{"chains", func(c *Config) int { c.Chains = 4; return 3 }},
 		{"budget", func(c *Config) int { c.Iterations = 80; return 3 }},
 		{"warmup", func(c *Config) int { c.WarmupFrac = 0.25; return 3 }},
+		{"seed", func(c *Config) int { c.Seed = 2; return 3 }},
 		{"dim", func(c *Config) int { return 5 }},
 	}
 	for _, m := range mismatches {

@@ -6,16 +6,16 @@ import (
 	"sync/atomic"
 )
 
-// fires is the coalescer's one scheduling rule. inRound chains may still
-// request gradients this round; of those, waiting have a request pending
-// and inflight have one inside a running batch, so the rest are computing
-// — on a core, or about to be — between two requests. running batches
-// occupy a core each. Pending requests go out as a batch exactly when a
+// fires is the coalescer's one scheduling rule. inSegment chains may
+// still request gradients this segment; of those, waiting have a request
+// pending and inflight have one inside a running batch, so the rest are
+// computing — on a core, or about to be — between two requests. running
+// batches occupy a core each. Pending requests go out as a batch exactly when a
 // lane is free and the chains still computing plus the batches already
 // running leave a core with nothing to do: a request waits for companions
 // only while every core has other work.
-func fires(lanes, inRound, waiting, inflight, running int) bool {
-	computing := inRound - waiting - inflight
+func fires(lanes, inSegment, waiting, inflight, running int) bool {
+	computing := inSegment - waiting - inflight
 	return waiting > 0 && running < lanes && computing+running < lanes
 }
 
@@ -29,24 +29,25 @@ type gradBatch struct {
 	solo      int         // the one member of a one-row batch, else -1
 }
 
-// gradCoalescer is the rendezvous of the batched lockstep path. Chain
-// workers submit gradient requests instead of evaluating their targets
+// gradCoalescer is the rendezvous of the batched gradient path. Chain
+// goroutines submit gradient requests instead of evaluating their targets
 // directly, and pending requests leave as fused batches under the fires
 // rule, up to lanes = min(GOMAXPROCS, chains) batches at a time, each on
 // the goroutine of the chain whose submit or leave made the rule true.
 // Batches in flight at once carry disjoint chains: a chain has one request
 // at a time and a batch takes every pending one.
 //
-// On one core the rule reads "everyone still in the round is waiting":
+// On one core the rule reads "everyone still in the segment is waiting":
 // full sets, one data pass serving all chains — the sharing regime. With
 // cores to spare it trades set size for occupancy: with as many cores as
 // chains every request runs alone at once, served by the chain's own
 // target exactly as on the unbatched path.
 //
 // Liveness, with no timer anywhere:
-//   - arm() is called by the coordinator between rounds with the round's
-//     active set, so inRound bounds the possible submitters. Chains that
-//     finish their step (or fault) call leave().
+//   - arm() is called by the runner between segments with the segment's
+//     live set, so inSegment bounds the possible submitters. Chains that
+//     finish their segment (stopped at its end, at a fault or at a
+//     cancel) call leave().
 //   - The rule is evaluated after every submit and every leave. Those are
 //     the only events that can make it true: a batch that ends frees its
 //     lane but returns at least one chain to computing, so it never lowers
@@ -68,21 +69,21 @@ type gradCoalescer struct {
 	inner []Target // per-chain targets serving solo batches; nil = always eval
 	lanes int
 
-	// armed gates the wrapped targets: before the first lockstep round
-	// (chain Init, step-size search, warmup of a resumed run's restore)
+	// armed gates the wrapped targets: before the first segment (chain
+	// Init, step-size search, warmup of a resumed run's restore)
 	// gradient calls pass straight through to the per-chain target.
 	armed atomic.Bool
 
-	mu       sync.Mutex
-	inRound  int // active chains that may still submit this round
-	waiting  int // submitted requests no batch has taken yet
-	inflight int // rows inside running batches
-	running  int // batches being evaluated
-	qs       [][]float64
-	grads    [][]float64
-	lps      []float64 // per-chain results; stable until that chain's next submit
-	wake     []chan struct{}
-	free     []*gradBatch
+	mu        sync.Mutex
+	inSegment int // live chains that may still submit this segment
+	waiting   int // submitted requests no batch has taken yet
+	inflight  int // rows inside running batches
+	running   int // batches being evaluated
+	qs        [][]float64
+	grads     [][]float64
+	lps       []float64 // per-chain results; stable until that chain's next submit
+	wake      []chan struct{}
+	free      []*gradBatch
 
 	// Accounting (guarded by mu; authoritative for Result.GradBatch).
 	sweeps   int64
@@ -115,8 +116,8 @@ func newGradCoalescer(n, lanes int, eval func(qs, grads [][]float64, lps []float
 	return co
 }
 
-// arm opens a coalescing round over the chains marked active. Called by
-// the coordinator between rounds, when no worker is in flight.
+// arm opens a coalescing segment over the chains marked active. Called by
+// the runner between segments, when no chain is in flight.
 func (co *gradCoalescer) arm(active []bool) {
 	n := 0
 	for _, a := range active {
@@ -125,19 +126,19 @@ func (co *gradCoalescer) arm(active []bool) {
 		}
 	}
 	co.mu.Lock()
-	co.inRound = n
+	co.inSegment = n
 	co.mu.Unlock()
 	co.armed.Store(true)
 }
 
-// leave removes chain c from the round once its step completes or
-// faults. One fewer chain is computing, so the rule is re-evaluated: if
+// leave removes chain c from the segment once it has stopped stepping in
+// it. One fewer chain is computing, so the rule is re-evaluated: if
 // it now holds, the leaver runs the pending batch itself — nobody parked
 // in it could.
 func (co *gradCoalescer) leave(c int) {
 	co.mu.Lock()
-	co.inRound--
-	if fires(co.lanes, co.inRound, co.waiting, co.inflight, co.running) {
+	co.inSegment--
+	if fires(co.lanes, co.inSegment, co.waiting, co.inflight, co.running) {
 		// A batch fault surfaces on its members as NaN; the leaver's own
 		// step already succeeded.
 		co.runBatchLocked(-1)
@@ -160,7 +161,7 @@ func (co *gradCoalescer) submit(c int, q, grad []float64) float64 {
 	co.qs[c] = q
 	co.grads[c] = grad
 	co.waiting++
-	if fires(co.lanes, co.inRound, co.waiting, co.inflight, co.running) {
+	if fires(co.lanes, co.inSegment, co.waiting, co.inflight, co.running) {
 		pv := co.runBatchLocked(c)
 		lp := co.lps[c]
 		co.mu.Unlock()
@@ -243,8 +244,8 @@ func (co *gradCoalescer) runBatchLocked(leader int) any {
 }
 
 // coalescedTarget wraps one chain's target, routing gradient requests
-// through the round rendezvous once armed. Value-only evaluation and
-// everything before the first lockstep round (Init, step-size search,
+// through the segment rendezvous once armed. Value-only evaluation and
+// everything before the first segment (Init, step-size search,
 // initPoint probing) pass through to the inner target unchanged.
 type coalescedTarget struct {
 	inner Target

@@ -153,18 +153,23 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 					}
 					if procs == 1 {
 						// One lane waits for full sets: every sweep carries
-						// every chain still in the round, so a round costs as
-						// many sweeps as its longest trajectory has leapfrogs.
+						// every chain still in the segment, so a segment costs
+						// as many sweeps as its busiest chain has leapfrogs.
 						fullSets := int64(0)
-						for it := 0; it < batched.Iterations; it++ {
-							longest := int64(0)
+						seg := batched.Config.CheckInterval
+						for from := 0; from < batched.Iterations; from += seg {
+							busiest := int64(0)
 							for _, ch := range batched.Chains {
-								longest = max(longest, ch.Work[it])
+								w := int64(0)
+								for _, wi := range ch.Work[from:min(from+seg, batched.Iterations)] {
+									w += wi
+								}
+								busiest = max(busiest, w)
 							}
-							fullSets += longest
+							fullSets += busiest
 						}
 						if gb.Sweeps != fullSets {
-							t.Errorf("%s: %d sweeps, want %d — one per leapfrog of each round's longest trajectory",
+							t.Errorf("%s: %d sweeps, want %d — one per leapfrog of each segment's busiest chain",
 								label, gb.Sweeps, fullSets)
 						}
 					}

@@ -2,6 +2,7 @@ package mcmc
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -123,42 +124,112 @@ func TestRunContextAlreadyCanceled(t *testing.T) {
 	}
 }
 
-// TestProgressCallback: Progress fires monotonically up to the executed
-// count, and routing a rule-free run through the lockstep path (which a
-// Progress callback forces) leaves results bit-identical to the free path.
+// TestRunContextCancelFromHook: a cancel issued inside chain 0's tenth
+// iteration is seen at that chain's next iteration boundary, on one core
+// as on many. The run is interrupted past the canceling iteration and
+// short of the budget, with every chain holding exactly the returned
+// count.
+func TestRunContextCancelFromHook(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			withProcs(1, func() {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				cfg := Config{
+					Chains: 4, Iterations: 2000, Sampler: HMC, Seed: 3, Parallel: parallel,
+					FaultHook: func(chain, iter int) FaultAction {
+						if chain == 0 && iter == 10 {
+							cancel()
+						}
+						return FaultActNone
+					},
+				}
+				res := RunContext(ctx, cfg, func() Target { return newGaussian() })
+				if !res.Interrupted {
+					t.Fatalf("Interrupted = false, want true")
+				}
+				if res.Iterations < 11 || res.Iterations >= cfg.Iterations {
+					t.Fatalf("Iterations = %d, want in [11, %d)", res.Iterations, cfg.Iterations)
+				}
+				for c, ch := range res.Chains {
+					if ch.Fault != nil || ch.Samples.Len() != res.Iterations {
+						t.Errorf("chain %d: %d draws (fault %v), want exactly %d",
+							c, ch.Samples.Len(), ch.Fault, res.Iterations)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestProgressCallback: Progress fires once for each k, in order and never
+// concurrently — sequential or parallel, with or without a chain
+// quarantined mid-run — and observing a run leaves its draws bit-identical.
 func TestProgressCallback(t *testing.T) {
-	cfg := Config{Chains: 2, Iterations: 200, Sampler: HMC, Seed: 3}
-	free := Run(cfg, func() Target { return &slowGaussian{dim: 3} })
-
-	var seen []int
-	cfgP := cfg
-	cfgP.Progress = func(done int) { seen = append(seen, done) }
-	prog := Run(cfgP, func() Target { return &slowGaussian{dim: 3} })
-
-	if len(seen) != cfg.Iterations {
-		t.Fatalf("progress fired %d times, want %d", len(seen), cfg.Iterations)
-	}
-	for i, d := range seen {
-		if d != i+1 {
-			t.Fatalf("progress[%d] = %d, want %d", i, d, i+1)
+	quarantine := func(chain, iter int) FaultAction {
+		if chain == 1 && iter == 80 {
+			return FaultActNonFinite
 		}
+		return FaultActNone
 	}
-	if prog.Interrupted || prog.Elided {
-		t.Fatalf("progress-routed run flagged interrupted=%v elided=%v", prog.Interrupted, prog.Elided)
-	}
-	for c := range free.Chains {
-		fs, ps := free.Chains[c].Samples, prog.Chains[c].Samples
-		if fs.Len() != ps.Len() {
-			t.Fatalf("chain %d: free %d draws vs progress-routed %d", c, fs.Len(), ps.Len())
-		}
-		for i := 0; i < fs.Len(); i++ {
-			for d := 0; d < fs.Dim(); d++ {
-				if fs.At(i, d) != ps.At(i, d) {
-					t.Fatalf("chain %d draw %d dim %d: free %v vs progress-routed %v",
-						c, i, d, fs.At(i, d), ps.At(i, d))
+	for _, tc := range []struct {
+		name     string
+		parallel bool
+		hook     func(chain, iter int) FaultAction
+	}{
+		{"sequential", false, nil},
+		{"parallel", true, nil},
+		{"sequential-quarantined", false, quarantine},
+		{"parallel-quarantined", true, quarantine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Chains: 2, Iterations: 200, Sampler: HMC, Seed: 3, Parallel: tc.parallel, FaultHook: tc.hook}
+			free := Run(cfg, func() Target { return &slowGaussian{dim: 3} })
+
+			// Plain ints, not atomics: under -race an overlapping call is
+			// a reported data race, not just a flaky count.
+			var seen []int
+			inCall := 0
+			cfgP := cfg
+			cfgP.Progress = func(done int) {
+				inCall++
+				if inCall != 1 {
+					t.Errorf("Progress(%d) overlaps another call", done)
+				}
+				seen = append(seen, done)
+				inCall--
+			}
+			prog := Run(cfgP, func() Target { return &slowGaussian{dim: 3} })
+
+			if tc.hook != nil && (prog.Chains[1].Fault == nil || prog.Chains[0].Fault != nil) {
+				t.Fatalf("faults = %v, want chain 1 quarantined only", prog.Faults())
+			}
+			if len(seen) != cfg.Iterations {
+				t.Fatalf("progress fired %d times, want %d", len(seen), cfg.Iterations)
+			}
+			for i, d := range seen {
+				if d != i+1 {
+					t.Fatalf("progress[%d] = %d, want %d", i, d, i+1)
 				}
 			}
-		}
+			if prog.Interrupted || prog.Elided {
+				t.Fatalf("observed run flagged interrupted=%v elided=%v", prog.Interrupted, prog.Elided)
+			}
+			for c := range free.Chains {
+				fs, ps := free.Chains[c].Samples, prog.Chains[c].Samples
+				if fs.Len() != ps.Len() {
+					t.Fatalf("chain %d: unobserved %d draws vs observed %d", c, fs.Len(), ps.Len())
+				}
+				for i := 0; i < fs.Len(); i++ {
+					for d := 0; d < fs.Dim(); d++ {
+						if fs.At(i, d) != ps.At(i, d) {
+							t.Fatalf("chain %d draw %d dim %d: unobserved %v vs observed %v",
+								c, i, d, fs.At(i, d), ps.At(i, d))
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package mcmc
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // neverFire is a StopRule that never triggers, forcing the lockstep code
@@ -126,4 +127,35 @@ func TestInitFallbackSurfaced(t *testing.T) {
 			t.Errorf("chain %d: spurious fallback flag on a finite density", c)
 		}
 	}
+}
+
+// TestChainsMeetOnlyAtSegmentEnds: with a StopRule consulted every 50
+// iterations, chain 1 runs from iteration 5 to iteration 40 while chain 0
+// is parked — no per-iteration barrier holds it back — and the parking
+// leaves every draw bit-identical. A barrier would leave chain 0 parked
+// until the timeout, whose panic quarantines it.
+func TestChainsMeetOnlyAtSegmentEnds(t *testing.T) {
+	cfg := Config{Chains: 2, Iterations: 100, Sampler: HMC, Seed: 5, StopRule: neverFire{}, Parallel: true}
+	target := func() Target { return newGaussian() }
+	ref := Run(cfg, target)
+
+	reached := make(chan struct{})
+	cfg.FaultHook = func(chain, iter int) FaultAction {
+		switch {
+		case chain == 1 && iter == 40:
+			close(reached)
+		case chain == 0 && iter == 5:
+			select {
+			case <-reached:
+			case <-time.After(5 * time.Second):
+				panic("chain 1 never started iteration 40 while chain 0 was parked at 5")
+			}
+		}
+		return FaultActNone
+	}
+	parked := Run(cfg, target)
+	if f := parked.Faults(); len(f) != 0 {
+		t.Fatalf("faults: %v", f)
+	}
+	sameDraws(t, "parked-vs-unparked", ref, parked)
 }

@@ -91,23 +91,23 @@ type Config struct {
 	// on the unconstrained scale (default 2, Stan's convention).
 	InitRadius float64
 	// Parallel runs chains on separate goroutines (the paper's multicore
-	// execution mode). With a StopRule the chains still advance in
-	// lockstep rounds (the convergence check needs aligned draws), but
-	// each round's chain steps run concurrently.
+	// execution mode). The chains meet only at segment ends, where the
+	// runner checkpoints or consults the StopRule; between them no chain
+	// waits for another.
 	Parallel bool
 	// StopRule, when non-nil, is consulted every CheckInterval iterations
 	// with the draws so far; returning true terminates all chains (the
 	// paper's computation elision, §VI).
 	StopRule StopRule
 	// CheckInterval is how often (in iterations) StopRule runs
-	// (default 50).
+	// (default 50). It also spaces the segment ends of a run whose context
+	// can be canceled, bounding the extra work a cancel costs.
 	CheckInterval int
-	// Progress, when non-nil, is called from the coordination loop after
-	// every iteration all chains have completed, with the completed
-	// iteration count. Setting it routes the run through the lockstep
-	// path even without a StopRule (results are identical — see the
-	// free-vs-lockstep determinism tests). It is called from a single
-	// goroutine and must be cheap: it sits on the sampling critical path.
+	// Progress, when non-nil, is called with k once for each k, in order,
+	// as soon as every live chain holds k draws. The chain that completes
+	// k makes the call, under a lock, so calls never overlap; it must be
+	// cheap, as it sits on the sampling critical path. It does not change
+	// how the run executes.
 	Progress func(completed int)
 	// MinIterations is the floor before StopRule may fire (default 100).
 	MinIterations int
@@ -115,18 +115,16 @@ type Config struct {
 	// warmup (the mass-matrix ablation in DESIGN.md).
 	DisableMassAdaptation bool
 
-	// CheckpointEvery, when positive, snapshots the whole run into a
-	// Checkpoint every N completed iterations and hands it to
-	// CheckpointSink. Checkpoints need aligned chains, so setting it
-	// routes the run through the lockstep path (results are identical;
-	// see the free-vs-lockstep determinism tests). Checkpointing stops
-	// once any chain is quarantined: the last checkpoint is the most
-	// recent all-healthy state, which is what a retry wants to resume.
+	// CheckpointEvery, when positive, ends a segment every N completed
+	// iterations, where the chains meet and the run is snapshotted into a
+	// Checkpoint for CheckpointSink. Checkpointing stops once any chain is
+	// quarantined: the last checkpoint is the most recent all-healthy
+	// state, which is what a retry wants to resume.
 	CheckpointEvery int
-	// CheckpointSink receives each checkpoint. It is called from the
-	// coordination loop between rounds (never concurrently) and must not
-	// retain the run's internal buffers — the Checkpoint it receives is
-	// self-contained copies.
+	// CheckpointSink receives each checkpoint; without it none is
+	// captured. It is called by the runner between segments (never
+	// concurrently) and must not retain the run's internal buffers — the
+	// Checkpoint it receives is self-contained copies.
 	CheckpointSink func(*Checkpoint)
 	// ResumeFrom, when non-nil, resumes the run from a checkpoint instead
 	// of initializing fresh chains. The resumed run is bit-identical,
@@ -148,21 +146,21 @@ type Config struct {
 	// seed-driven implementations for the fault-matrix tests.
 	FaultHook func(chain, iter int) FaultAction
 
-	// BatchGrad, when non-nil, enables cross-chain gradient batching on
-	// the parallel lockstep path: gradient requests from chain workers
-	// rendezvous each round and run as fused data sweeps instead of
-	// independent ones — one sweep for the whole set on one core, up to
-	// min(GOMAXPROCS, Chains) smaller ones side by side when cores would
-	// otherwise idle. The function receives qs/grads with nil entries for
-	// chains not in the batch and must write lps[c] and grads[c] for
-	// every non-nil c, leave the other entries alone, and produce results
-	// bit-identical to per-chain evaluation for any batch composition. It
-	// is called from chain worker goroutines, concurrently with itself
-	// but never with a chain in two calls at once —
-	// model.BatchEvaluator.LogDensityGradBatch satisfies this contract. A
-	// request that ends up alone in its batch is evaluated by the chain's
-	// own Target instead. Ignored on the free path and on sequential
-	// runs, where there is nothing to coalesce.
+	// BatchGrad, when non-nil, enables cross-chain gradient batching on a
+	// parallel run of more than one chain: gradient requests from the
+	// chain goroutines rendezvous within each segment and run as fused
+	// data sweeps instead of independent ones — one sweep for the whole
+	// set on one core, up to min(GOMAXPROCS, Chains) smaller ones side by
+	// side when cores would otherwise idle. The function receives
+	// qs/grads with nil entries for chains not in the batch and must write
+	// lps[c] and grads[c] for every non-nil c, leave the other entries
+	// alone, and produce results bit-identical to per-chain evaluation for
+	// any batch composition. It is called from chain goroutines,
+	// concurrently with itself but never with a chain in two calls at
+	// once — model.BatchEvaluator.LogDensityGradBatch satisfies this
+	// contract. A request that ends up alone in its batch is evaluated by
+	// the chain's own Target instead. Ignored on sequential runs, where
+	// there is nothing to coalesce.
 	BatchGrad func(qs, grads [][]float64, lps []float64)
 }
 
@@ -263,8 +261,9 @@ type Result struct {
 	Elided bool
 	// Interrupted reports that the run's context was canceled (or timed
 	// out) before the budget was exhausted and before any StopRule fired.
-	// The draws completed up to that point are retained — Iterations is
-	// the aligned prefix every chain reached — rather than discarded.
+	// The draws completed up to that point are retained rather than
+	// discarded: every surviving chain holds exactly Iterations draws, at
+	// least as many as it had when the cancel tripped.
 	Interrupted bool
 	// Config echoes the effective configuration.
 	Config Config
@@ -274,7 +273,7 @@ type Result struct {
 	GradBatch *GradBatchReport
 }
 
-// GradBatchReport is the batched lockstep path's occupancy accounting,
+// GradBatchReport is the batched gradient path's occupancy accounting,
 // kept by the gradient coalescer.
 type GradBatchReport struct {
 	// Sweeps counts batch evaluations, one-row batches served by the
@@ -349,9 +348,8 @@ func (r *Result) Draws() [][][]float64 {
 
 // SecondHalfDraws returns, flattened per chain, the second half of each
 // chain's draws — the portion the paper uses for inference (§VI-A). The
-// window is the aligned prefix [Iterations/2, Iterations), so the shape
-// stays rectangular even when a free-path cancellation left chains with
-// unequal draw counts.
+// window is the aligned prefix [Iterations/2, Iterations), clipped to a
+// quarantined chain's shorter prefix.
 func (r *Result) SecondHalfDraws() [][][]float64 {
 	out := make([][][]float64, len(r.Chains))
 	for i, c := range r.Chains {

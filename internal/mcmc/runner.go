@@ -6,8 +6,8 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"bayessuite/internal/rng"
 )
@@ -24,15 +24,13 @@ func Run(cfg Config, factory TargetFactory) *Result {
 
 // RunContext executes a multi-chain MCMC run under ctx.
 //
-// Without a StopRule, Progress callback, or checkpointing, chains are
-// independent and (optionally) run in parallel — the paper's
-// coarse-grained chain-level parallelism. With any of those, chains
-// advance in lockstep rounds: the rule is consulted every CheckInterval
-// iterations (the paper's runtime convergence detection, §VI), Progress
-// fires every round, and checkpoints are taken at aligned boundaries.
-// Lockstep rounds are coordinated by persistent per-chain worker
-// goroutines: the round costs two synchronizations, not N goroutine
-// launches.
+// The chains are independent and, with Config.Parallel, run on their own
+// goroutines — the paper's coarse-grained chain-level parallelism. They
+// meet only at the end of a segment (see runner): every CheckInterval
+// iterations when a StopRule is set (the paper's runtime convergence
+// detection, §VI) or ctx can be canceled, and every CheckpointEvery
+// iterations when checkpointing. Without either, the run is one segment
+// and the chains never wait for each other.
 //
 // Fault containment: every chain iteration runs under recover(). A chain
 // that panics, produces a non-finite log density, or exceeds the
@@ -41,9 +39,12 @@ func Run(cfg Config, factory TargetFactory) *Result {
 // on its ChainResult — while the surviving chains run to completion. The
 // StopRule sees only surviving chains.
 //
-// Cancellation is checked between iterations — never mid-leapfrog — so a
-// canceled run returns promptly with every completed draw retained and
-// Result.Interrupted set, rather than discarding the work done so far.
+// Cancellation is polled between iterations — never mid-leapfrog. Each
+// chain stops at its next iteration; the live chains are then stepped,
+// ignoring the cancel, up to the furthest one (never past the segment's
+// end, whose boundary is processed if they reach it), so a canceled run
+// returns promptly with Result.Interrupted set and every surviving chain
+// holding exactly Result.Iterations draws.
 //
 // With Config.ResumeFrom, the run continues from a checkpoint instead of
 // initializing fresh chains, and is bit-identical from that point to the
@@ -56,15 +57,14 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 	for c := 0; c < cfg.Chains; c++ {
 		targets[c] = factory()
 	}
-	// Cross-chain gradient batching: on the parallel lockstep path, wrap
-	// every chain's target so gradient requests meet at a per-round
-	// rendezvous and run as fused data sweeps (Config.BatchGrad), as many
-	// at a time as there are cores to run them. The coalescer stays
-	// disarmed until the first round, so initialization and step-size
-	// search below hit the per-chain targets directly.
-	lockstep := cfg.StopRule != nil || cfg.Progress != nil || cfg.CheckpointEvery > 0
+	// Cross-chain gradient batching: on a parallel run, wrap every chain's
+	// target so gradient requests meet at a per-segment rendezvous and run
+	// as fused data sweeps (Config.BatchGrad), as many at a time as there
+	// are cores to run them. The coalescer stays disarmed until the first
+	// segment, so initialization and step-size search below hit the
+	// per-chain targets directly.
 	var co *gradCoalescer
-	if cfg.BatchGrad != nil && lockstep && cfg.Parallel && cfg.Chains > 1 {
+	if cfg.BatchGrad != nil && cfg.Parallel && cfg.Chains > 1 {
 		lanes := min(runtime.GOMAXPROCS(0), cfg.Chains)
 		co = newGradCoalescer(cfg.Chains, lanes, cfg.BatchGrad, append([]Target(nil), targets...))
 		for c := range targets {
@@ -104,33 +104,8 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 		startIter = cfg.ResumeFrom.Iteration
 	}
 
-	// Cancellation is surfaced to the hot loops as a single atomic flag:
-	// one watcher goroutine waits on ctx.Done, and chains poll the flag
-	// between iterations (an atomic load, not a mutex-guarded ctx.Err).
-	var stop atomic.Bool
-	if ctx.Err() != nil {
-		stop.Store(true)
-	} else if done := ctx.Done(); done != nil {
-		finished := make(chan struct{})
-		defer close(finished)
-		go func() {
-			select {
-			case <-done:
-				stop.Store(true)
-			case <-finished:
-			}
-		}()
-	}
-
-	if !lockstep {
-		iters, interrupted := runFree(cfg, steppers, chains, acceptSums, startIter, &stop)
-		res := finish(cfg, chains, iters, false)
-		res.Interrupted = interrupted
-		return res
-	}
-	iters, elided, interrupted := runLockstep(cfg, steppers, chains, acceptSums, startIter, &stop, co)
-	res := finish(cfg, chains, iters, elided)
-	res.Interrupted = interrupted
+	iters, elided, interrupted := newRunner(&cfg, steppers, chains, acceptSums, startIter, co).run(ctx, startIter)
+	res := &Result{Chains: chains, Iterations: iters, Elided: elided, Interrupted: interrupted, Config: cfg}
 	if co != nil {
 		res.GradBatch = co.report()
 	}
@@ -250,230 +225,213 @@ func safeStepSize(st stepper) (eps float64) {
 	return st.StepSize()
 }
 
-// runFree runs every chain to its full iteration budget, in parallel when
-// configured, stopping early if the cancel flag trips and quarantining
-// chains that fault. Returns the aligned iteration count — the smallest
-// any surviving chain completed (or, with no survivors, the smallest any
-// chain retained) — and whether the run was cut short by cancellation.
-func runFree(cfg Config, steppers []stepper, chains []*ChainResult, acceptSums []float64, startIter int, stop *atomic.Bool) (int, bool) {
-	runChain := func(c int) {
-		cs := &chainStepper{cfg: &cfg, c: c, st: steppers[c], res: chains[c], accept: &acceptSums[c]}
-		for i := startIter; i < cfg.Iterations && !stop.Load(); i++ {
-			if f := cs.step(i); f != nil {
-				chains[c].Fault = f
-				break
-			}
-		}
-		finalizeChain(steppers[c], chains[c], acceptSums[c])
-	}
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		for c := range steppers {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				runChain(c)
-			}(c)
-		}
-		wg.Wait()
-	} else {
-		for c := range steppers {
-			runChain(c)
-		}
-	}
-	return alignedIterations(cfg, chains)
+// runner drives the chains one segment at a time. A segment ends at the
+// budget, at the next CheckpointEvery multiple, and — when a StopRule may
+// read the draws or the run can be canceled — at the next CheckInterval
+// multiple: the only iterations at which the runner has anything to
+// decide. Inside a segment each live chain steps on its own, with no
+// barrier between iterations; the chains meet at its end, where faults are
+// quarantined, checkpoints captured and the stop rule consulted over the
+// surviving chains. Chains are independent RNG streams and every decision
+// reads the same aligned prefixes at the same iteration, so draws, stop
+// iterations and checkpoints do not depend on how the chains interleave.
+//
+// Between segments only the runner touches chain state; inside one, chain
+// c's goroutine owns css[c], and only the progress fields are shared.
+type runner struct {
+	cfg        *Config
+	steppers   []stepper
+	chains     []*ChainResult
+	acceptSums []float64
+	css        []*chainStepper
+	live       []bool     // not quarantined
+	views      []*Samples // the live chains' draws, as the StopRule sees them
+	co         *gradCoalescer
+	done       <-chan struct{} // ctx.Done(); nil when the run cannot be canceled
+
+	mu       sync.Mutex // guards held and reported
+	held     []int      // draws each chain holds; math.MaxInt once it faults
+	reported int        // last count passed to Progress
 }
 
-// alignedIterations computes the run's aligned iteration count and
-// whether surviving chains were cut short (interrupted). Faulted chains
-// never shorten the aligned prefix while at least one chain survives.
-func alignedIterations(cfg Config, chains []*ChainResult) (int, bool) {
-	healthyMin, allMin := int(math.MaxInt64), int(math.MaxInt64)
-	anyHealthy := false
-	for _, ch := range chains {
-		n := ch.Samples.Len()
-		if n < allMin {
-			allMin = n
-		}
-		if ch.Fault == nil {
-			anyHealthy = true
-			if n < healthyMin {
-				healthyMin = n
-			}
-		}
-	}
-	if !anyHealthy {
-		return allMin, false
-	}
-	return healthyMin, healthyMin < cfg.Iterations
-}
-
-// workerPool runs one persistent goroutine per chain and coordinates
-// lockstep rounds with a reusable barrier: the coordinator signals each
-// active worker's start channel and waits on a shared WaitGroup.
-// Steady-state round cost is one channel send + one WaitGroup decrement
-// per active chain — no goroutine creation, no per-round allocation.
-type workerPool struct {
-	start []chan struct{}
-	round sync.WaitGroup
-	exit  sync.WaitGroup
-}
-
-// newWorkerPool spawns len(steppers) workers executing stepOne(c) each
-// time chain c's round is signaled.
-func newWorkerPool(n int, stepOne func(c int)) *workerPool {
-	p := &workerPool{start: make([]chan struct{}, n)}
-	for c := 0; c < n; c++ {
-		p.start[c] = make(chan struct{}, 1)
-		p.exit.Add(1)
-		go func(c int) {
-			defer p.exit.Done()
-			for range p.start[c] {
-				stepOne(c)
-				p.round.Done()
-			}
-		}(c)
-	}
-	return p
-}
-
-// step runs one lockstep round across the active workers and blocks until
-// every signaled chain has advanced.
-func (p *workerPool) step(active []bool) {
-	n := 0
-	for _, a := range active {
-		if a {
-			n++
-		}
-	}
-	p.round.Add(n)
-	for c, ch := range p.start {
-		if active[c] {
-			ch <- struct{}{}
-		}
-	}
-	p.round.Wait()
-}
-
-// close shuts the workers down and waits for them to exit.
-func (p *workerPool) close() {
-	for _, ch := range p.start {
-		close(ch)
-	}
-	p.exit.Wait()
-}
-
-// runLockstep advances the active chains one iteration per round, consults
-// the stop rule periodically over the surviving chains, reports progress
-// every round, takes checkpoints at aligned boundaries, quarantines
-// faulting chains, and checks the cancel flag between rounds. With
-// cfg.Parallel the chains within a round run on persistent worker
-// goroutines (they are independent, so results are identical to sequential
-// execution). Returns executed iterations, whether the run was elided, and
-// whether it was interrupted.
-func runLockstep(cfg Config, steppers []stepper, chains []*ChainResult, acceptSums []float64, startIter int, stop *atomic.Bool, co *gradCoalescer) (int, bool, bool) {
+// newRunner sets up the run's chains, all live, at iteration startIter.
+func newRunner(cfg *Config, steppers []stepper, chains []*ChainResult, acceptSums []float64, startIter int, co *gradCoalescer) *runner {
 	n := len(chains)
-	active := make([]bool, n)
-	views := make([]*Samples, 0, n)
+	r := &runner{
+		cfg: cfg, steppers: steppers, chains: chains, acceptSums: acceptSums,
+		css: make([]*chainStepper, n), live: make([]bool, n), views: make([]*Samples, n),
+		co:   co,
+		held: make([]int, n), reported: startIter,
+	}
 	for c := range chains {
-		active[c] = true
-		views = append(views, chains[c].Samples)
+		r.css[c] = &chainStepper{cfg: cfg, c: c, st: steppers[c], res: chains[c], accept: &acceptSums[c]}
+		r.live[c] = true
+		r.views[c] = chains[c].Samples
+		r.held[c] = startIter
 	}
-	css := make([]*chainStepper, n)
-	faults := make([]*ChainFault, n) // worker-written, coordinator-read after the barrier
-	for c := range chains {
-		css[c] = &chainStepper{cfg: &cfg, c: c, st: steppers[c], res: chains[c], accept: &acceptSums[c]}
-	}
+	return r
+}
 
-	curIter := startIter // set by the coordinator before each round
-	stepOne := func(c int) {
-		faults[c] = css[c].step(curIter)
-		if co != nil {
-			// The chain is done requesting gradients this round; shrink
-			// the rendezvous so stragglers stop waiting for it.
-			co.leave(c)
+// run advances the chains from iteration it and returns the executed
+// iterations, whether the stop rule fired, and whether cancellation cut
+// the run short.
+func (r *runner) run(ctx context.Context, it int) (iters int, elided, interrupted bool) {
+	cfg := r.cfg
+	r.done = ctx.Done()
+	defer r.finalize()
+	for it < cfg.Iterations {
+		end := r.segmentEnd(it)
+		r.segment(end, true)
+		canceled := ctx.Err() != nil
+		if canceled && len(r.views) > 0 {
+			// Level the live chains at the furthest one, ignoring the
+			// cancel, so that every chain holds exactly the count returned.
+			r.segment(r.furthest(), false)
+		}
+		if len(r.views) == 0 {
+			return r.shortest(), false, false
+		}
+		it = r.furthest()
+		if it == end {
+			// Checkpoints stop at the first quarantine: the last one is the
+			// most recent all-healthy state.
+			healthy := len(r.views) == len(r.chains)
+			if cfg.CheckpointSink != nil && cfg.CheckpointEvery > 0 && healthy && it%cfg.CheckpointEvery == 0 {
+				cfg.CheckpointSink(captureCheckpoint(*cfg, r.steppers, r.chains, r.acceptSums, it))
+			}
+			if cfg.StopRule != nil && it >= cfg.MinIterations && it%cfg.CheckInterval == 0 &&
+				cfg.StopRule.ShouldStop(r.views, it) {
+				return it, true, false
+			}
+		}
+		if canceled {
+			return it, false, it < cfg.Iterations
 		}
 	}
-
-	var pool *workerPool
-	if cfg.Parallel && n > 1 {
-		pool = newWorkerPool(n, stepOne)
-		defer pool.close()
-	}
-
-	alive := n
-	healthy := true // no chain has faulted yet (checkpointing gate)
-	finalize := func() {
-		for c := range steppers {
-			finalizeChain(steppers[c], chains[c], acceptSums[c])
-		}
-	}
-
-	for it := startIter; it < cfg.Iterations; it++ {
-		if stop.Load() {
-			finalize()
-			return it, false, true
-		}
-		curIter = it
-		if pool != nil {
-			if co != nil {
-				co.arm(active)
-			}
-			pool.step(active)
-		} else {
-			for c := range css {
-				if active[c] {
-					stepOne(c)
-				}
-			}
-		}
-		// Quarantine any chain that faulted this round: record the typed
-		// fault, drop it from the round set, and rebuild the surviving
-		// view list the StopRule sees.
-		for c, f := range faults {
-			if f == nil {
-				continue
-			}
-			chains[c].Fault = f
-			faults[c] = nil
-			active[c] = false
-			alive--
-			healthy = false
-		}
-		if alive < len(views) {
-			views = views[:0]
-			for c := range chains {
-				if active[c] {
-					views = append(views, chains[c].Samples)
-				}
-			}
-		}
-		if alive == 0 {
-			finalize()
-			iters, _ := alignedIterations(cfg, chains)
-			return iters, false, false
-		}
-		done := it + 1
-		if cfg.Progress != nil {
-			cfg.Progress(done)
-		}
-		if cfg.CheckpointEvery > 0 && healthy && done%cfg.CheckpointEvery == 0 {
-			if ck := captureCheckpoint(cfg, steppers, chains, acceptSums, done); cfg.CheckpointSink != nil {
-				cfg.CheckpointSink(ck)
-			}
-		}
-		if cfg.StopRule != nil && done >= cfg.MinIterations && done%cfg.CheckInterval == 0 {
-			if cfg.StopRule.ShouldStop(views, done) {
-				finalize()
-				return done, true, false
-			}
-		}
-	}
-	finalize()
 	return cfg.Iterations, false, false
 }
 
-// finish assembles the Result.
-func finish(cfg Config, chains []*ChainResult, iters int, elided bool) *Result {
-	return &Result{Chains: chains, Iterations: iters, Elided: elided, Config: cfg}
+// segmentEnd returns where the segment starting at iteration it ends.
+func (r *runner) segmentEnd(it int) int {
+	cfg := r.cfg
+	next := func(every int) int { return (it/every + 1) * every }
+	end := cfg.Iterations
+	if cfg.CheckpointEvery > 0 {
+		end = min(end, next(cfg.CheckpointEvery))
+	}
+	if cfg.StopRule != nil || r.done != nil {
+		end = min(end, next(cfg.CheckInterval))
+	}
+	return end
+}
+
+// segment steps every live chain from the draws it holds up to end — one
+// goroutine per chain with cfg.Parallel, otherwise one chain after
+// another — and then quarantines the chains that faulted. With
+// honorCancel a chain also stops at its first iteration boundary after
+// the run's context is done.
+func (r *runner) segment(end int, honorCancel bool) {
+	if r.co != nil {
+		r.co.arm(r.live)
+	}
+	if r.cfg.Parallel {
+		var wg sync.WaitGroup
+		for c, ok := range r.live {
+			if ok {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					r.runChain(c, end, honorCancel)
+				}()
+			}
+		}
+		wg.Wait()
+	} else {
+		for c, ok := range r.live {
+			if ok {
+				r.runChain(c, end, honorCancel)
+			}
+		}
+	}
+	r.views = r.views[:0]
+	for c, ch := range r.chains {
+		if ch.Fault != nil {
+			r.live[c] = false
+		} else {
+			r.views = append(r.views, ch.Samples)
+		}
+	}
+}
+
+// runChain is chain c's share of a segment.
+func (r *runner) runChain(c, end int, honorCancel bool) {
+	cs := r.css[c]
+	for i := cs.res.Samples.Len(); i < end; i++ {
+		if honorCancel && r.canceled() {
+			break
+		}
+		if f := cs.step(i); f != nil {
+			cs.res.Fault = f
+			r.advance(c, math.MaxInt)
+			break
+		}
+		r.advance(c, i+1)
+	}
+	if r.co != nil {
+		// The chain requests no more gradients this segment; shrink the
+		// rendezvous so the others stop waiting for it.
+		r.co.leave(c)
+	}
+}
+
+// canceled polls the run's context without blocking.
+func (r *runner) canceled() bool {
+	select {
+	case <-r.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// advance records that chain c holds n draws (math.MaxInt once it has
+// faulted) and fires Progress, in order and under the lock, for every
+// count all live chains now hold.
+func (r *runner) advance(c, n int) {
+	if r.cfg.Progress == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.held[c] = n
+	for low := slices.Min(r.held); low != math.MaxInt && r.reported < low; {
+		r.reported++
+		r.cfg.Progress(r.reported)
+	}
+}
+
+// furthest returns the most draws any live chain holds.
+func (r *runner) furthest() int {
+	n := 0
+	for _, s := range r.views {
+		n = max(n, s.Len())
+	}
+	return n
+}
+
+// shortest returns the fewest draws any chain holds: the aligned count of
+// a run whose every chain was quarantined.
+func (r *runner) shortest() int {
+	n := math.MaxInt
+	for _, ch := range r.chains {
+		n = min(n, ch.Samples.Len())
+	}
+	return n
+}
+
+// finalize freezes every chain's adaptation and fills its summary fields.
+func (r *runner) finalize() {
+	for c, st := range r.steppers {
+		finalizeChain(st, r.chains[c], r.acceptSums[c])
+	}
 }

@@ -110,12 +110,11 @@ type PlacementDecision struct {
 // how many data sweeps the run executed, how many chain gradient
 // evaluations (rows) those sweeps carried, and their ratio — the mean
 // number of chains served per sweep. Occupancy near the chain count means
-// the lockstep rounds stayed aligned on a single core (the data was
-// streamed from the cache hierarchy once per round, not once per chain);
-// occupancy near 1 means the chains' trajectory lengths diverged, or that
-// there were cores enough to run every request at once. ChainEvals is
-// fixed by the spec; Sweeps depends on how requests met at the rendezvous
-// and varies between runs of one spec.
+// the chains' gradient requests met in full sets on a single core (the
+// data was streamed from the cache hierarchy once per set, not once per
+// chain); occupancy near 1 means there were cores enough to run every
+// request at once. ChainEvals is fixed by the spec; Sweeps depends on how
+// requests met at the rendezvous and varies between runs of one spec.
 type GradBatchStats struct {
 	Sweeps        int64   `json:"sweeps"`
 	ChainEvals    int64   `json:"chain_evals"`

@@ -802,10 +802,10 @@ func (s *Server) runJobLocked(job *Job) {
 	}
 	// Cross-chain gradient batching: when the workload exposes batched
 	// kernels, hand the run one fused evaluator whose per-chain targets
-	// rendezvous each lockstep round into a single cache-blocked data
-	// sweep. Batched results are bit-identical to per-chain evaluation,
-	// so the determinism contract (equal specs ⇒ equal draws) is
-	// unaffected — including checkpoint-resume retries.
+	// rendezvous within each segment into cache-blocked data sweeps.
+	// Batched results are bit-identical to per-chain evaluation, so the
+	// determinism contract (equal specs ⇒ equal draws) is unaffected —
+	// including checkpoint-resume retries.
 	factory := func() mcmc.Target { return model.NewEvaluator(w.Model) }
 	var be *model.BatchEvaluator
 	if b, ok := model.NewBatchEvaluator(w.Model, job.spec.Chains); ok {
