@@ -3,8 +3,13 @@ package bench
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
+
+	"bayessuite/internal/elide"
+	"bayessuite/internal/mcmc"
+	"bayessuite/internal/model"
 )
 
 // fastHarness is shared across tests in this package; the harness caches
@@ -27,6 +32,67 @@ func harness(t *testing.T) *Harness {
 		shared = New(Fast())
 	}
 	return shared
+}
+
+// TestRunsDeriveFromOneSamplerRun: Elision and FullRun at 1, 2 and 4
+// chains, all read off one 4-chain run, match real runs at that chain
+// count — the stop iteration and whether the detector fired, and every
+// chain bit for bit, per-iteration work included. Elision is asked first,
+// so the cached run stops early and FullRun must run it again to the
+// budget; Elision is asked again of the rerun. Its own harness keeps other
+// tests from deciding which run is cached.
+func TestRunsDeriveFromOneSamplerRun(t *testing.T) {
+	const name = "12cities"
+	h := New(Fast())
+	w := h.workload(name)
+	target := func() mcmc.Target { return model.NewEvaluator(w.Model) }
+	for _, c := range []int{1, 2, 4} {
+		cfg := mcmc.Config{Chains: c, Iterations: h.iters(w), Seed: h.opt.Seed + 7, Parallel: h.opt.Parallel}
+		elided := cfg
+		elided.StopRule = elide.NewDetector()
+		want := mcmc.Run(elided, target)
+		if got := h.Elision(name, c); got.StoppedAt != want.Iterations || got.Fired != want.Elided {
+			t.Errorf("%d chains: elision stopped at %d (fired %v), real run at %d (fired %v)",
+				c, got.StoppedAt, got.Fired, want.Iterations, want.Elided)
+		}
+
+		full, got := mcmc.Run(cfg, target), h.FullRun(name, c)
+		if got.Iterations != full.Iterations || len(got.Chains) != c {
+			t.Fatalf("%d chains: full run has %d chains x %d iterations, want %d x %d",
+				c, len(got.Chains), got.Iterations, c, full.Iterations)
+		}
+		for i, ch := range got.Chains {
+			sameChain(t, fmt.Sprintf("%d chains: chain %d", c, i), full.Chains[i], ch)
+		}
+		if again := h.Elision(name, c); again.StoppedAt != want.Iterations || again.Fired != want.Elided {
+			t.Errorf("%d chains: elision off the full run stopped at %d (fired %v), real run at %d (fired %v)",
+				c, again.StoppedAt, again.Fired, want.Iterations, want.Elided)
+		}
+	}
+}
+
+// sameChain requires two chains to agree bit for bit in draws, log
+// densities, per-iteration work and adaptation outcome.
+func sameChain(t *testing.T, label string, a, b *mcmc.ChainResult) {
+	t.Helper()
+	if a.Samples.Len() != b.Samples.Len() || a.Samples.Dim() != b.Samples.Dim() {
+		t.Fatalf("%s: shape (%d,%d) vs (%d,%d)", label, a.Samples.Len(), a.Samples.Dim(), b.Samples.Len(), b.Samples.Dim())
+	}
+	for i := 0; i < a.Samples.Len(); i++ {
+		for d := 0; d < a.Samples.Dim(); d++ {
+			if a.Samples.At(i, d) != b.Samples.At(i, d) {
+				t.Fatalf("%s: draw %d param %d: %v vs %v", label, i, d, a.Samples.At(i, d), b.Samples.At(i, d))
+			}
+		}
+		if a.Work[i] != b.Work[i] || a.LogDensity[i] != b.LogDensity[i] {
+			t.Fatalf("%s: iteration %d: work %d vs %d, log density %v vs %v",
+				label, i, a.Work[i], b.Work[i], a.LogDensity[i], b.LogDensity[i])
+		}
+	}
+	if a.StepSize != b.StepSize || a.AcceptRate != b.AcceptRate || a.Divergences != b.Divergences {
+		t.Errorf("%s: step size %v vs %v, accept rate %v vs %v, divergences %d vs %d", label,
+			a.StepSize, b.StepSize, a.AcceptRate, b.AcceptRate, a.Divergences, b.Divergences)
+	}
 }
 
 func TestTable1HasAllWorkloads(t *testing.T) {

@@ -66,8 +66,7 @@ type Harness struct {
 	mu       sync.Mutex
 	suite    []*workloads.Workload
 	profiles *perf.Cache
-	elisions map[string]*ElisionOutcome
-	fullRuns map[string]*mcmc.Result // key: name/chains
+	runs     map[string]*mcmc.Result // key: workload name
 }
 
 // New builds a harness.
@@ -91,8 +90,7 @@ func New(opt Options) *Harness {
 			Seed:              opt.Seed,
 			Parallel:          opt.Parallel,
 		}),
-		elisions: make(map[string]*ElisionOutcome),
-		fullRuns: make(map[string]*mcmc.Result),
+		runs: make(map[string]*mcmc.Result),
 	}
 }
 
@@ -142,87 +140,96 @@ func (h *Harness) Profile(w *workloads.Workload) *hw.Profile {
 	return p
 }
 
-// ElisionOutcome is one workload's runtime-convergence-detection run.
+// runChains is the chain count of each workload's one sampler run. Chain c
+// draws from its own stream and no stop decision touches a draw, so the
+// first c chains of that run are a c-chain run, and a c-chain elision run
+// is a prefix of them: every Elision and FullRun is read off this run.
+const runChains = 4
+
+// prefixElision is the StopRule of a workload's sampler run: one detector
+// per elision chain count c, fed the first c chains at exactly the checks
+// a c-chain elision run gets (the runner's MinIterations/CheckInterval
+// schedule calls the rule) until it fires, when that run would stop. The
+// run stops once every detector fired, unless toBudget.
+type prefixElision struct {
+	dets     map[int]*elide.Detector // key: chain count
+	toBudget bool
+}
+
+// ShouldStop implements mcmc.StopRule. A quarantined chain stops the run;
+// the harness then panics with its fault.
+func (p *prefixElision) ShouldStop(chains []*mcmc.Samples, iter int) bool {
+	if len(chains) < runChains {
+		return true
+	}
+	all := true
+	for c, d := range p.dets {
+		if d.Fired == 0 && !d.ShouldStop(chains[:c], iter) {
+			all = false
+		}
+	}
+	return all && !p.toBudget
+}
+
+// ElisionOutcome is one workload's runtime-convergence-detection result.
 type ElisionOutcome struct {
-	Name           string
-	UserIterations int
 	// StoppedAt is the per-chain iteration count the detector stopped
-	// at (== UserIterations when it never fired).
+	// at (the iteration budget when it never fired).
 	StoppedAt int
 	Fired     bool
-	// RHatAtStop is the diagnostic value at the stop check.
-	RHatAtStop float64
-	Result     *mcmc.Result
-	Trace      []elide.CheckPoint
 }
 
-// IterationSavings is the fraction of iterations elided.
-func (e *ElisionOutcome) IterationSavings() float64 {
-	return 1 - float64(e.StoppedAt)/float64(e.UserIterations)
-}
-
-// Elision runs (once, cached) the workload with the convergence detector
-// at the given chain count.
+// Elision returns the workload's convergence-detection outcome at 1, 2 or
+// 4 chains, read off its sampler run.
 func (h *Harness) Elision(name string, chains int) *ElisionOutcome {
-	key := fmt.Sprintf("%s/%d", name, chains)
-	h.mu.Lock()
-	if e, ok := h.elisions[key]; ok {
-		h.mu.Unlock()
-		return e
+	res := h.run(name, false)
+	if at := res.Config.StopRule.(*prefixElision).dets[chains].Fired; at > 0 {
+		return &ElisionOutcome{StoppedAt: at, Fired: true}
 	}
-	h.mu.Unlock()
-
-	w := h.workload(name)
-	iters := h.iters(w)
-	h.logf("elision run %s (chains=%d, max %d iters)...\n", name, chains, iters)
-	det := elide.NewDetector()
-	res := mcmc.Run(mcmc.Config{
-		Chains:     chains,
-		Iterations: iters,
-		Seed:       h.opt.Seed + 7,
-		StopRule:   det,
-		Parallel:   h.opt.Parallel,
-	}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
-
-	out := &ElisionOutcome{
-		Name:           name,
-		UserIterations: iters,
-		StoppedAt:      res.Iterations,
-		Fired:          res.Elided,
-		Result:         res,
-		Trace:          det.Trace,
-	}
-	if n := len(det.Trace); n > 0 {
-		out.RHatAtStop = det.Trace[n-1].RHat
-	}
-	h.mu.Lock()
-	h.elisions[key] = out
-	h.mu.Unlock()
-	return out
+	return &ElisionOutcome{StoppedAt: res.Config.Iterations}
 }
 
-// FullRun runs (once, cached) the workload to its full effective
-// iteration count with the given chain count, no elision.
+// FullRun returns the workload's run to its full effective iteration
+// count at the given chain count: the first chains of its sampler run.
 func (h *Harness) FullRun(name string, chains int) *mcmc.Result {
-	key := fmt.Sprintf("%s/%d", name, chains)
-	h.mu.Lock()
-	if r, ok := h.fullRuns[key]; ok {
-		h.mu.Unlock()
-		return r
+	res := h.run(name, true)
+	if chains == runChains {
+		return res
 	}
+	sub := *res
+	sub.Chains = res.Chains[:chains]
+	sub.Config.Chains = chains
+	return &sub
+}
+
+// run returns the workload's sampler run (cached). A cached run that
+// stopped once every detector fired does not serve toBudget: it is run
+// again to the budget, where its detectors fire at the same iterations.
+func (h *Harness) run(name string, toBudget bool) *mcmc.Result {
+	h.mu.Lock()
+	res := h.runs[name]
 	h.mu.Unlock()
+	if res != nil && (!toBudget || res.Iterations == res.Config.Iterations) {
+		return res
+	}
 
 	w := h.workload(name)
 	iters := h.iters(w)
-	h.logf("full run %s (chains=%d, %d iters)...\n", name, chains, iters)
-	res := mcmc.Run(mcmc.Config{
-		Chains:     chains,
+	h.logf("sampler run %s (chains=%d, max %d iters)...\n", name, runChains, iters)
+	res = mcmc.Run(mcmc.Config{
+		Chains:     runChains,
 		Iterations: iters,
 		Seed:       h.opt.Seed + 7,
-		Parallel:   h.opt.Parallel,
+		StopRule: &prefixElision{toBudget: toBudget, dets: map[int]*elide.Detector{
+			1: elide.NewDetector(), 2: elide.NewDetector(), 4: elide.NewDetector(),
+		}},
+		Parallel: h.opt.Parallel,
 	}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
+	if f := res.Faults(); len(f) > 0 {
+		panic(fmt.Sprintf("bench: %s: %v; every derived run needs %d complete chains", name, f[0], runChains))
+	}
 	h.mu.Lock()
-	h.fullRuns[key] = res
+	h.runs[name] = res
 	h.mu.Unlock()
 	return res
 }
@@ -232,20 +239,8 @@ func (h *Harness) FullRun(name string, chains int) *mcmc.Result {
 // pooled over chains and the reference posterior (second half of the
 // full 4-chain run).
 func (h *Harness) GroundTruthKL(name string, run *mcmc.Result, iters int) float64 {
-	ref := h.FullRun(name, 4)
-	refDraws := diag.FlattenChains(ref.SecondHalfDraws())
-	if iters > run.Iterations {
-		iters = run.Iterations
-	}
-	var cur [][]float64
-	for _, ch := range run.Chains {
-		end := iters
-		if end > ch.Samples.Len() {
-			end = ch.Samples.Len()
-		}
-		cur = append(cur, ch.Samples.RowsRange(end/2, end)...)
-	}
-	return diag.GaussianKL(cur, refDraws)
+	ref := h.FullRun(name, runChains)
+	return klAgainst(run, iters, diag.FlattenChains(ref.SecondHalfDraws()))
 }
 
 // StaticMPKI returns the simulated 4-core Skylake LLC MPKI for a

@@ -331,7 +331,7 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 // batchGLM is a small batchable normal-identity GLM so the fault matrix
-// can cover the batched-lockstep gradient path: faults injected while
+// can cover the batched gradient path: faults injected while
 // chains share fused data sweeps must quarantine exactly as on the
 // per-chain path, with every healthy chain's draws untouched.
 type batchGLM struct {
@@ -386,10 +386,10 @@ func (m *batchGLM) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.BatchRe
 	return m.logPost(t, q, pre)
 }
 
-// TestFaultMatrixBatched extends the matrix with the batched-lockstep
-// column: every injectable fault kind against the gradient samplers on a
+// TestFaultMatrixBatched extends the matrix with the batched column:
+// every injectable fault kind against the gradient samplers on a
 // run whose chains coalesce gradients into fused sweeps. Quarantining
-// kinds must (a) produce draws bit-identical to the per-chain lockstep run
+// kinds must (a) produce draws bit-identical to the per-chain segmented run
 // under the same injection plan — batch membership never perturbs
 // results, even as the faulting chain drops out of the rendezvous mid-run
 // — and (b) replay bit-identically when resumed from the last pre-fault
@@ -483,7 +483,7 @@ func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind) {
 func coalesced(t *testing.T, res *mcmc.Result) {
 	t.Helper()
 	if res.GradBatch == nil {
-		t.Fatal("batched lockstep run reported no GradBatch")
+		t.Fatal("batched run reported no GradBatch")
 	}
 }
 

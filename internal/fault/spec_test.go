@@ -90,8 +90,8 @@ func serveSpec(t *testing.T, spec serve.JobSpec, ck *mcmc.Checkpoint, plan specP
 	return job, inj, cks
 }
 
-// perChainReference runs spec's sampling on the per-chain (unbatched)
-// lockstep path under hook.
+// perChainReference runs spec's sampling with per-chain (unbatched)
+// gradients, segmented at every CheckInterval, under hook.
 func perChainReference(t *testing.T, spec serve.JobSpec, kind mcmc.SamplerKind, hook func(chain, iter int) mcmc.FaultAction) *mcmc.Result {
 	t.Helper()
 	_, budget, err := serve.Normalize(spec)

@@ -23,8 +23,9 @@ type neverStop struct{}
 
 func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
 
-// runnerModes are the ways a job's chains are driven: free-running, in
-// lockstep rounds, and in lockstep with gradients fused by the coalescer.
+// runnerModes are the ways a job's chains are driven: in one segment,
+// meeting at every CheckInterval segment end, and meeting there with
+// gradients fused by the coalescer.
 var runnerModes = []struct {
 	name string
 	run  func(cfg mcmc.Config, m model.Model) *mcmc.Result
@@ -32,7 +33,7 @@ var runnerModes = []struct {
 	{"free", func(cfg mcmc.Config, m model.Model) *mcmc.Result {
 		return mcmc.Run(cfg, func() mcmc.Target { return model.NewEvaluator(m) })
 	}},
-	{"lockstep", func(cfg mcmc.Config, m model.Model) *mcmc.Result {
+	{"segmented", func(cfg mcmc.Config, m model.Model) *mcmc.Result {
 		if cfg.CheckpointEvery == 0 {
 			cfg.StopRule = neverStop{}
 		}

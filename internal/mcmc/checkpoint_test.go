@@ -41,8 +41,9 @@ func sameRun(t *testing.T, label string, a, b *Result) {
 
 // TestCheckpointResumeBitIdentical is the determinism-under-resume
 // contract: for every sampler, a run resumed from a mid-run checkpoint
-// must reproduce the uninterrupted run bit for bit — on the free path, on
-// the lockstep path, and with parallel chains.
+// must reproduce the uninterrupted run bit for bit — in one segment per
+// checkpoint, with a StopRule segmenting at every CheckInterval, and with
+// parallel chains.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, kind := range []SamplerKind{MetropolisHastings, HMC, NUTS} {
 		kind := kind
@@ -62,27 +63,27 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatalf("checkpoint 1 at iteration %d, want 200", cks[1].Iteration)
 			}
 
-			// The checkpointed (lockstep) run must itself match a plain
-			// free run — checkpoint capture must not perturb sampling.
+			// The checkpointed run must itself match a plain one-segment
+			// run — checkpoint capture must not perturb sampling.
 			plain := Run(base, target)
 			sameRun(t, kind.String()+" checkpointing-vs-plain", plain, ref)
 
-			// Resume on the free path.
+			// Resume without a StopRule.
 			freeCfg := base
 			freeCfg.ResumeFrom = cks[1]
 			sameRun(t, kind.String()+" free resume", ref, Run(freeCfg, target))
 
-			// Resume on the lockstep path with parallel chains, from the
+			// Resume with a StopRule and parallel chains, from the
 			// serialized form (exercising the binary round trip in anger).
 			decoded, err := DecodeCheckpoint(cks[0].Encode())
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			lockCfg := base
-			lockCfg.ResumeFrom = decoded
-			lockCfg.Parallel = true
-			lockCfg.StopRule = neverFire{}
-			sameRun(t, kind.String()+" lockstep resume", ref, Run(lockCfg, target))
+			checkCfg := base
+			checkCfg.ResumeFrom = decoded
+			checkCfg.Parallel = true
+			checkCfg.StopRule = neverFire{}
+			sameRun(t, kind.String()+" checked resume", ref, Run(checkCfg, target))
 		})
 	}
 }

@@ -107,13 +107,13 @@ func withProcs(n int, f func()) {
 }
 
 // TestCoalescedLockstepDeterminism is the end-to-end draw-preservation
-// guarantee of the batched gradient path: a parallel lockstep run with
-// the coalescer active must produce draws bit-identical to the same run
+// guarantee of the batched gradient path: a parallel run with a StopRule
+// and the coalescer active must produce draws bit-identical to the same run
 // evaluating each chain independently — for both samplers, at every
 // GOMAXPROCS (one lane of full sets, two lanes, a lane per chain), on a
 // fresh run, across a checkpoint/resume, and with a chain quarantined.
 // How requests group into sweeps is scheduling; the rows are not: every
-// in-round gradient a chain demanded is evaluated exactly once.
+// gradient a chain demanded within a segment is evaluated exactly once.
 func TestCoalescedLockstepDeterminism(t *testing.T) {
 	m := newBatchedGLMModel(1200, 2, 6, 97)
 	for _, kind := range []SamplerKind{HMC, NUTS} {
@@ -141,14 +141,14 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 				withProcs(procs, func() {
 					label := fmt.Sprintf("%s procs=%d", kind, procs)
 					batched, _ := runBatched(t, m, base)
-					sameDraws(t, label+" batched-vs-plain lockstep", plain, batched)
+					sameDraws(t, label+" batched-vs-per-chain", plain, batched)
 
 					gb := batched.GradBatch
 					if gb == nil || gb.Sweeps == 0 {
 						t.Fatalf("%s: coalescer never executed a batch", label)
 					}
 					if demand := batched.TotalWork(); gb.RealRows != demand {
-						t.Errorf("%s: %d rows evaluated for an in-round demand of %d gradients",
+						t.Errorf("%s: %d rows evaluated for a demand of %d gradients",
 							label, gb.RealRows, demand)
 					}
 					if procs == 1 {
@@ -195,7 +195,7 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 				})
 			}
 
-			// Sequential lockstep ignores BatchGrad entirely and must
+			// A sequential run ignores BatchGrad entirely and must
 			// still agree (the coalescer only engages on the parallel path).
 			seqCfg := base
 			seqCfg.Parallel = false
@@ -302,7 +302,7 @@ func waitState(co *gradCoalescer, parked, running int) {
 }
 
 // TestCoalescerFullSetFiresOnce: with one lane — GOMAXPROCS=1, the
-// sharing regime — requests park until every in-round chain has
+// sharing regime — requests park until every in-segment chain has
 // submitted, and the last submitter runs exactly one fused evaluation
 // carrying all of them. Chains in step with each other, as HMC
 // trajectories of equal length are, therefore keep every slot of every
@@ -638,7 +638,7 @@ func TestCoalescerRoundZeroAlloc(t *testing.T) {
 		round()
 	}
 	if avg := testing.AllocsPerRun(500, round); avg != 0 {
-		t.Errorf("coalescer round loop allocates %.1f per round, want 0", avg)
+		t.Errorf("coalescer segment loop allocates %.1f per segment, want 0", avg)
 	}
 	for c := 1; c < chains; c++ {
 		close(start[c])

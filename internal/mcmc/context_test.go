@@ -33,8 +33,8 @@ func (g *slowGaussian) LogDensityGrad(q, grad []float64) float64 {
 	return g.LogDensity(q)
 }
 
-// neverStop is a StopRule that never fires, forcing the lockstep path to
-// its full budget unless canceled.
+// neverStop is a StopRule that never fires: the chains meet at every
+// CheckInterval segment end and run their full budget unless canceled.
 type neverStop struct{}
 
 func (neverStop) ShouldStop([]*Samples, int) bool { return false }
@@ -102,11 +102,11 @@ func TestRunContextCancelLockstep(t *testing.T) {
 	}()
 	res := RunContext(ctx, cfg, func() Target { return &slowGaussian{dim: 4, delay: 20 * time.Microsecond} })
 	expectInterrupted(t, res, cfg.Iterations)
-	// Lockstep cancellation is checked between rounds, so the aligned
+	// A cancel levels the live chains at the furthest one, so the aligned
 	// count is exact: every chain holds exactly Iterations draws.
 	for c, ch := range res.Chains {
 		if ch.Samples.Len() != res.Iterations {
-			t.Fatalf("lockstep chain %d: %d draws, want exactly %d", c, ch.Samples.Len(), res.Iterations)
+			t.Fatalf("checked run chain %d: %d draws, want exactly %d", c, ch.Samples.Len(), res.Iterations)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package mcmc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
 )
 
-// neverFire is a StopRule that never triggers, forcing the lockstep code
-// path while keeping the full iteration budget.
+// neverFire is a StopRule that never triggers: the run meets at every
+// CheckInterval segment end while keeping the full iteration budget.
 type neverFire struct{}
 
 func (neverFire) ShouldStop(chains []*Samples, iter int) bool { return false }
@@ -38,10 +39,19 @@ func sameDraws(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestSeedDeterminism checks the two hard bit-identity guarantees the
-// runner makes for a fixed Config.Seed: scheduling must not matter
-// (sequential vs Parallel), and the coordination mode must not matter
-// (free-running vs lockstep rounds with a StopRule that never fires).
+// stopAt is a StopRule that fires at the first check at or past iteration n.
+type stopAt int
+
+func (n stopAt) ShouldStop(chains []*Samples, iter int) bool { return iter >= int(n) }
+
+// TestSeedDeterminism checks the bit-identity guarantees the runner makes
+// for a fixed Config.Seed: scheduling must not matter (sequential vs
+// Parallel), segmenting must not matter (one segment vs a StopRule that
+// never fires, consulted at every CheckInterval), the chain count must not
+// matter (a c-chain run is the first c chains of a 4-chain run), and a run
+// a StopRule ends early is a prefix of the run without one. The figure
+// harness reads every elision and chain-subset run off one 4-chain run on
+// the strength of the last two.
 func TestSeedDeterminism(t *testing.T) {
 	for _, kind := range []SamplerKind{HMC, NUTS} {
 		kind := kind
@@ -56,20 +66,51 @@ func TestSeedDeterminism(t *testing.T) {
 			parFree := Run(parCfg, target)
 			sameDraws(t, kind.String()+" free seq-vs-parallel", seqFree, parFree)
 
-			lockCfg := base
-			lockCfg.StopRule = neverFire{}
-			seqLock := Run(lockCfg, target)
-			sameDraws(t, kind.String()+" free-vs-lockstep", seqFree, seqLock)
+			checkCfg := base
+			checkCfg.StopRule = neverFire{}
+			seqCheck := Run(checkCfg, target)
+			sameDraws(t, kind.String()+" one-segment-vs-checked", seqFree, seqCheck)
 
-			parLockCfg := lockCfg
-			parLockCfg.Parallel = true
-			parLock := Run(parLockCfg, target)
-			sameDraws(t, kind.String()+" lockstep seq-vs-parallel", seqLock, parLock)
+			parCheckCfg := checkCfg
+			parCheckCfg.Parallel = true
+			parCheck := Run(parCheckCfg, target)
+			sameDraws(t, kind.String()+" checked seq-vs-parallel", seqCheck, parCheck)
+
+			for _, chains := range []int{1, 2} {
+				for _, par := range []bool{false, true} {
+					cfg := base
+					cfg.Chains, cfg.Parallel = chains, par
+					sub := &Result{Chains: seqFree.Chains[:chains]}
+					sameDraws(t, fmt.Sprintf("%s %d-chain (parallel %v) vs first chains of 4", kind, chains, par),
+						sub, Run(cfg, target))
+				}
+			}
+
+			stopCfg := parCfg
+			stopCfg.StopRule = stopAt(200)
+			stopped := Run(stopCfg, target)
+			if !stopped.Elided || stopped.Iterations != 200 {
+				t.Fatalf("%s: stop rule ended the run at %d (elided %v), want 200", kind, stopped.Iterations, stopped.Elided)
+			}
+			for c, ch := range stopped.Chains {
+				full := seqFree.Chains[c]
+				for i := 0; i < ch.Samples.Len(); i++ {
+					for d := 0; d < ch.Samples.Dim(); d++ {
+						if ch.Samples.At(i, d) != full.Samples.At(i, d) {
+							t.Fatalf("%s stopped-vs-full: chain %d draw %d param %d: %v vs %v",
+								kind, c, i, d, ch.Samples.At(i, d), full.Samples.At(i, d))
+						}
+					}
+					if ch.Work[i] != full.Work[i] {
+						t.Fatalf("%s stopped-vs-full: chain %d iteration %d work %d vs %d", kind, c, i, ch.Work[i], full.Work[i])
+					}
+				}
+			}
 		})
 	}
 }
 
-// TestAcceptRateIsMean guards the finalizeAcceptance fix: the free path
+// TestAcceptRateIsMean guards the finalizeAcceptance fix: a one-segment run
 // must report the mean acceptance statistic, not the last iteration's
 // value, and a legitimate zero rate must survive (no == 0 sentinel).
 func TestAcceptRateIsMean(t *testing.T) {
@@ -86,13 +127,13 @@ func TestAcceptRateIsMean(t *testing.T) {
 			t.Logf("chain %d accept rate exactly 1 (possible but suspicious)", c)
 		}
 	}
-	// Free and lockstep modes must agree on the accounting.
-	lock := Run(Config{Chains: 2, Iterations: 500, Sampler: HMC, Seed: 8,
+	// One segment and a checked run must agree on the accounting.
+	checked := Run(Config{Chains: 2, Iterations: 500, Sampler: HMC, Seed: 8,
 		StopRule: neverFire{}}, func() Target { return newGaussian() })
 	for c := range res.Chains {
-		if res.Chains[c].AcceptRate != lock.Chains[c].AcceptRate {
-			t.Errorf("chain %d: free %v vs lockstep %v accept rate",
-				c, res.Chains[c].AcceptRate, lock.Chains[c].AcceptRate)
+		if res.Chains[c].AcceptRate != checked.Chains[c].AcceptRate {
+			t.Errorf("chain %d: one segment %v vs checked %v accept rate",
+				c, res.Chains[c].AcceptRate, checked.Chains[c].AcceptRate)
 		}
 	}
 }

@@ -160,8 +160,8 @@ func TestWorkVariesAcrossChains(t *testing.T) {
 }
 
 func TestLockstepParallelDeterministic(t *testing.T) {
-	// With a StopRule, chains advance in lockstep; running the round's
-	// steps on goroutines must not change any draw.
+	// With a StopRule, chains meet at every CheckInterval segment end;
+	// running each segment's chains on goroutines must not change any draw.
 	g := newGaussian()
 	run := func(parallel bool) *Result {
 		return Run(Config{
@@ -177,7 +177,7 @@ func TestLockstepParallelDeterministic(t *testing.T) {
 		for i := 0; i < a.Len(); i++ {
 			for d := 0; d < a.Dim(); d++ {
 				if a.At(i, d) != b.At(i, d) {
-					t.Fatalf("chain %d draw %d differs between lockstep modes", c, i)
+					t.Fatalf("chain %d draw %d differs between sequential and parallel", c, i)
 				}
 			}
 		}

@@ -39,13 +39,13 @@ func (g *benchGaussian) LogDensity(q []float64) float64 {
 	return lp
 }
 
-// neverStop keeps the lockstep machinery (and the R-hat math inside a
+// neverStop keeps the segment ends (and the R-hat math inside a
 // Detector) running for the full budget: threshold below 1 can never be
 // crossed, so the run is never elided and every check is measured.
 func neverStop() *elide.Detector { return &elide.Detector{Threshold: 0.5} }
 
 // BenchmarkRunnerLockstepElide measures the paper-mode hot path: 4 chains
-// in lockstep with a convergence check every 10 iterations.
+// meeting for a convergence check every 10 iterations.
 func BenchmarkRunnerLockstepElide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := mcmc.Run(mcmc.Config{
@@ -60,7 +60,7 @@ func BenchmarkRunnerLockstepElide(b *testing.B) {
 }
 
 // BenchmarkRunnerLockstepSequential is the same path without goroutines,
-// isolating the per-round coordination cost from chain-level parallelism.
+// isolating the per-segment coordination cost from chain-level parallelism.
 func BenchmarkRunnerLockstepSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := mcmc.Run(mcmc.Config{
@@ -297,9 +297,9 @@ func BenchmarkGradientNormalGLMTape(b *testing.B) {
 // ---- Cross-chain batched gradient benchmarks ----
 //
 // The Batched/Unbatched pairs below measure the same seeded parallel
-// lockstep run with and without the gradient coalescer: batched runs
-// fuse all chains' gradient requests into one cache-blocked data sweep
-// per round. BenchmarkGradientBatch isolates that sweep across chain
+// run, segmented by a StopRule, with and without the gradient coalescer:
+// batched runs fuse all chains' gradient requests into one cache-blocked
+// data sweep per step. BenchmarkGradientBatch isolates that sweep across chain
 // counts.
 
 func (m *normalGLMBench) BatchKernels() []kernels.Batcher {
@@ -422,7 +422,7 @@ func BenchmarkRunnerUnbatchedRegistry(b *testing.B) { benchRegistry(b, false) }
 // batchGLMN sizes the normal GLM so its data (x, y and the group index,
 // ~7.7 MB) spills the L2 cache: the regime where one data sweep for K
 // chains pays, because the data streams from the outer cache levels once
-// per round instead of once per chain.
+// per step instead of once per chain.
 const batchGLMN = 240000
 
 // BenchmarkGradientBatch times one K-chain gradient round at the same

@@ -122,8 +122,8 @@ func TestConcurrentSeededJobsBitIdentical(t *testing.T) {
 }
 
 // TestCollapsedKernelJobsBitIdentical runs each workload whose likelihood
-// is a collapsed or fused single-node kernel (unbatchable, so plain
-// lockstep with no coalescer) as two copies of one seeded spec side by
+// is a collapsed or fused single-node kernel (unbatchable, so the segment
+// runner with no coalescer) as two copies of one seeded spec side by
 // side: both must reproduce the serial reference bit for bit, elision
 // point included.
 func TestCollapsedKernelJobsBitIdentical(t *testing.T) {
@@ -150,7 +150,7 @@ func TestCollapsedKernelJobsBitIdentical(t *testing.T) {
 			t.Fatalf("%s ended %s (%s)", specs[i].Workload, st.State, st.Error)
 		}
 		if st.GradBatch != nil {
-			t.Errorf("%s: job reports fused sweeps, want plain lockstep", specs[i].Workload)
+			t.Errorf("%s: job reports fused sweeps, want per-chain gradients", specs[i].Workload)
 		}
 		if i%2 == 0 {
 			ref = referenceRun(t, specs[i])

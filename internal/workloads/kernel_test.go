@@ -174,16 +174,17 @@ func TestKernelShrinksTape(t *testing.T) {
 	}
 }
 
-// neverStop keeps a run on the lockstep path for its whole budget.
+// neverStop keeps a run's chains meeting at every CheckInterval segment
+// end for its whole budget.
 type neverStop struct{}
 
 func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
 
 // TestKernelWorkloadParallelismDeterminism pins the one parallelism input
 // the kernel-backed path has left: a seeded run of a real workload on the
-// batched lockstep path — fused sweeps, as many lanes as GOMAXPROCS allows
-// — must produce, at GOMAXPROCS 1, 2 and 8, the very draws the free-running
-// per-chain evaluators produce.
+// batched gradient path — fused sweeps, as many lanes as GOMAXPROCS allows
+// — must produce, at GOMAXPROCS 1, 2 and 8, the very draws a one-segment run
+// of per-chain evaluators produces.
 func TestKernelWorkloadParallelismDeterminism(t *testing.T) {
 	wl, _ := New("ad", 0.25, 9)
 	cfg := mcmc.Config{Chains: 4, Iterations: 120, Seed: 77}
@@ -216,7 +217,7 @@ func TestKernelWorkloadParallelismDeterminism(t *testing.T) {
 				for i := range want[c] {
 					for d := range want[c][i] {
 						if want[c][i][d] != got[c][i][d] {
-							t.Fatalf("GOMAXPROCS %d chain %d draw %d dim %d: %.17g (free) != %.17g (batched lockstep)",
+							t.Fatalf("GOMAXPROCS %d chain %d draw %d dim %d: %.17g (one segment) != %.17g (batched)",
 								procs, c, i, d, want[c][i][d], got[c][i][d])
 						}
 					}
@@ -256,8 +257,8 @@ func TestKernelGradAllocsZero(t *testing.T) {
 // chains (model.BatchableModel). The list is explicit so that batchability
 // cannot be lost silently. The collapsed and fused ports are not on it on
 // purpose: a likelihood reduced to counts has no data sweep left to share,
-// and at their few-microsecond gradients the coalescer loses to plain
-// lockstep (DESIGN.md, "Collapsed likelihoods").
+// and at their few-microsecond gradients the coalescer loses to per-chain
+// gradients (DESIGN.md, "Collapsed likelihoods").
 var batchable = map[string]bool{"tickets": true, "memory": true, "ad": true, "12cities": true}
 
 // TestBatchedWorkloadBitIdentical checks the BatchableModel contract for
