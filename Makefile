@@ -69,8 +69,9 @@ fuzz:
 # slow iteration, cancel, worker loss), plus the checkpoint/resume and
 # quarantine suites and the serve-layer retry tests they feed. Includes
 # the batched column (TestFaultMatrixBatched, HMC and NUTS ×
-# the same five kinds): faults injected while chains share fused gradient
-# sweeps must quarantine identically, with bit-identical draws and
+# the same five kinds, pinned to GOMAXPROCS 1 because the runner fuses
+# gradients only on one core): faults injected while chains share fused
+# gradient sweeps must quarantine identically, with bit-identical draws and
 # checkpoint-resume replay on the batched path, and slow iterations,
 # cancels and worker losses must behave as they do unbatched — its
 # service column (TestFaultMatrixBatchedSpec: the same ten cells on a
@@ -84,9 +85,10 @@ fault-matrix:
 # Runner hot-path benchmarks with allocation accounting, at one and two
 # procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a
 # large GLM; …Registry: NUTS on registry jobs as bayesd runs them) one
-# proc is the sharing regime the coalescer must keep, two the lanes
-# regime it must win. The BenchmarkGradient*{Kernel,Tape} pairs time one
-# gradient on each path, with its tape nodes and edges, for all nine
+# proc is the sharing regime the coalescer exists for; at two procs the
+# runner builds no coalescer, so both sides of each pair run the same
+# unbatched path and should read alike. The
+# BenchmarkGradient*{Kernel,Tape} pairs time one gradient on each path, with its tape nodes and edges, for all nine
 # kernel-backed workloads (GLM is tickets; 12Cities, AD and Memory are the
 # other batchable three) and the large-N NormalGLM. BenchmarkGradientBatch
 # sweeps k = 1, 2, 4, 8: one fused K-chain gradient round (batched)

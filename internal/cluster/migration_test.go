@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,6 +95,11 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			// Deliberately not parallel: heavy sampling in sibling subtests
 			// can starve a worker's heartbeat goroutine past the liveness
 			// bound and get the healthy rescue worker falsely reaped.
+			if tc.batched {
+				// The runner fuses gradients only on one core.
+				prev := runtime.GOMAXPROCS(1)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+			}
 			spec := serve.JobSpec{
 				Workload: tc.workload, Sampler: tc.sampler,
 				Scale: 0.25, Seed: 17, Iterations: iterations, NoElide: true,

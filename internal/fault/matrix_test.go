@@ -3,6 +3,7 @@ package fault
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -394,8 +395,10 @@ func (m *batchGLM) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.BatchRe
 // results, even as the faulting chain drops out of the rendezvous mid-run
 // — and (b) replay bit-identically when resumed from the last pre-fault
 // checkpoint on the batched path. Slow iterations, cancels and worker
-// losses must behave exactly as they do without the coalescer.
+// losses must behave exactly as they do without the coalescer. The
+// runner builds the coalescer only on one core, so the column runs there.
 func TestFaultMatrixBatched(t *testing.T) {
+	pinOneProc(t)
 	for _, kind := range []mcmc.SamplerKind{mcmc.HMC, mcmc.NUTS} {
 		kind := kind
 		for _, fk := range []Kind{Panic, NonFinite, Slow, Cancel, WorkerLoss} {
@@ -415,6 +418,14 @@ func TestFaultMatrixBatched(t *testing.T) {
 			})
 		}
 	}
+}
+
+// pinOneProc runs the rest of t at GOMAXPROCS 1, the only setting at
+// which the runner builds a coalescer, and restores the previous setting
+// once t and its parallel subtests are done.
+func pinOneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // batchedTargets wires cfg's fused gradient path over a fresh evaluator
@@ -495,7 +506,7 @@ func testBatchedSlow(t *testing.T, kind mcmc.SamplerKind) {
 
 	inj := New(7).WithRandom(0.02, Slow, chains).WithSlow(0) // count-only stall
 	cfg := baseConfig(kind)
-	cfg.Progress = func(int) {} // observed like a served job; any parallel run engages the coalescer
+	cfg.Progress = func(int) {} // observed like a served job; any parallel run on one core engages the coalescer
 	cfg.FaultHook = inj.Hook
 	factory := batchedTargets(t, &cfg, m)
 	res := mcmc.Run(cfg, factory)

@@ -18,8 +18,10 @@ import (
 // bayesd node wires it — workload built from the spec, one batch
 // evaluator shared by the chains, status and gradient-batch accounting —
 // rather than a hand-built mcmc.Config. The assertions are the ones
-// TestFaultMatrixBatched makes on the mcmc path, read off the job.
+// TestFaultMatrixBatched makes on the mcmc path, read off the job, and
+// like it at GOMAXPROCS 1, where the coalescer is built.
 func TestFaultMatrixBatchedSpec(t *testing.T) {
+	pinOneProc(t)
 	for _, kind := range []mcmc.SamplerKind{mcmc.HMC, mcmc.NUTS} {
 		kind := kind
 		for _, fk := range []Kind{Panic, NonFinite, Slow, Cancel, WorkerLoss} {

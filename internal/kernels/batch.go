@@ -31,19 +31,13 @@ type BatchResult struct {
 // single-parameter sweep, so batch membership never perturbs a result.
 //
 // BatchEval reuses kernel-owned grow-only scratch and is NOT safe for
-// concurrent calls on the same value. Concurrent batches each evaluate
-// on their own Fork.
+// concurrent calls on the same value.
 type Batcher interface {
 	// InputDim reports the length every non-nil params[k] must have: the
 	// kernel's inputs flattened in canonical order (beta, then group
 	// effects, then sigma where applicable).
 	InputDim() int
 	BatchEval(params [][]float64, out []BatchResult)
-	// Fork returns a Batcher over the same immutable data block with
-	// scratch of its own, so the fork and its origin may BatchEval
-	// concurrently (writing disjoint out entries). Both compute the same
-	// bits for the same parameter vector.
-	Fork() Batcher
 }
 
 // glmBatch holds a GLM kernel's grow-only batch scratch plus the
@@ -71,11 +65,6 @@ func (k *BernoulliLogitGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famBernoulliLogit, k.yf, 0, params, out)
 }
 
-// Fork implements Batcher.
-func (k *BernoulliLogitGLM) Fork() Batcher {
-	return &BernoulliLogitGLM{glmData: k.fork(), y: k.y, yf: k.yf}
-}
-
 // LogLikPre splices a precomputed batched result for this kernel into the
 // tape as exactly the Custom node LogLik would have recorded, re-raising
 // the non-finite panic the single evaluation would have raised.
@@ -91,11 +80,6 @@ func (k *PoissonLogGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famPoissonLog, k.yf, -k.lgammaConst, params, out)
 }
 
-// Fork implements Batcher.
-func (k *PoissonLogGLM) Fork() Batcher {
-	return &PoissonLogGLM{glmData: k.fork(), yf: k.yf, lgammaConst: k.lgammaConst}
-}
-
 // LogLikPre splices a precomputed batched result into the tape; see
 // BernoulliLogitGLM.LogLikPre.
 func (k *PoissonLogGLM) LogLikPre(t *ad.Tape, beta, u []ad.Var, pre *BatchResult) ad.Var {
@@ -108,11 +92,6 @@ func (k *NormalIDGLM) InputDim() int { return k.p + k.nGroups + 1 }
 // BatchEval implements Batcher. params[k] = [beta..., u..., sigma].
 func (k *NormalIDGLM) BatchEval(params [][]float64, out []BatchResult) {
 	k.batchEval(famNormalID, k.y, 0, params, out)
-}
-
-// Fork implements Batcher.
-func (k *NormalIDGLM) Fork() Batcher {
-	return &NormalIDGLM{glmData: k.fork(), y: k.y}
 }
 
 // LogLikPre splices a precomputed batched result into the tape; see
@@ -345,9 +324,6 @@ type NormalDeviationsKernel struct{ Len int }
 // InputDim implements Batcher.
 func (k NormalDeviationsKernel) InputDim() int { return k.Len + 2 }
 
-// Fork implements Batcher: the kernel holds no scratch.
-func (k NormalDeviationsKernel) Fork() Batcher { return k }
-
 // BatchEval implements Batcher, mirroring NormalDeviations exactly.
 func (k NormalDeviationsKernel) BatchEval(params [][]float64, out []BatchResult) {
 	if len(out) < len(params) {
@@ -406,9 +382,6 @@ func NormalDeviationsPre(t *ad.Tape, u []ad.Var, mu, sigma ad.Var, pre *BatchRes
 
 // InputDim implements Batcher: params[k] = [mu, sigma].
 func (st NormalSuffStats) InputDim() int { return 2 }
-
-// Fork implements Batcher: the kernel holds no scratch.
-func (st NormalSuffStats) Fork() Batcher { return st }
 
 // BatchEval implements Batcher, mirroring LogLik exactly — including
 // which non-finite condition it reports first.

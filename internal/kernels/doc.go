@@ -34,7 +34,7 @@
 // any batch composition. An evaluation runs on its caller's goroutine,
 // spawns nothing and allocates nothing: single evaluations take their
 // buffers from the tape's scratch arenas, batched ones from grow-only
-// kernel scratch. Cores are used by running different chains' evaluations
-// side by side — single evaluations on different tapes, batched ones on
-// forks of the kernel (Batcher.Fork) that share the data block.
+// kernel scratch. Cores are used by running different chains' single
+// evaluations side by side, each on its own tape; a batched sweep serves
+// every chain from one core.
 package kernels

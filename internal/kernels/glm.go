@@ -54,12 +54,6 @@ func newGLMData(n, p int, x, offset []float64, group []int, nGroups int) glmData
 	return glmData{n: n, p: p, x: x, offset: offset, group: group, nGroups: nGroups}
 }
 
-// fork returns the same data block with empty batch scratch. It reads
-// only the immutable fields, so it is safe while d is mid-sweep.
-func (d *glmData) fork() glmData {
-	return glmData{n: d.n, p: d.p, x: d.x, offset: d.offset, group: d.group, nGroups: d.nGroups}
-}
-
 func (d *glmData) check(nBeta, nU int) {
 	if nBeta != d.p {
 		panic("kernels: beta length != p")

@@ -11,7 +11,7 @@ import "unsafe"
 // on how many evaluations run concurrently, not on batch composition.
 // An evaluation sweeps its shards on the calling goroutine; parallelism
 // comes from the layer above running evaluations of different chains on
-// different cores (see Batcher.Fork).
+// different cores.
 const (
 	shardTarget = 1024
 	maxShards   = 32
@@ -52,9 +52,9 @@ func shardRange(n, ns, s int) (lo, hi int) {
 // every writer owns a row of padWidth(...) float64s — a whole number of
 // 64-byte cache lines — and the block base is cache-line aligned via
 // alignRows. Accumulator blocks of evaluations running concurrently on
-// different cores (one per chain evaluator, one per forked batch lane)
-// therefore never share a line with each other. Readers (the sequential
-// in-order reduction) only run after the sweep completes.
+// different cores (one per chain evaluator) therefore never share a line
+// with each other. Readers (the sequential in-order reduction) only run
+// after the sweep completes.
 func padWidth(w int) int {
 	return (w + accPad - 1) / accPad * accPad
 }

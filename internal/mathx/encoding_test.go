@@ -25,7 +25,8 @@ func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
 
 // runnerModes are the ways a job's chains are driven: in one segment,
 // meeting at every CheckInterval segment end, and meeting there with
-// gradients fused by the coalescer.
+// gradients fused by the coalescer — which the runner builds only at
+// GOMAXPROCS 1, so the batched mode runs there.
 var runnerModes = []struct {
 	name string
 	run  func(cfg mcmc.Config, m model.Model) *mcmc.Result
@@ -40,6 +41,7 @@ var runnerModes = []struct {
 		return mcmc.Run(cfg, func() mcmc.Target { return model.NewEvaluator(m) })
 	}},
 	{"batched", func(cfg mcmc.Config, m model.Model) *mcmc.Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		if cfg.CheckpointEvery == 0 {
 			cfg.StopRule = neverStop{}
 		}

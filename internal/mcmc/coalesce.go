@@ -6,68 +6,41 @@ import (
 	"sync/atomic"
 )
 
-// fires is the coalescer's one scheduling rule. inSegment chains may
-// still request gradients this segment; of those, waiting have a request
-// pending and inflight have one inside a running batch, so the rest are
-// computing — on a core, or about to be — between two requests. running
-// batches occupy a core each. Pending requests go out as a batch exactly when a
-// lane is free and the chains still computing plus the batches already
-// running leave a core with nothing to do: a request waits for companions
-// only while every core has other work.
-func fires(lanes, inSegment, waiting, inflight, running int) bool {
-	computing := inSegment - waiting - inflight
-	return waiting > 0 && running < lanes && computing+running < lanes
+// fires is the coalescer's one scheduling rule: pending requests go out
+// as a batch exactly when every chain still in the segment (inSegment of
+// them) has one waiting.
+func fires(inSegment, waiting int) bool {
+	return waiting > 0 && waiting == inSegment
 }
 
-// gradBatch is the snapshot one running batch evaluates: the rows handed
-// to the fused evaluation and who they belong to. Snapshots are pooled on
-// the coalescer, one per lane.
-type gradBatch struct {
-	qs, grads [][]float64 // nil = chain not in this batch
-	member    []bool      // chains whose request this batch serves
-	n         int         // rows: members
-	solo      int         // the one member of a one-row batch, else -1
-}
-
-// gradCoalescer is the rendezvous of the batched gradient path. Chain
-// goroutines submit gradient requests instead of evaluating their targets
-// directly, and pending requests leave as fused batches under the fires
-// rule, up to lanes = min(GOMAXPROCS, chains) batches at a time, each on
-// the goroutine of the chain whose submit or leave made the rule true.
-// Batches in flight at once carry disjoint chains: a chain has one request
-// at a time and a batch takes every pending one.
-//
-// On one core the rule reads "everyone still in the segment is waiting":
-// full sets, one data pass serving all chains — the sharing regime. With
-// cores to spare it trades set size for occupancy: with as many cores as
-// chains every request runs alone at once, served by the chain's own
-// target exactly as on the unbatched path.
+// gradCoalescer is the rendezvous of the batched gradient path, which the
+// runner builds only on one core (see RunContext). Chain goroutines submit
+// gradient requests instead of evaluating their targets directly, and a
+// request parks until every chain still in the segment has submitted one;
+// the chain whose submit or leave completes the set evaluates them all as
+// one fused batch on its own goroutine. One data pass per leapfrog step
+// then serves every chain — the sharing regime.
 //
 // Liveness, with no timer anywhere:
 //   - arm() is called by the runner between segments with the segment's
 //     live set, so inSegment bounds the possible submitters. Chains that
 //     finish their segment (stopped at its end, at a fault or at a
 //     cancel) call leave().
-//   - The rule is evaluated after every submit and every leave. Those are
-//     the only events that can make it true: a batch that ends frees its
-//     lane but returns at least one chain to computing, so it never lowers
-//     computing+running.
-//   - So a request left pending saw lanes or more chains computing or
-//     batches running. A running batch ends and its members compute again;
-//     a computing chain ends in a submit or a leave, which re-evaluates
-//     the rule with one fewer computing. By induction the last of them
-//     finds the rule true: a lone straggler fires for itself, the last
+//   - The rule is evaluated after every submit and every leave. While a
+//     batch runs, every chain still in the segment is parked in it, so
+//     nothing can submit or leave: one batch at a time, reading the
+//     pending requests in place.
+//   - So a request left pending saw a chain computing, and that chain
+//     ends in a submit or a leave, which re-evaluates the rule. The last
+//     of them finds it true: a lone straggler fires for itself, the last
 //     leaver flushes whoever is parked. A chain stalled off-CPU (a slow
-//     iteration) counts as computing; the others wait for it only when
-//     there is no second lane, and then no longer than its stall.
-//   - A panic escaping a batch wakes that batch's members with NaN
-//     (quarantining them via the runner's non-finite check) and re-raises
-//     on the chain that ran it if it was one of them; other lanes never
-//     notice.
+//     iteration) keeps the others waiting exactly as long as it stalls.
+//   - A panic escaping a batch wakes its members with NaN (quarantining
+//     them via the runner's non-finite check) and re-raises on the chain
+//     that ran it if it was one of them.
 type gradCoalescer struct {
 	eval  func(qs, grads [][]float64, lps []float64)
-	inner []Target // per-chain targets serving solo batches; nil = always eval
-	lanes int
+	inner []Target // per-chain targets serving one-row batches; nil = always eval
 
 	// armed gates the wrapped targets: before the first segment (chain
 	// Init, step-size search, warmup of a resumed run's restore)
@@ -77,41 +50,29 @@ type gradCoalescer struct {
 	mu        sync.Mutex
 	inSegment int // live chains that may still submit this segment
 	waiting   int // submitted requests no batch has taken yet
-	inflight  int // rows inside running batches
-	running   int // batches being evaluated
 	qs        [][]float64
 	grads     [][]float64
 	lps       []float64 // per-chain results; stable until that chain's next submit
 	wake      []chan struct{}
-	free      []*gradBatch
 
 	// Accounting (guarded by mu; authoritative for Result.GradBatch).
 	sweeps   int64
 	realRows int64
 }
 
-// newGradCoalescer builds the rendezvous for n chains and up to lanes
-// concurrent batches. inner, when non-nil, holds the chains' own targets.
-func newGradCoalescer(n, lanes int, eval func(qs, grads [][]float64, lps []float64), inner []Target) *gradCoalescer {
+// newGradCoalescer builds the rendezvous for n chains. inner, when
+// non-nil, holds the chains' own targets.
+func newGradCoalescer(n int, eval func(qs, grads [][]float64, lps []float64), inner []Target) *gradCoalescer {
 	co := &gradCoalescer{
 		eval:  eval,
 		inner: inner,
-		lanes: lanes,
 		qs:    make([][]float64, n),
 		grads: make([][]float64, n),
 		lps:   make([]float64, n),
 		wake:  make([]chan struct{}, n),
-		free:  make([]*gradBatch, lanes),
 	}
 	for c := range co.wake {
 		co.wake[c] = make(chan struct{}, 1)
-	}
-	for i := range co.free {
-		co.free[i] = &gradBatch{
-			qs:     make([][]float64, n),
-			grads:  make([][]float64, n),
-			member: make([]bool, n),
-		}
 	}
 	return co
 }
@@ -132,13 +93,12 @@ func (co *gradCoalescer) arm(active []bool) {
 }
 
 // leave removes chain c from the segment once it has stopped stepping in
-// it. One fewer chain is computing, so the rule is re-evaluated: if
-// it now holds, the leaver runs the pending batch itself — nobody parked
-// in it could.
+// it. If everyone left is parked, the leaver runs their batch itself —
+// nobody parked in it could.
 func (co *gradCoalescer) leave(c int) {
 	co.mu.Lock()
 	co.inSegment--
-	if fires(co.lanes, co.inSegment, co.waiting, co.inflight, co.running) {
+	if fires(co.inSegment, co.waiting) {
 		// A batch fault surfaces on its members as NaN; the leaver's own
 		// step already succeeded.
 		co.runBatchLocked(-1)
@@ -154,14 +114,14 @@ func (co *gradCoalescer) report() *GradBatchReport {
 }
 
 // submit hands chain c's gradient request to the rendezvous and returns
-// its result: at once, leading a batch, if the request makes the rule
-// true; otherwise parked until a later submit or leave takes it along.
+// its result: at once, leading a batch, if the request completes the set;
+// otherwise parked until a later submit or leave takes it along.
 func (co *gradCoalescer) submit(c int, q, grad []float64) float64 {
 	co.mu.Lock()
 	co.qs[c] = q
 	co.grads[c] = grad
 	co.waiting++
-	if fires(co.lanes, co.inSegment, co.waiting, co.inflight, co.running) {
+	if fires(co.inSegment, co.waiting) {
 		pv := co.runBatchLocked(c)
 		lp := co.lps[c]
 		co.mu.Unlock()
@@ -175,63 +135,46 @@ func (co *gradCoalescer) submit(c int, q, grad []float64) float64 {
 	return co.lps[c]
 }
 
-// tryEval evaluates the batch, converting a panic to a value. A batch of
-// one row needs no fusing: the chain's own target computes it,
+// tryEval evaluates the pending requests, converting a panic to a value.
+// A batch of one row needs no fusing: the chain's own target computes it,
 // bit-identical by the contract that batch composition never perturbs a
 // result, and cheaper than a one-row sweep.
-func (co *gradCoalescer) tryEval(b *gradBatch) (pv any) {
+func (co *gradCoalescer) tryEval(solo bool) (pv any) {
 	defer func() { pv = recover() }()
-	if c := b.solo; c >= 0 && co.inner != nil {
-		co.lps[c] = co.inner[c].LogDensityGrad(b.qs[c], b.grads[c])
+	if solo && co.inner != nil {
+		for c, q := range co.qs {
+			if q != nil {
+				co.lps[c] = co.inner[c].LogDensityGrad(q, co.grads[c])
+			}
+		}
 		return nil
 	}
-	co.eval(b.qs, b.grads, co.lps)
+	co.eval(co.qs, co.grads, co.lps)
 	return nil
 }
 
-// runBatchLocked moves every pending request into a free snapshot and
-// evaluates it with the lock released, re-acquiring it before returning.
-// leader >= 0 marks the calling chain's own request: it is consumed with
+// runBatchLocked evaluates every pending request as one batch, with the
+// lock released, and wakes its members. Every chain still in the segment
+// is parked in the batch, so nothing touches the requests meanwhile.
+// leader >= 0 marks the calling chain's own request: it is served with
 // the rest but the caller reads its result directly instead of being
 // woken. A panic escaping the evaluation is converted to NaN results for
-// the batch's members — the runner's non-finite check quarantines
-// them — and returned for a leader that is one of them to re-raise.
+// the batch's members — the runner's non-finite check quarantines them —
+// and returned for a leader that is one of them to re-raise.
 func (co *gradCoalescer) runBatchLocked(leader int) any {
-	b := co.free[len(co.free)-1]
-	co.free = co.free[:len(co.free)-1]
-	b.n, b.solo = 0, -1
-	for c, q := range co.qs {
-		b.member[c] = q != nil
-		b.qs[c] = q
-		b.grads[c] = co.grads[c]
-		if q != nil {
-			co.qs[c] = nil
-			co.grads[c] = nil
-			b.n++
-			b.solo = c
-		}
-	}
-	if b.n != 1 {
-		b.solo = -1
-	}
-	co.waiting = 0
-	co.inflight += b.n
-	co.running++
-	co.realRows += int64(b.n)
+	n := co.waiting
 	co.mu.Unlock()
-
-	pv := co.tryEval(b)
-
+	pv := co.tryEval(n == 1)
 	co.mu.Lock()
-	co.running--
-	co.inflight -= b.n
+	co.realRows += int64(n)
 	if pv == nil {
 		co.sweeps++
 	}
-	for c, m := range b.member {
-		if !m {
+	for c, q := range co.qs {
+		if q == nil {
 			continue
 		}
+		co.qs[c], co.grads[c] = nil, nil
 		if pv != nil {
 			co.lps[c] = math.NaN()
 		}
@@ -239,7 +182,7 @@ func (co *gradCoalescer) runBatchLocked(leader int) any {
 			co.wake[c] <- struct{}{}
 		}
 	}
-	co.free = append(co.free, b)
+	co.waiting = 0
 	return pv
 }
 

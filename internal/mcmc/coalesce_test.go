@@ -82,21 +82,25 @@ func (m *batchedGLMModel) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.
 }
 
 // runBatched runs cfg over a fresh BatchEvaluator for m, wired to the
-// fused gradient path.
-func runBatched(t *testing.T, m *batchedGLMModel, cfg Config) (*Result, *model.BatchEvaluator) {
+// fused gradient path, and returns how many times BatchGrad was called.
+func runBatched(t *testing.T, m *batchedGLMModel, cfg Config) (*Result, int64) {
 	t.Helper()
 	be, ok := model.NewBatchEvaluator(m, cfg.Chains)
 	if !ok {
 		t.Fatal("model is not batchable")
 	}
+	var calls atomic.Int64
 	next := 0
-	cfg.BatchGrad = be.LogDensityGradBatch
+	cfg.BatchGrad = func(qs, grads [][]float64, lps []float64) {
+		calls.Add(1)
+		be.LogDensityGradBatch(qs, grads, lps)
+	}
 	res := Run(cfg, func() Target {
 		c := next
 		next++
 		return be.Chain(c)
 	})
-	return res, be
+	return res, calls.Load()
 }
 
 // withProcs runs f at GOMAXPROCS n — the only parallelism input the
@@ -106,14 +110,22 @@ func withProcs(n int, f func()) {
 	f()
 }
 
+// pinOneProc runs the rest of t at GOMAXPROCS 1, the only setting at
+// which the runner builds a coalescer, and restores the previous setting
+// once t and its subtests are done.
+func pinOneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestCoalescedLockstepDeterminism is the end-to-end draw-preservation
 // guarantee of the batched gradient path: a parallel run with a StopRule
-// and the coalescer active must produce draws bit-identical to the same run
+// and BatchGrad set must produce draws bit-identical to the same run
 // evaluating each chain independently — for both samplers, at every
-// GOMAXPROCS (one lane of full sets, two lanes, a lane per chain), on a
-// fresh run, across a checkpoint/resume, and with a chain quarantined.
-// How requests group into sweeps is scheduling; the rows are not: every
-// gradient a chain demanded within a segment is evaluated exactly once.
+// GOMAXPROCS, on a fresh run, across a checkpoint/resume, and with a chain
+// quarantined. At GOMAXPROCS 1 the coalescer runs full sets and every
+// gradient a chain demanded within a segment is evaluated exactly once;
+// with more cores it is never built.
 func TestCoalescedLockstepDeterminism(t *testing.T) {
 	m := newBatchedGLMModel(1200, 2, 6, 97)
 	for _, kind := range []SamplerKind{HMC, NUTS} {
@@ -144,15 +156,19 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 					sameDraws(t, label+" batched-vs-per-chain", plain, batched)
 
 					gb := batched.GradBatch
-					if gb == nil || gb.Sweeps == 0 {
-						t.Fatalf("%s: coalescer never executed a batch", label)
-					}
-					if demand := batched.TotalWork(); gb.RealRows != demand {
-						t.Errorf("%s: %d rows evaluated for a demand of %d gradients",
-							label, gb.RealRows, demand)
-					}
-					if procs == 1 {
-						// One lane waits for full sets: every sweep carries
+					if procs > 1 {
+						if gb != nil {
+							t.Errorf("%s: coalescer built beside a second core: %+v", label, gb)
+						}
+					} else {
+						if gb == nil || gb.Sweeps == 0 {
+							t.Fatalf("%s: coalescer never executed a batch", label)
+						}
+						if demand := batched.TotalWork(); gb.RealRows != demand {
+							t.Errorf("%s: %d rows evaluated for a demand of %d gradients",
+								label, gb.RealRows, demand)
+						}
+						// The coalescer waits for full sets: every sweep carries
 						// every chain still in the segment, so a segment costs
 						// as many sweeps as its busiest chain has leapfrogs.
 						fullSets := int64(0)
@@ -199,70 +215,40 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 			// still agree (the coalescer only engages on the parallel path).
 			seqCfg := base
 			seqCfg.Parallel = false
-			seq, be := runBatched(t, m, seqCfg)
+			seq, calls := runBatched(t, m, seqCfg)
 			sameDraws(t, kind.String()+" sequential ignores BatchGrad", plain, seq)
-			if s, _ := be.Occupancy(); s != 0 || seq.GradBatch != nil {
-				t.Errorf("sequential run executed %d fused sweeps, want 0 and no report", s)
+			if calls != 0 || seq.GradBatch != nil {
+				t.Errorf("sequential run executed %d fused sweeps, want 0 and no report", calls)
 			}
 		})
 	}
 }
 
 // TestCoalescerFireRule is the truth table of the scheduling rule, then
-// its two structural consequences checked over every reachable small
-// state: one lane fires exactly on full sets, and a batch that ends never
-// makes the rule true — which is why only submit and leave evaluate it.
+// its defining property checked over every small state: it fires exactly
+// on full sets.
 func TestCoalescerFireRule(t *testing.T) {
 	for _, tc := range []struct {
-		name                                       string
-		lanes, inRound, waiting, inflight, running int
-		want                                       bool
+		name             string
+		inRound, waiting int
+		want             bool
 	}{
-		{"nothing pending", 2, 4, 0, 0, 0, false},
-		{"one lane, partial set", 1, 4, 3, 0, 0, false},
-		{"one lane, full set", 1, 4, 4, 0, 0, true},
-		{"one lane, full set of the survivors", 1, 2, 2, 0, 0, true},
-		{"one lane, busy", 1, 4, 1, 3, 1, false},
-		{"two lanes, both cores computing", 2, 4, 2, 0, 0, false},
-		{"two lanes, one core would idle", 2, 4, 3, 0, 0, true},
-		{"two lanes, a batch and a computing chain", 2, 4, 1, 2, 1, false},
-		{"two lanes, straggler beside a batch", 2, 4, 1, 3, 1, true},
-		{"two lanes, both running", 2, 4, 1, 2, 2, false},
-		{"lane per chain, alone at once", 4, 4, 1, 0, 0, true},
-		{"lane per chain, beside three solos", 4, 4, 1, 3, 3, true},
-		{"lone survivor", 2, 1, 1, 0, 0, true},
+		{"nothing pending", 4, 0, false},
+		{"partial set", 4, 3, false},
+		{"full set", 4, 4, true},
+		{"full set of the survivors", 2, 2, true},
+		{"lone survivor", 1, 1, true},
 	} {
-		if got := fires(tc.lanes, tc.inRound, tc.waiting, tc.inflight, tc.running); got != tc.want {
-			t.Errorf("%s: fires(lanes=%d inRound=%d waiting=%d inflight=%d running=%d) = %v, want %v",
-				tc.name, tc.lanes, tc.inRound, tc.waiting, tc.inflight, tc.running, got, tc.want)
+		if got := fires(tc.inRound, tc.waiting); got != tc.want {
+			t.Errorf("%s: fires(inRound=%d waiting=%d) = %v, want %v",
+				tc.name, tc.inRound, tc.waiting, got, tc.want)
 		}
 	}
 	const n = 6
-	for lanes := 1; lanes <= n; lanes++ {
-		for inRound := 0; inRound <= n; inRound++ {
-			for waiting := 0; waiting <= inRound; waiting++ {
-				for inflight := 0; waiting+inflight <= inRound; inflight++ {
-					// Every running batch carries at least one real row, and
-					// rows are in flight only inside a running batch.
-					for running := min(inflight, 1); running <= inflight && running <= lanes; running++ {
-						got := fires(lanes, inRound, waiting, inflight, running)
-						if lanes == 1 {
-							if full := waiting > 0 && waiting == inRound; got != full {
-								t.Fatalf("one lane, inRound=%d waiting=%d inflight=%d running=%d: fires=%v, full set=%v",
-									inRound, waiting, inflight, running, got, full)
-							}
-						}
-						if got || running == 0 {
-							continue
-						}
-						for rows := 1; rows <= inflight-(running-1); rows++ {
-							if fires(lanes, inRound, waiting, inflight-rows, running-1) {
-								t.Fatalf("a batch of %d ending turned the rule true: lanes=%d inRound=%d waiting=%d inflight=%d running=%d",
-									rows, lanes, inRound, waiting, inflight, running)
-							}
-						}
-					}
-				}
+	for inRound := 0; inRound <= n; inRound++ {
+		for waiting := 0; waiting <= inRound; waiting++ {
+			if got, full := fires(inRound, waiting), waiting > 0 && waiting == inRound; got != full {
+				t.Fatalf("inRound=%d waiting=%d: fires=%v, full set=%v", inRound, waiting, got, full)
 			}
 		}
 	}
@@ -287,12 +273,11 @@ func countingEval(sizes *[]int, mu *sync.Mutex) func(qs, grads [][]float64, lps 
 	}
 }
 
-// waitState blocks until the coalescer has parked requests pending and
-// running batches being evaluated.
-func waitState(co *gradCoalescer, parked, running int) {
+// waitState blocks until the coalescer has parked requests pending.
+func waitState(co *gradCoalescer, parked int) {
 	for {
 		co.mu.Lock()
-		ok := co.waiting == parked && co.running == running
+		ok := co.waiting == parked
 		co.mu.Unlock()
 		if ok {
 			return
@@ -301,17 +286,18 @@ func waitState(co *gradCoalescer, parked, running int) {
 	}
 }
 
-// TestCoalescerFullSetFiresOnce: with one lane — GOMAXPROCS=1, the
-// sharing regime — requests park until every in-segment chain has
+// TestCoalescerFullSetFiresOnce: requests park until every in-segment
+// chain has
 // submitted, and the last submitter runs exactly one fused evaluation
 // carrying all of them. Chains in step with each other, as HMC
 // trajectories of equal length are, therefore keep every slot of every
 // sweep filled: occupancy 4 of 4.
 func TestCoalescerFullSetFiresOnce(t *testing.T) {
+	pinOneProc(t)
 	const chains, leapfrogs = 4, 25
 	var mu sync.Mutex
 	var sizes []int
-	co := newGradCoalescer(chains, 1, countingEval(&sizes, &mu), nil)
+	co := newGradCoalescer(chains, countingEval(&sizes, &mu), nil)
 	co.arm([]bool{true, true, true, true})
 	var wg sync.WaitGroup
 	for c := 0; c < chains; c++ {
@@ -345,9 +331,10 @@ func TestCoalescerFullSetFiresOnce(t *testing.T) {
 // the others are parked in the rendezvous must flush the pending partial
 // batch on its way out — there is no timer, nothing else would.
 func TestCoalescerLastLeaverFlushes(t *testing.T) {
+	pinOneProc(t)
 	var mu sync.Mutex
 	var sizes []int
-	co := newGradCoalescer(3, 1, countingEval(&sizes, &mu), nil)
+	co := newGradCoalescer(3, countingEval(&sizes, &mu), nil)
 	co.arm([]bool{true, true, true})
 	qs := [][]float64{{0}, {1}, {2}}
 	grads := [][]float64{{0}, {0}, {0}}
@@ -361,7 +348,7 @@ func TestCoalescerLastLeaverFlushes(t *testing.T) {
 			}
 		}(c)
 	}
-	waitState(co, 2, 0)
+	waitState(co, 2)
 	co.leave(2) // chain 2 needs no gradient this round: flush on its way out
 	wg.Wait()
 	co.leave(0)
@@ -374,37 +361,29 @@ func TestCoalescerLastLeaverFlushes(t *testing.T) {
 // TestCoalescerLoneStragglerFires: the last chain still in the round has
 // nobody to wait for, so each of its requests fires at once, alone, on its
 // own goroutine — served by the chain's own target when the coalescer has
-// it, by the batch evaluation otherwise. With a second lane the same
-// holds while another chain is still computing.
+// it, by the batch evaluation otherwise.
 func TestCoalescerLoneStragglerFires(t *testing.T) {
+	pinOneProc(t)
 	var mu sync.Mutex
 	var sizes []int
 	inner := []Target{&soloTarget{lp: 7}, &soloTarget{lp: 8}}
 	for _, tc := range []struct {
-		name       string
-		lanes      int
-		inner      []Target
-		leaveFirst bool
-		want       float64
-		batches    int
+		name    string
+		inner   []Target
+		want    float64
+		batches int
 	}{
-		{"one lane, companion left, fused", 1, nil, true, 100, 1},
-		{"one lane, companion left, own target", 1, inner, true, 7, 0},
-		{"two lanes, companion computing", 2, inner, false, 7, 0},
+		{"companion left, fused", nil, 100, 1},
+		{"companion left, own target", inner, 7, 0},
 	} {
 		sizes = sizes[:0]
-		co := newGradCoalescer(2, tc.lanes, countingEval(&sizes, &mu), tc.inner)
+		co := newGradCoalescer(2, countingEval(&sizes, &mu), tc.inner)
 		co.arm([]bool{true, true})
-		if tc.leaveFirst {
-			co.leave(1)
-		}
+		co.leave(1)
 		if lp := co.submit(0, []float64{0}, []float64{0}); lp != tc.want {
 			t.Errorf("%s: lp %v, want %v", tc.name, lp, tc.want)
 		}
 		co.leave(0)
-		if !tc.leaveFirst {
-			co.leave(1)
-		}
 		if len(sizes) != tc.batches {
 			t.Errorf("%s: fused batch sizes %v, want %d of them", tc.name, sizes, tc.batches)
 		}
@@ -422,81 +401,13 @@ func (s *soloTarget) Dim() int                              { return 1 }
 func (s *soloTarget) LogDensity([]float64) float64          { return s.lp }
 func (s *soloTarget) LogDensityGrad(q, g []float64) float64 { g[0] = s.lp; return s.lp }
 
-// TestCoalescerLanesDisjoint drives four chains through a two-lane
-// coalescer with an evaluation slow enough for batches to overlap: no
-// chain may ever be in two running batches, no more than two batches may
-// run at once, and every request must come back with its own result.
-func TestCoalescerLanesDisjoint(t *testing.T) {
-	const chains, lanes, rounds = 4, 2, 200
-	var busy [chains]atomic.Bool
-	var running, peak, batches atomic.Int32
-	eval := func(qs, grads [][]float64, lps []float64) {
-		now := running.Add(1)
-		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
-		}
-		batches.Add(1)
-		for c, q := range qs {
-			if q == nil {
-				continue
-			}
-			if !busy[c].CompareAndSwap(false, true) {
-				t.Errorf("chain %d is in two running batches", c)
-			}
-		}
-		runtime.Gosched() // let the other lane start while this one holds its rows
-		for c, q := range qs {
-			if q == nil {
-				continue
-			}
-			lps[c] = q[0]
-			grads[c][0] = -q[0]
-			busy[c].Store(false)
-		}
-		running.Add(-1)
-	}
-	co := newGradCoalescer(chains, lanes, eval, nil)
-	active := []bool{true, true, true, true}
-	for r := 0; r < rounds; r++ {
-		co.arm(active)
-		var wg sync.WaitGroup
-		for c := 0; c < chains; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				q, g := []float64{0}, []float64{0}
-				// Uneven trajectories, like NUTS: chain c asks 1+c+r%3 times.
-				for i := 0; i < 1+c+r%3; i++ {
-					q[0] = float64(1000*r + 10*c + i)
-					if lp := co.submit(c, q, g); lp != q[0] || g[0] != -q[0] {
-						t.Errorf("round %d chain %d request %d: got lp %v grad %v", r, c, i, lp, g[0])
-					}
-				}
-				co.leave(c)
-			}(c)
-		}
-		wg.Wait()
-	}
-	if p := peak.Load(); p > lanes {
-		t.Errorf("%d batches ran at once on %d lanes", p, lanes)
-	}
-	rep := co.report()
-	want := int64(0)
-	for r := 0; r < rounds; r++ {
-		for c := 0; c < chains; c++ {
-			want += int64(1 + c + r%3)
-		}
-	}
-	if rep.RealRows != want || rep.Sweeps != int64(batches.Load()) {
-		t.Errorf("accounted %d rows in %d sweeps, want %d rows in %d", rep.RealRows, rep.Sweeps, want, batches.Load())
-	}
-}
-
 // TestCoalescerPanicQuarantine: a panic escaping the fused evaluation
 // re-raises on the chain that ran the batch and surfaces as NaN on every
 // other member, so nobody is stranded and the runner's non-finite check
 // quarantines the members.
 func TestCoalescerPanicQuarantine(t *testing.T) {
-	co := newGradCoalescer(2, 1, func(qs, grads [][]float64, lps []float64) {
+	pinOneProc(t)
+	co := newGradCoalescer(2, func(qs, grads [][]float64, lps []float64) {
 		panic("kernel fault")
 	}, nil)
 	co.arm([]bool{true, true})
@@ -533,72 +444,13 @@ func TestCoalescerPanicQuarantine(t *testing.T) {
 	}
 }
 
-// TestCoalescerPanicStaysInItsLane: with two lanes, a batch that panics
-// poisons its own members only — the request being evaluated beside it in
-// the other lane returns its clean result.
-func TestCoalescerPanicStaysInItsLane(t *testing.T) {
-	faultGate, cleanGate := make(chan struct{}), make(chan struct{})
-	eval := func(qs, grads [][]float64, lps []float64) {
-		if qs[2] != nil {
-			<-cleanGate
-			lps[2] = 42
-			return
-		}
-		<-faultGate
-		panic("kernel fault")
-	}
-	co := newGradCoalescer(3, 2, eval, nil)
-	co.arm([]bool{true, true, true})
-	var parked, clean float64
-	var recovered any
-	var faulted, cleaned sync.WaitGroup
-	faulted.Add(2)
-	go func() { // chain 0 parks: two chains are still computing
-		defer faulted.Done()
-		parked = co.submit(0, []float64{0}, []float64{0})
-	}()
-	waitState(co, 1, 0)
-	go func() { // chain 1 leaves one chain computing: it leads {0, 1}
-		defer faulted.Done()
-		defer func() { recovered = recover() }()
-		co.submit(1, []float64{0}, []float64{0})
-	}()
-	waitState(co, 0, 1)
-	cleaned.Add(1)
-	go func() { // chain 2 has a free lane and nobody to wait for
-		defer cleaned.Done()
-		clean = co.submit(2, []float64{0}, []float64{0})
-	}()
-	waitState(co, 0, 2)
-	close(faultGate)
-	faulted.Wait()
-	close(cleanGate)
-	cleaned.Wait()
-	for c := 0; c < 3; c++ {
-		co.leave(c)
-	}
-	if recovered != "kernel fault" {
-		t.Errorf("leader recovered %v, want the kernel fault", recovered)
-	}
-	if !math.IsNaN(parked) {
-		t.Errorf("faulted batch's member got lp %v, want NaN", parked)
-	}
-	if clean != 42 {
-		t.Errorf("the other lane's request got lp %v, want 42", clean)
-	}
-	if rep := co.report(); rep.Sweeps != 1 || rep.RealRows != 3 {
-		t.Errorf("accounted %d clean sweeps / %d rows, want 1 / 3", rep.Sweeps, rep.RealRows)
-	}
-}
-
-// TestCoalescerRoundZeroAlloc guards the steady-state round loop: with
-// two lanes, a round in which one chain's batch runs beside the other's —
-// arm, park, overlapping batches from pooled snapshots, wake, leave —
+// TestCoalescerRoundZeroAlloc guards the steady-state round loop: a
+// round — arm, park, a full set, a set shrunk by a leaver, wake, leave —
 // must not allocate once the coalescer is warm.
 func TestCoalescerRoundZeroAlloc(t *testing.T) {
+	pinOneProc(t)
 	const chains = 3
-	co := newGradCoalescer(chains, 2, func(qs, grads [][]float64, lps []float64) {
-		runtime.Gosched() // AllocsPerRun measures on one P: yield so the lanes overlap anyway
+	co := newGradCoalescer(chains, func(qs, grads [][]float64, lps []float64) {
 		for c, q := range qs {
 			if q != nil {
 				lps[c] = 1

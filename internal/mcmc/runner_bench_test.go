@@ -297,9 +297,9 @@ func BenchmarkGradientNormalGLMTape(b *testing.B) {
 // ---- Cross-chain batched gradient benchmarks ----
 //
 // The Batched/Unbatched pairs below measure the same seeded parallel
-// run, segmented by a StopRule, with and without the gradient coalescer:
+// run, segmented by a StopRule, with and without BatchGrad: at one proc
 // batched runs fuse all chains' gradient requests into one cache-blocked
-// data sweep per step. BenchmarkGradientBatch isolates that sweep across chain
+// data sweep per step; at more the runner ignores BatchGrad. BenchmarkGradientBatch isolates that sweep across chain
 // counts.
 
 func (m *normalGLMBench) BatchKernels() []kernels.Batcher {
@@ -368,15 +368,14 @@ func BenchmarkRunnerBatchedLockstep4(b *testing.B)   { benchLockstepGLM(b, true,
 func BenchmarkRunnerUnbatchedLockstep4(b *testing.B) { benchLockstepGLM(b, false, 4) }
 
 // The Registry pair is the end-to-end check of the coalescer on real
-// jobs: registry workloads wired
-// the way bayesd runs them (NUTS, 4 chains, convergence stop rule,
-// a checkpoint every 50 iterations), with and without the coalescer.
-// NUTS trajectories differ in length chain to chain, so this is the
-// regime where a rendezvous that waits for full sets idles cores. Both
-// sides draw the same numbers and stop at the same iteration; grads/s is
-// their common gradient count over wall time. Run at -cpu 1,2 (make
-// bench-runner): one core shows what sharing the data pass buys, two
-// what it costs against chains that simply run side by side.
+// jobs: registry workloads wired the way bayesd runs them (NUTS, 4
+// chains, convergence stop rule, a checkpoint every 50 iterations), with
+// and without BatchGrad. Both sides draw the same numbers and stop at the
+// same iteration; grads/s is their common gradient count over wall time.
+// Run at -cpu 1,2 (make bench-runner): one core shows what sharing the
+// data pass buys. At two cores the runner builds no coalescer, so both
+// sides run the same free-running chains and should read alike; served
+// by bayesd, the rendezvous lost 1.3× there (DESIGN.md, "Runner layer").
 func benchRegistry(b *testing.B, batched bool) {
 	for _, job := range []struct {
 		workload string

@@ -109,12 +109,12 @@ type PlacementDecision struct {
 // GradBatchStats is a job's cross-chain gradient batching accounting:
 // how many data sweeps the run executed, how many chain gradient
 // evaluations (rows) those sweeps carried, and their ratio — the mean
-// number of chains served per sweep. Occupancy near the chain count means
-// the chains' gradient requests met in full sets on a single core (the
-// data was streamed from the cache hierarchy once per set, not once per
-// chain); occupancy near 1 means there were cores enough to run every
-// request at once. ChainEvals is fixed by the spec; Sweeps depends on how
-// requests met at the rendezvous and varies between runs of one spec.
+// number of chains served per sweep. The runner fuses only at GOMAXPROCS
+// 1, where the chains' gradient requests meet in full sets (the data is
+// streamed from the cache hierarchy once per set, not once per chain), so
+// occupancy reads near the chain count, lower only where chains that
+// finished their segment early left the set. ChainEvals is fixed by the
+// spec.
 type GradBatchStats struct {
 	Sweeps        int64   `json:"sweeps"`
 	ChainEvals    int64   `json:"chain_evals"`
@@ -173,7 +173,7 @@ type JobStatus struct {
 
 	// GradBatch is the most recent attempt's gradient batching accounting
 	// (absent when the model exposes no batched kernels or the run never
-	// coalesced a sweep).
+	// coalesced a sweep — as on any node with more than one core).
 	GradBatch *GradBatchStats `json:"grad_batch,omitempty"`
 
 	// Elided: the run stopped early on convergence. Interrupted: it was

@@ -802,14 +802,13 @@ func (s *Server) runJobLocked(job *Job) {
 	}
 	// Cross-chain gradient batching: when the workload exposes batched
 	// kernels, hand the run one fused evaluator whose per-chain targets
-	// rendezvous within each segment into cache-blocked data sweeps.
-	// Batched results are bit-identical to per-chain evaluation, so the
-	// determinism contract (equal specs ⇒ equal draws) is unaffected —
-	// including checkpoint-resume retries.
+	// the runner rendezvouses into cache-blocked data sweeps — on one core
+	// only; with more, the chains step on those targets alone (see
+	// mcmc.Config.BatchGrad). Batched results are bit-identical to
+	// per-chain evaluation, so the determinism contract (equal specs ⇒
+	// equal draws) is unaffected — including checkpoint-resume retries.
 	factory := func() mcmc.Target { return model.NewEvaluator(w.Model) }
-	var be *model.BatchEvaluator
-	if b, ok := model.NewBatchEvaluator(w.Model, job.spec.Chains); ok {
-		be = b
+	if be, ok := model.NewBatchEvaluator(w.Model, job.spec.Chains); ok {
 		cfg.BatchGrad = be.LogDensityGradBatch
 		next := 0
 		factory = func() mcmc.Target { // called sequentially by the runner
@@ -820,18 +819,13 @@ func (s *Server) runJobLocked(job *Job) {
 	}
 	res := mcmc.RunContext(ctx, cfg, factory)
 
-	if be != nil {
-		job.mu.Lock()
-		if gb := res.GradBatch; gb != nil {
-			// The coalescer's report is authoritative: the kernel-layer
-			// counters miss one-row batches served by a chain's own target.
-			job.batchSweeps, job.batchChainEvals = gb.Sweeps, gb.RealRows
-		} else {
-			sweeps, evals := be.Occupancy()
-			job.batchSweeps, job.batchChainEvals = sweeps, evals
-		}
-		job.mu.Unlock()
+	var sweeps, rows int64
+	if gb := res.GradBatch; gb != nil {
+		sweeps, rows = gb.Sweeps, gb.RealRows
 	}
+	job.mu.Lock()
+	job.batchSweeps, job.batchChainEvals = sweeps, rows // this attempt's, like faults
+	job.mu.Unlock()
 
 	faults := res.Faults()
 	if len(faults) > 0 {

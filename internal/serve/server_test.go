@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -373,8 +374,11 @@ func TestSubmitValidation(t *testing.T) {
 // gradients through the fused cross-chain sweep, reports the batch
 // occupancy in its status, and — the determinism contract — still
 // produces bit-identical draws across identical specs. The server-wide
-// stats aggregate the same accounting.
+// stats aggregate the same accounting. It runs at GOMAXPROCS 1, the only
+// setting at which the runner fuses.
 func TestGradBatchOccupancy(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	s := NewServer(Config{Workers: 1, QueueCap: 4, Predictor: testPredictor()})
 	spec := JobSpec{Workload: "12cities", Scale: 0.1, Iterations: 60, Chains: 4, Seed: 11, NoElide: true}
 	job, err := s.Submit(spec)

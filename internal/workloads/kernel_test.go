@@ -3,7 +3,7 @@ package workloads
 import (
 	"math"
 	"runtime"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bayessuite/internal/mcmc"
@@ -181,10 +181,12 @@ type neverStop struct{}
 func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
 
 // TestKernelWorkloadParallelismDeterminism pins the one parallelism input
-// the kernel-backed path has left: a seeded run of a real workload on the
-// batched gradient path — fused sweeps, as many lanes as GOMAXPROCS allows
-// — must produce, at GOMAXPROCS 1, 2 and 8, the very draws a one-segment run
-// of per-chain evaluators produces.
+// the kernel-backed path has left: a seeded run of a real workload with
+// BatchGrad set must produce, at GOMAXPROCS 1, 2 and 8, the very draws a
+// one-segment run of per-chain evaluators produces. GOMAXPROCS also
+// decides the path: at 1 every demanded gradient goes through the
+// coalescer, with more cores BatchGrad is never called and the chains
+// step on their own evaluators.
 func TestKernelWorkloadParallelismDeterminism(t *testing.T) {
 	wl, _ := New("ad", 0.25, 9)
 	cfg := mcmc.Config{Chains: 4, Iterations: 120, Seed: 77}
@@ -200,17 +202,26 @@ func TestKernelWorkloadParallelismDeterminism(t *testing.T) {
 			if !ok {
 				t.Fatal("ad is not batchable")
 			}
+			var calls atomic.Int64
 			bcfg := cfg
-			bcfg.BatchGrad = be.LogDensityGradBatch
+			bcfg.BatchGrad = func(qs, grads [][]float64, lps []float64) {
+				calls.Add(1)
+				be.LogDensityGradBatch(qs, grads, lps)
+			}
 			next := 0
 			res := mcmc.Run(bcfg, func() mcmc.Target {
 				c := next
 				next++
 				return be.Chain(c)
 			})
-			if res.GradBatch == nil || res.GradBatch.RealRows != res.TotalWork() {
-				t.Fatalf("GOMAXPROCS %d: batched path accounted %+v for %d demanded gradients",
-					procs, res.GradBatch, res.TotalWork())
+			if procs == 1 {
+				if res.GradBatch == nil || res.GradBatch.RealRows != res.TotalWork() {
+					t.Fatalf("GOMAXPROCS 1: batched path accounted %+v for %d demanded gradients",
+						res.GradBatch, res.TotalWork())
+				}
+			} else if res.GradBatch != nil || calls.Load() != 0 {
+				t.Fatalf("GOMAXPROCS %d: coalescer built (%+v, %d BatchGrad calls), want free-running chains",
+					procs, res.GradBatch, calls.Load())
 			}
 			got := res.Draws()
 			for c := range want {
@@ -265,10 +276,8 @@ var batchable = map[string]bool{"tickets": true, "memory": true, "ad": true, "12
 // every batchable workload: a fused LogDensityGradBatch over K chains
 // must reproduce each chain's independent LogDensityGrad bit-for-bit —
 // including a chain sitting at a non-finite point, which must quarantine
-// to lp=-Inf with a zero gradient without disturbing its batchmates —
-// whether the K rows go through one call or through two concurrent calls
-// over disjoint rows, the way the coalescer's lanes split them. Every
-// other model, and every legacy tape model, must not be batchable.
+// to lp=-Inf with a zero gradient without disturbing its batchmates.
+// Every other model, and every legacy tape model, must not be batchable.
 func TestBatchedWorkloadBitIdentical(t *testing.T) {
 	const K = 4
 	for _, w := range All(0.5, 3) {
@@ -296,40 +305,26 @@ func TestBatchedWorkloadBitIdentical(t *testing.T) {
 				grads[c] = make([]float64, dim)
 				want[c] = make([]float64, dim)
 			}
-			for _, lanes := range []int{1, 2} {
-				for trial := 0; trial < 3; trial++ {
-					for c := 0; c < K; c++ {
-						for i := range qs[c] {
-							qs[c][i] = 0.5 * r.Norm()
-						}
+			for trial := 0; trial < 3; trial++ {
+				for c := 0; c < K; c++ {
+					for i := range qs[c] {
+						qs[c][i] = 0.5 * r.Norm()
 					}
-					if trial == 2 {
-						qs[1][0] = math.NaN() // quarantine candidate mid-batch
+				}
+				if trial == 2 {
+					qs[1][0] = math.NaN() // quarantine candidate mid-batch
+				}
+				be.LogDensityGradBatch(qs, grads, lps)
+				for c := 0; c < K; c++ {
+					wantLP := ref.LogDensityGrad(qs[c], want[c])
+					if lps[c] != wantLP {
+						t.Errorf("trial %d chain %d: batched lp %.17g != single %.17g",
+							trial, c, lps[c], wantLP)
 					}
-					var wg sync.WaitGroup
-					for l := 0; l < lanes; l++ {
-						mine := make([][]float64, K)
-						for c := l; c < K; c += lanes {
-							mine[c] = qs[c]
-						}
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							be.LogDensityGradBatch(mine, grads, lps)
-						}()
-					}
-					wg.Wait()
-					for c := 0; c < K; c++ {
-						wantLP := ref.LogDensityGrad(qs[c], want[c])
-						if lps[c] != wantLP {
-							t.Errorf("lanes=%d trial %d chain %d: batched lp %.17g != single %.17g",
-								lanes, trial, c, lps[c], wantLP)
-						}
-						for i := range want[c] {
-							if grads[c][i] != want[c][i] {
-								t.Fatalf("lanes=%d trial %d chain %d grad[%d]: batched %.17g != single %.17g",
-									lanes, trial, c, i, grads[c][i], want[c][i])
-							}
+					for i := range want[c] {
+						if grads[c][i] != want[c][i] {
+							t.Fatalf("trial %d chain %d grad[%d]: batched %.17g != single %.17g",
+								trial, c, i, grads[c][i], want[c][i])
 						}
 					}
 				}
