@@ -204,6 +204,17 @@ func (t *Tape) Custom(val float64, inputs []Var, partials []float64) Var {
 	return t.EndFused(mark, val)
 }
 
+// CustomChecked is Custom for a value and partials a fused kernel computed
+// in floats. A NaN value or a non-finite partial is raised as a panic with
+// a typed *ErrNonFinite carrying op and the offending input's index; a
+// -Inf value passes as an ordinary rejection.
+func (t *Tape) CustomChecked(op string, val float64, inputs []Var, partials []float64) Var {
+	if err := CheckFinite(op, val, partials); err != nil {
+		panic(err)
+	}
+	return t.Custom(val, inputs, partials)
+}
+
 // Scratch hands out an n-length float64 block from the tape's scratch
 // arena. Blocks are valid until the next Reset; their contents are
 // unspecified (callers must initialise what they read). Once the arena

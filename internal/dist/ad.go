@@ -102,20 +102,53 @@ func CauchyLPDF(t *ad.Tape, x, loc, scale ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// HalfCauchyLPDF records the half-Cauchy log density for x >= 0, scale
-// fixed. The caller guarantees positivity via a Lower transform.
-func HalfCauchyLPDF(t *ad.Tape, x ad.Var, scale float64) ad.Var {
-	v := x.Value()
-	z := v / scale
-	val := math.Ln2 - math.Log(math.Pi) - math.Log(scale) - math.Log1p(z*z)
-	return t.EndFusedSingle(x, -2*z/(1+z*z)/scale, val)
-}
-
-// The four densities below take constant parameters, so the part of the
+// The five densities below take constant parameters, so the part of the
 // log density that depends on them alone is computed once, by the New*
 // constructor, and added by LPDF in the position the closed form puts it:
 // a model that builds its priors once pays no lgamma or log per
 // evaluation, and values are bit-identical to evaluating the closed form.
+
+// HalfCauchy is the half-Cauchy density on x >= 0 with constant scale.
+type HalfCauchy struct{ scale, norm float64 }
+
+// NewHalfCauchy returns the half-Cauchy family with the given scale.
+func NewHalfCauchy(scale float64) HalfCauchy {
+	return HalfCauchy{scale: scale, norm: math.Ln2 - math.Log(math.Pi) - math.Log(scale)}
+}
+
+// LPDF records log HalfCauchy(x | scale). The caller guarantees
+// positivity via a Lower transform.
+func (d HalfCauchy) LPDF(t *ad.Tape, x ad.Var) ad.Var {
+	z := x.Value() / d.scale
+	val := d.norm - math.Log1p(z*z)
+	return t.EndFusedSingle(x, -2*z/(1+z*z)/d.scale, val)
+}
+
+// LogScaleLPDF records sum_i log HalfCauchy(exp(q_i) | scale) + q_i, the
+// prior of positive parameters sampled on the log scale with the Jacobian
+// of x = exp(q) included, as one node. The exponentials come from one
+// mathx.ExpBlock call. The partial 1 − 2z²/(1+z²), z = exp(q)/scale, is
+// written 2/(1+z²) − 1, which stays finite where z² overflows.
+func (d HalfCauchy) LogScaleLPDF(t *ad.Tape, q []ad.Var) ad.Var {
+	g := expValues(t, q)
+	val := 0.0
+	for i, qi := range q {
+		z := g[i] / d.scale
+		val += d.norm - math.Log1p(z*z) + qi.Value()
+		g[i] = 2/(1+z*z) - 1
+	}
+	return t.CustomChecked("halfcauchy_log_scale", val, q, g)
+}
+
+// expValues returns exp(q_i) for every input in one tape scratch block.
+func expValues(t *ad.Tape, q []ad.Var) []float64 {
+	g := t.Scratch(len(q))
+	for i, qi := range q {
+		g[i] = qi.Value()
+	}
+	mathx.ExpBlock(g, g)
+	return g
+}
 
 // StudentT is the Student-t density with constant degrees of freedom nu.
 type StudentT struct{ nu, norm float64 }
@@ -153,6 +186,22 @@ func (d Gamma) LPDF(t *ad.Tape, x ad.Var) ad.Var {
 	v := x.Value()
 	val := d.norm + (d.alpha-1)*math.Log(v) - d.beta*v
 	return t.EndFusedSingle(x, (d.alpha-1)/v-d.beta, val)
+}
+
+// LogScaleLPDF records sum_i log Gamma(exp(q_i) | alpha, beta) + q_i, the
+// prior of positive parameters sampled on the log scale with the Jacobian
+// of x = exp(q) included, as one node: the summand is
+// norm + alpha·q_i − beta·exp(q_i), so one mathx.ExpBlock call is all the
+// transcendental work and no log is taken. A non-finite partial (exp
+// overflow) panics with a typed *ad.ErrNonFinite, as the kernels do.
+func (d Gamma) LogScaleLPDF(t *ad.Tape, q []ad.Var) ad.Var {
+	g := expValues(t, q)
+	val := 0.0
+	for i, qi := range q {
+		val += d.norm + d.alpha*qi.Value() - d.beta*g[i]
+		g[i] = d.alpha - d.beta*g[i]
+	}
+	return t.CustomChecked("gamma_log_scale", val, q, g)
 }
 
 // InvGamma is the InvGamma(shape alpha, scale beta) density with constant

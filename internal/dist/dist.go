@@ -36,7 +36,8 @@ func HalfCauchyLogPDF(x, scale float64) float64 {
 	if x < 0 {
 		return math.Inf(-1)
 	}
-	return math.Ln2 + CauchyLogPDF(x, 0, scale)
+	z := x / scale
+	return math.Ln2 - math.Log(math.Pi) - math.Log(scale) - math.Log1p(z*z)
 }
 
 // StudentTLogPDF returns log t_nu(x | mu, sigma).

@@ -204,7 +204,7 @@ func TestADCauchyStudentGamma(t *testing.T) {
 		func(x []float64) float64 { return CauchyLogPDF(x[0], x[1], x[2]) },
 		[]float64{1.1, 0.2, 0.8})
 	adGradCheck(t, "halfcauchy", 1,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return HalfCauchyLPDF(tp, q[0], 1.5) },
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewHalfCauchy(1.5).LPDF(tp, q[0]) },
 		func(x []float64) float64 { return HalfCauchyLogPDF(x[0], 1.5) },
 		[]float64{0.9})
 	adGradCheck(t, "studentt", 3,
@@ -304,6 +304,7 @@ func TestHoistedConstantsBitIdentical(t *testing.T) {
 		same("invgamma", NewInvGamma(a, b).LPDF(tp, in[0]), InvGammaLogPDF(x, a, b))
 		same("beta", NewBeta(a, b).LPDF(tp, in[1]), BetaLogPDF(u, a, b))
 		same("studentt", NewStudentT(nu).LPDF(tp, in[0], in[2], in[3]), StudentTLogPDF(x, nu, mu, sigma))
+		same("halfcauchy", NewHalfCauchy(sigma).LPDF(tp, in[0]), HalfCauchyLogPDF(x, sigma))
 
 		const n = 9
 		y, cnt, size := make([]int, n), make([]int, n), make([]int, n)

@@ -118,5 +118,5 @@ func (k *CJS) LogLik(t *ad.Tape, logitPhi, logitP []ad.Var) ad.Var {
 	ins := t.ScratchVars(2 * nT)
 	copy(ins, logitPhi)
 	copy(ins[nT:], logitP)
-	return record(t, "cjs", val, ins, d)
+	return t.CustomChecked("cjs", val, ins, d)
 }

@@ -24,8 +24,22 @@
 // accumulation. The link pass is mathx.LogisticBlock (bernoulli-logit) or
 // mathx.ExpBlock (poisson-log) — AVX2+FMA assembly where the CPU has it,
 // a Go encoding of the same operation sequence, bit for bit, elsewhere —
-// so no GLM evaluation calls math.Exp or math.Log1p per observation. The
-// collapsed kernels' handful of links per evaluation stay scalar.
+// so no GLM evaluation calls math.Exp or math.Log1p per observation.
+// ThresholdTest, ISplineNormal and GPNormal have the same shape: gather
+// every argument of the evaluation's transcendentals into one slice, make
+// one LogisticBlock or ExpBlock call, consume the results — no math.Exp,
+// math.Log or math.Log1p per cell, patient, coefficient or kernel-matrix
+// entry. CJS, Occupancy and LogitJacobian still call the scalar functions
+// (their handful of links per evaluation also feeds the draws of workloads
+// whose bits are pinned).
+//
+// Positive parameters enter a kernel on the unconstrained log scale where
+// the kernel can chain-rule through exp itself: ISplineNormal takes log
+// coefficients and log sigmas, exponentiates them in its one ExpBlock
+// call and uses log sigma as given. Their priors, the exp Jacobian
+// included, are one block node per family (dist.Gamma.LogScaleLPDF,
+// dist.HalfCauchy.LogScaleLPDF) instead of a Builder.Positive transform
+// and a prior node per parameter.
 //
 // Large-N kernels accumulate over fixed shards of the observation range.
 // Shard boundaries depend only on N and shard partials are reduced

@@ -16,15 +16,17 @@ import (
 //	y[s][a] ~ Normal(mu0 + tau·muRaw_s + (L z_s)_a, sigma)
 //
 // The forward pass is the kernel matrix, its Cholesky factor, S
-// matrix-vector products and the normal sum, all in floats. The reverse
-// pass seeds Lbar = sum_s r_s z_sᵀ (r the residual partials), pulls it
-// back through the factorization with the reverse of the column Cholesky
-// recurrence (cholReverse), and contracts the result with dK/dalpha and
-// dK/drho — O(n³ + S n²) arithmetic and one tape node, where the recorder
-// path spends a node on every scalar step of the factorization.
+// matrix-vector products and the normal sum, all in floats; the kernel
+// matrix's n(n+1)/2 exponentials come from one mathx.ExpBlock call over
+// the packed lower triangle. The reverse pass seeds Lbar = sum_s r_s z_sᵀ
+// (r the residual partials), pulls it back through the factorization with
+// the reverse of the column Cholesky recurrence (cholReverse), and
+// contracts the result with dK/dalpha and dK/drho — O(n³ + S n²)
+// arithmetic and one tape node, where the recorder path spends a node on
+// every scalar step of the factorization.
 type GPNormal struct {
 	n      int
-	d2     []float64   // squared input distances, row-major n x n
+	d2     []float64   // squared input distances, packed lower triangle (row a holds b <= a)
 	y      [][]float64 // one row of n observations per series
 	jitter float64
 }
@@ -32,11 +34,11 @@ type GPNormal struct {
 // NewGPNormal builds the kernel over inputs x and observations y[series].
 func NewGPNormal(x []float64, y [][]float64, jitter float64) *GPNormal {
 	n := len(x)
-	k := &GPNormal{n: n, d2: make([]float64, n*n), y: y, jitter: jitter}
+	k := &GPNormal{n: n, d2: make([]float64, 0, n*(n+1)/2), y: y, jitter: jitter}
 	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
+		for b := 0; b <= a; b++ {
 			d := x[a] - x[b]
-			k.d2[a*n+b] = d * d
+			k.d2 = append(k.d2, d*d)
 		}
 	}
 	for _, row := range y {
@@ -56,22 +58,25 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	if len(muRaw) != nS || len(z) != nS*n {
 		panic("kernels: GP parameter lengths do not match the data")
 	}
-	nIn := 5 + nS + nS*n
-	buf := t.Scratch(nIn + 3*n*n + 2*n)
+	nIn, nTri := 5+nS+nS*n, len(k.d2)
+	buf := t.Scratch(nIn + nTri + 2*n*n + 2*n)
 	d := buf[:nIn]
 	dRaw, dZ := d[5:5+nS], d[5+nS:]
-	e := buf[nIn : nIn+n*n] // exp(-d²/(2 rho²)), lower triangle
-	l := buf[nIn+n*n : nIn+2*n*n]
-	lbar := buf[nIn+2*n*n : nIn+3*n*n]
-	zs, r := buf[nIn+3*n*n:nIn+3*n*n+n], buf[nIn+3*n*n+n:]
+	e := buf[nIn : nIn+nTri] // exp(-d²/(2 rho²)), packed like d2
+	l := buf[nIn+nTri : nIn+nTri+n*n]
+	lbar := buf[nIn+nTri+n*n : nIn+nTri+2*n*n]
+	zs, r := buf[nIn+nTri+2*n*n:nIn+nTri+2*n*n+n], buf[nIn+nTri+2*n*n+n:]
 
 	a2 := alpha.Value() * alpha.Value()
 	rhoV := rho.Value()
 	inv2 := 0.5 * (1 / (rhoV * rhoV))
-	for a := 0; a < n; a++ {
-		for b := 0; b <= a; b++ {
-			e[a*n+b] = math.Exp(inv2 * -k.d2[a*n+b])
-			l[a*n+b] = a2 * e[a*n+b]
+	for p, v := range k.d2 {
+		e[p] = inv2 * -v
+	}
+	mathx.ExpBlock(e, e)
+	for a, p := 0, 0; a < n; a++ {
+		for b := 0; b <= a; b, p = b+1, p+1 {
+			l[a*n+b] = a2 * e[p]
 			lbar[a*n+b] = 0
 		}
 		l[a*n+a] += k.jitter
@@ -117,11 +122,11 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	// lbar becomes Kbar; K_ab = a2·e_ab (+ jitter), e_ab = exp(-d²_ab·inv2).
 	cholReverse(l, lbar, n)
 	var dA2, dInv2 float64
-	for a := 0; a < n; a++ {
-		for b := 0; b <= a; b++ {
+	for a, p := 0, 0; a < n; a++ {
+		for b := 0; b <= a; b, p = b+1, p+1 {
 			kb := lbar[a*n+b]
-			dA2 += kb * e[a*n+b]
-			dInv2 -= kb * a2 * e[a*n+b] * k.d2[a*n+b]
+			dA2 += kb * e[p]
+			dInv2 -= kb * a2 * e[p] * k.d2[p]
 		}
 	}
 	d[0] = dA2 * 2 * alpha.Value()
@@ -132,7 +137,7 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	ins[0], ins[1], ins[2], ins[3], ins[4] = alpha, rho, sigma, mu0, tau
 	copy(ins[5:], muRaw)
 	copy(ins[5+nS:], z)
-	return record(t, "gp_normal", val, ins, d)
+	return t.CustomChecked("gp_normal", val, ins, d)
 }
 
 // cholLower overwrites the lower triangle of the symmetric positive

@@ -1,8 +1,6 @@
 package kernels
 
 import (
-	"math"
-
 	"bayessuite/internal/ad"
 	"bayessuite/internal/mathx"
 	"bayessuite/internal/splines"
@@ -35,39 +33,56 @@ func NewISplineNormal(basis *splines.ISpline, y [][]float64) *ISplineNormal {
 }
 
 // LogLik records every marker's log-likelihood as one tape node over the
-// patients' stage logits, the marker-major coefficients (markers x K) and
-// the per-marker sigmas. The logit transform of the stages happens here
-// in floats; its Jacobian is LogitJacobian's.
-func (k *ISplineNormal) LogLik(t *ad.Tape, stageLogit, coefs, sigmas []ad.Var) ad.Var {
+// patients' stage logits, the marker-major log-coefficients (markers x K)
+// and the per-marker log-sigmas: every input is on the unconstrained
+// scale, and the transforms happen here in floats. One mathx.ExpBlock
+// call gives the coefficients and sigmas, one mathx.LogisticBlock call the
+// stages; log sigma is the input itself. The partials are chain-ruled
+// through c = exp(log c) and sigma = exp(log sigma); the stages' logit
+// Jacobian is LogitJacobian's, the positive parameters' belongs to their
+// priors (dist.Gamma.LogScaleLPDF, dist.HalfCauchy.LogScaleLPDF).
+func (k *ISplineNormal) LogLik(t *ad.Tape, stageLogit, logCoefs, logSigmas []ad.Var) ad.Var {
 	nM, nB := len(k.y), k.basis.K
 	nP := 0
 	if nM > 0 {
 		nP = len(k.y[0])
 	}
-	if len(stageLogit) != nP || len(coefs) != nM*nB || len(sigmas) != nM {
+	nC := nM * nB
+	if len(stageLogit) != nP || len(logCoefs) != nC || len(logSigmas) != nM {
 		panic("kernels: I-spline parameter lengths do not match the data")
 	}
-	nIn := nP + nM*nB + nM
-	buf := t.Scratch(nIn + nM*nB + nM + 2*nB)
+	nIn := nP + nC + nM
+	buf := t.Scratch(2*nIn + 2*nP + 2*nB)
 	d := buf[:nIn]
-	dStage, dCoef, dSigma := d[:nP], d[nP:nP+nM*nB], d[nP+nM*nB:]
-	c := buf[nIn : nIn+nM*nB]
-	inv := buf[nIn+nM*nB : nIn+nM*nB+nM]
-	bv, bd := buf[nIn+nM*nB+nM:nIn+nM*nB+nM+nB], buf[nIn+nM*nB+nM+nB:]
-	for i, cv := range coefs {
-		c[i] = cv.Value()
+	dStage, dCoef, dLogSigma := d[:nP], d[nP:nP+nC], d[nP+nC:]
+	// ex holds the inputs in d's order; the exponentials overwrite the
+	// coefficient and sigma parts in place, and the sigmas are then
+	// inverted.
+	ex := buf[nIn : 2*nIn]
+	c, inv := ex[nP:nP+nC], ex[nP+nC:]
+	x, sp := buf[2*nIn:2*nIn+nP], buf[2*nIn+nP:2*nIn+2*nP]
+	bv, bd := buf[2*nIn+2*nP:2*nIn+2*nP+nB], buf[2*nIn+2*nP+nB:]
+	for p, v := range stageLogit {
+		ex[p] = v.Value()
+	}
+	for i, v := range logCoefs {
+		c[i] = v.Value()
 		dCoef[i] = 0
 	}
 	val := 0.0
-	for j, s := range sigmas {
-		inv[j] = 1 / s.Value()
-		dSigma[j] = 0
-		val += float64(nP) * (-math.Log(s.Value()) - mathx.LnSqrt2Pi)
+	for j, v := range logSigmas {
+		inv[j] = v.Value()
+		dLogSigma[j] = 0
+		val += float64(nP) * (-v.Value() - mathx.LnSqrt2Pi)
 	}
-	for p := 0; p < nP; p++ {
-		x := mathx.InvLogit(stageLogit[p].Value())
+	mathx.ExpBlock(ex[nP:], ex[nP:])
+	mathx.LogisticBlock(ex[:nP], sp, x)
+	for j, s := range inv {
+		inv[j] = 1 / s
+	}
+	for p, xp := range x {
 		for b := 0; b < nB; b++ {
-			bv[b], bd[b] = k.basis.Eval(b, x)
+			bv[b], bd[b] = k.basis.Eval(b, xp)
 		}
 		dx := 0.0
 		for j := 0; j < nM; j++ {
@@ -84,14 +99,17 @@ func (k *ISplineNormal) LogLik(t *ad.Tape, stageLogit, coefs, sigmas []ad.Var) a
 			for b := range dcj {
 				dcj[b] += dMu * bv[b]
 			}
-			dSigma[j] += (z*z - 1) * inv[j]
+			dLogSigma[j] += z*z - 1
 		}
-		dStage[p] = dx * x * (1 - x)
+		dStage[p] = dx * xp * (1 - xp)
+	}
+	for i, cv := range c {
+		dCoef[i] *= cv
 	}
 
 	ins := t.ScratchVars(nIn)
 	copy(ins, stageLogit)
-	copy(ins[nP:], coefs)
-	copy(ins[nP+nM*nB:], sigmas)
-	return record(t, "ispline_normal", val, ins, d)
+	copy(ins[nP:], logCoefs)
+	copy(ins[nP+nC:], logSigmas)
+	return t.CustomChecked("ispline_normal", val, ins, d)
 }

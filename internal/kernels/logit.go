@@ -37,16 +37,5 @@ func LogitJacobian(t *ad.Tape, q []ad.Var) ad.Var {
 		// d/dx = 1 - 2 s(x) = -tanh(x/2), written in z = exp(-|x|).
 		d[i] = math.Copysign((1-z)/(1+z), -x)
 	}
-	return record(t, "logit_jacobian", val, q, d)
-}
-
-// record checks a kernel's reduced value and partials — a NaN value or a
-// non-finite partial is raised as a typed *ad.ErrNonFinite carrying the
-// offending input's index, -Inf values pass as ordinary rejections — and
-// records them as one Custom node.
-func record(t *ad.Tape, op string, val float64, ins []ad.Var, partials []float64) ad.Var {
-	if err := ad.CheckFinite(op, val, partials); err != nil {
-		panic(err)
-	}
-	return t.Custom(val, ins, partials)
+	return t.CustomChecked("logit_jacobian", val, q, d)
 }

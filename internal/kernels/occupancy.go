@@ -101,5 +101,5 @@ func (k *Occupancy) LogLik(t *ad.Tape, muPsi, sigPsi, muP, sigP ad.Var, uRaw, vR
 	ins[0], ins[1], ins[2], ins[3] = muPsi, sigPsi, muP, sigP
 	copy(ins[4:], uRaw)
 	copy(ins[4+n:], vRaw)
-	return record(t, "occupancy", val, ins, d)
+	return t.CustomChecked("occupancy", val, ins, d)
 }

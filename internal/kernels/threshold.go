@@ -50,14 +50,17 @@ func NewThresholdTest(stops, searches, hits, dept, race []int, nDept, nRace int,
 
 // LogLik records both binomial blocks as one tape node with edges for
 // tRace (nRace), sigma, deptRaw (nDept), cellRaw (cells), hRace (nRace)
-// and searchBase, in that order.
+// and searchBase, in that order. A first pass gathers every cell's search
+// and hit logits into one slice, one mathx.LogisticBlock call gives their
+// softplus and sigmoid, and a second pass consumes them.
 func (k *ThresholdTest) LogLik(t *ad.Tape, tRace []ad.Var, sigma ad.Var, deptRaw, cellRaw, hRace []ad.Var, searchBase ad.Var) ad.Var {
 	n := len(k.stops)
 	if len(tRace) != k.nRace || len(hRace) != k.nRace || len(deptRaw) != k.nDept || len(cellRaw) != n {
 		panic("kernels: threshold test parameter lengths do not match the cells")
 	}
 	nIn := 2*k.nRace + k.nDept + n + 2
-	d := t.Scratch(nIn)
+	buf := t.Scratch(nIn + 6*n)
+	d := buf[:nIn]
 	for i := range d {
 		d[i] = 0
 	}
@@ -65,25 +68,29 @@ func (k *ThresholdTest) LogLik(t *ad.Tape, tRace []ad.Var, sigma ad.Var, deptRaw
 	dDept := d[k.nRace+1 : k.nRace+1+k.nDept]
 	dCell := d[k.nRace+1+k.nDept : k.nRace+1+k.nDept+n]
 	dH := d[nIn-1-k.nRace : nIn-1]
-	var dSigma, dBase float64
+	// eta is every cell's search logit, then every cell's hit logit; sp
+	// and sg receive their softplus and sigmoid.
+	eta, sp, sg := buf[nIn:nIn+2*n], buf[nIn+2*n:nIn+4*n], buf[nIn+4*n:]
 	sig, base := sigma.Value(), searchBase.Value()
+	for c := 0; c < n; c++ {
+		thr := tRace[k.race[c]].Value() + deptRaw[k.dept[c]].Value()*k.deptScale + sig*cellRaw[c].Value()
+		eta[c] = base - thr
+		eta[n+c] = hRace[k.race[c]].Value() + thr
+	}
+	mathx.LogisticBlock(eta, sp, sg)
+
+	var dSigma, dBase float64
 	val := k.lchooseConst
 	for c := 0; c < n; c++ {
 		r, dp := k.race[c], k.dept[c]
-		cell := cellRaw[c].Value()
-		thr := tRace[r].Value() + deptRaw[dp].Value()*k.deptScale + sig*cell
-		etaS := base - thr
-		etaH := hRace[r].Value() + thr
-		spS, _, sgS := softplus(etaS)
-		spH, _, sgH := softplus(etaH)
-		val += k.searches[c]*etaS - k.stops[c]*spS + k.hits[c]*etaH - k.searches[c]*spH
-		gS := k.searches[c] - k.stops[c]*sgS
-		gH := k.hits[c] - k.searches[c]*sgH
+		val += k.searches[c]*eta[c] - k.stops[c]*sp[c] + k.hits[c]*eta[n+c] - k.searches[c]*sp[n+c]
+		gS := k.searches[c] - k.stops[c]*sg[c]
+		gH := k.hits[c] - k.searches[c]*sg[n+c]
 		gThr := gH - gS
 		dT[r] += gThr
 		dDept[dp] += gThr * k.deptScale
 		dCell[c] = gThr * sig
-		dSigma += gThr * cell
+		dSigma += gThr * cellRaw[c].Value()
 		dH[r] += gH
 		dBase += gS
 	}
@@ -97,5 +104,5 @@ func (k *ThresholdTest) LogLik(t *ad.Tape, tRace []ad.Var, sigma ad.Var, deptRaw
 	copy(ins[k.nRace+1+k.nDept:], cellRaw)
 	copy(ins[nIn-1-k.nRace:], hRace)
 	ins[nIn-1] = searchBase
-	return record(t, "threshold_test", val, ins, d)
+	return t.CustomChecked("threshold_test", val, ins, d)
 }

@@ -254,7 +254,7 @@ func (m *normalGLMBench) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	sigma := b.Positive(q[normalGLMP+normalGLMGroups])
 	b.Add(dist.NormalLPDFVarData(t, beta, ad.Const(0), ad.Const(5)))
 	b.Add(dist.NormalLPDFVarData(t, u, ad.Const(0), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigma, 1))
+	b.Add(dist.NewHalfCauchy(1).LPDF(t, sigma))
 	if m.kern != nil {
 		b.Add(m.kern.LogLik(t, beta, u, sigma))
 		return b.Result()
@@ -322,7 +322,7 @@ func (m *normalGLMBench) LogPosteriorPre(t *ad.Tape, q []ad.Var, pre []kernels.B
 	sigma := b.Positive(q[normalGLMP+normalGLMGroups])
 	b.Add(dist.NormalLPDFVarData(t, beta, ad.Const(0), ad.Const(5)))
 	b.Add(dist.NormalLPDFVarData(t, u, ad.Const(0), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigma, 1))
+	b.Add(dist.NewHalfCauchy(1).LPDF(t, sigma))
 	b.Add(m.kern.LogLikPre(t, beta, u, sigma, &pre[0]))
 	return b.Result()
 }

@@ -99,9 +99,9 @@ func (w *butterfly) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	vRaw := q[4+w.nSpecies:]
 
 	b.Add(dist.NormalLPDF(t, muPsi, ad.Const(0), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigPsi, 1))
+	b.Add(halfCauchy1.LPDF(t, sigPsi))
 	b.Add(dist.NormalLPDF(t, muP, ad.Const(0), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigP, 1))
+	b.Add(halfCauchy1.LPDF(t, sigP))
 	b.Add(dist.NormalLPDFVarData(t, uRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, vRaw, ad.Const(0), ad.Const(1)))
 

@@ -362,20 +362,66 @@ func TestLegacyDensityBitsUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := model.NewEvaluator(w.TapeModel())
-		q := make([]float64, ev.Dim())
-		for i := range q {
-			q[i] = 0.1 * float64(i%7-3)
-		}
-		g := make([]float64, ev.Dim())
-		lp := ev.LogDensityGrad(q, g)
-		h := fnv.New64a()
-		for _, v := range g {
-			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
-		}
-		if math.Float64bits(lp) != want.lpBits || h.Sum64() != want.grad {
+		lp, lpBits, grad := densityWords(w.TapeModel())
+		if lpBits != want.lpBits || grad != want.grad {
 			t.Errorf("%s: legacy density %.17g (bits %#x, gradient hash %#x), want bits %#x, hash %#x",
-				want.name, lp, math.Float64bits(lp), h.Sum64(), want.lpBits, want.grad)
+				want.name, lp, lpBits, grad, want.lpBits, want.grad)
+		}
+	}
+}
+
+// densityWords evaluates m at q_i = 0.1·(i mod 7 − 3) and returns the log
+// density, its bits and an FNV-1a hash over the gradient's bit patterns.
+func densityWords(m model.Model) (lp float64, lpBits, grad uint64) {
+	ev := model.NewEvaluator(m)
+	q := make([]float64, ev.Dim())
+	for i := range q {
+		q[i] = 0.1 * float64(i%7-3)
+	}
+	g := make([]float64, ev.Dim())
+	lp = ev.LogDensityGrad(q, g)
+	h := fnv.New64a()
+	for _, v := range g {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	return lp, math.Float64bits(lp), h.Sum64()
+}
+
+// TestKernelDensityBitsUnchanged pins the default (kernel-path) density of
+// every job kind the glm-sweep, node-small, fleet-small and fit-free
+// benchmark mixes run, at the mix's scale and dataset seed 3, to the words
+// recorded before disease, racial and votes moved onto the block
+// transcendentals: those three kernels' draws moved once, and this is the
+// tier-1 proof that no other workload's did. Like the legacy pins the
+// words depend on the platform's exp and log.
+func TestKernelDensityBitsUnchanged(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bit patterns were recorded on amd64")
+	}
+	for _, want := range []struct {
+		name         string
+		scale        float64
+		lpBits, grad uint64
+	}{
+		{"tickets", 0.05, 0xc0746b8addc08d42, 0x9d314b6cc6247077},
+		{"memory", 0.3, 0xc0a7b50b60cc9363, 0x768a98db1a6b12d6},
+		{"12cities", 0.25, 0xc193fe0ac89ced0c, 0x97483444d02d1ed0},
+		{"ad", 0.25, 0xc06dd5f0616eab08, 0xbf8d42f37858abc8},
+		{"butterfly", 0.25, 0xc055211012a6d716, 0x7a9de970b3f7f27d},
+		{"survival", 0.25, 0xc09b28b9449181c5, 0x304997bfcd562f80},
+		{"ad", 1, 0xc08c0e99d946cbfd, 0xa38c5e9d5d1236c2},
+		{"12cities", 1, 0xc1d80ee18d92b404, 0xf140e706b4c1f630},
+		{"memory", 0.5, 0xc0b66ead0d6a43de, 0x8151e1ac027dc360},
+		{"tickets", 0.25, 0xc0987a423f7090b5, 0x16fb42e9bcd7f8fd},
+	} {
+		w, err := New(want.name, want.scale, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp, lpBits, grad := densityWords(w.Model)
+		if lpBits != want.lpBits || grad != want.grad {
+			t.Errorf("%s@%g: kernel density %.17g (bits %#x, gradient hash %#x), want bits %#x, hash %#x",
+				want.name, want.scale, lp, lpBits, grad, want.lpBits, want.grad)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	sigmas := make([]ad.Var, w.nMarkers)
 	for j, sr := range sigmaRaw {
 		s := b.Positive(sr)
-		b.Add(dist.HalfCauchyLPDF(t, s, 0.2))
+		b.Add(halfCauchyFifth.LPDF(t, s))
 		sigmas[j] = s
 	}
 
@@ -172,29 +172,22 @@ func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	return b.Result()
 }
 
-// logPostKernel is the fused-kernel density: the same priors and positive
-// transforms on the tape, the stage logits handed to the kernel untouched
-// (their Jacobian is one node) and every marker's curves and normal
-// likelihood in one more.
+// logPostKernel is the fused-kernel density. Every parameter stays on the
+// unconstrained scale: the stage logits go to the kernel with their
+// Jacobian as one node, the log-coefficients and log-sigmas go to it raw,
+// and their priors, each with its exp Jacobian, are one block node per
+// family — no Builder.Positive, no per-parameter prior node.
 func (w *disease) logPostKernel(t *ad.Tape, q []ad.Var) ad.Var {
 	b := model.NewBuilder(t)
 	nCoef := w.nMarkers * w.nBasis
 	stageRaw := q[:w.nPatients]
-	coefRaw := q[w.nPatients : w.nPatients+nCoef]
-	sigmaRaw := q[w.nPatients+nCoef:]
+	logCoefs := q[w.nPatients : w.nPatients+nCoef]
+	logSigmas := q[w.nPatients+nCoef:]
 
 	b.Add(dist.NormalLPDFVarData(t, stageRaw, ad.Const(0), ad.Const(1.5)))
 	b.Add(kernels.LogitJacobian(t, stageRaw))
-	coefs := t.ScratchVars(nCoef)
-	for k, cr := range coefRaw {
-		coefs[k] = b.Positive(cr)
-		b.Add(w.coefPrior.LPDF(t, coefs[k]))
-	}
-	sigmas := t.ScratchVars(w.nMarkers)
-	for j, sr := range sigmaRaw {
-		sigmas[j] = b.Positive(sr)
-		b.Add(dist.HalfCauchyLPDF(t, sigmas[j], 0.2))
-	}
-	b.Add(w.curves.LogLik(t, stageRaw, coefs, sigmas))
+	b.Add(w.coefPrior.LogScaleLPDF(t, logCoefs))
+	b.Add(halfCauchyFifth.LogScaleLPDF(t, logSigmas))
+	b.Add(w.curves.LogLik(t, stageRaw, logCoefs, logSigmas))
 	return b.Result()
 }

@@ -174,6 +174,25 @@ func TestKernelShrinksTape(t *testing.T) {
 	}
 }
 
+// TestDiseaseKernelTapeIsBlocked: disease's kernel path records its
+// inputs and nine nodes at any scale — the stage prior, the logit
+// Jacobian, one block prior per positive family, the likelihood and the
+// four sums joining them. A Builder.Positive transform and a prior node
+// per positive parameter would add five nodes for each of them.
+func TestDiseaseKernelTapeIsBlocked(t *testing.T) {
+	for _, scale := range []float64{0.03, 0.5} {
+		w, err := New("disease", scale, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := model.NewEvaluator(w.Model)
+		ev.LogDensityGrad(make([]float64, ev.Dim()), make([]float64, ev.Dim()))
+		if ev.TapeNodes != ev.Dim()+9 {
+			t.Errorf("disease@%g: kernel tape has %d nodes for dim %d, want dim + 9", scale, ev.TapeNodes, ev.Dim())
+		}
+	}
+}
+
 // neverStop keeps a run's chains meeting at every CheckInterval segment
 // end for its whole budget.
 type neverStop struct{}

@@ -130,14 +130,14 @@ func (w *memoryRetrieval) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 
 	// Priors.
 	b.Add(dist.NormalLPDF(t, muA, ad.Const(0), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigA, 1))
+	b.Add(halfCauchy1.LPDF(t, sigA))
 	b.Add(dist.NormalLPDF(t, bA, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, aRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDF(t, muM, ad.Const(6), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigM, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigM))
 	b.Add(dist.NormalLPDF(t, bM, ad.Const(0), ad.Const(0.5)))
 	b.Add(dist.NormalLPDFVarData(t, mRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigRT, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigRT))
 
 	// Per-subject effects (non-centered).
 	alpha := make([]ad.Var, w.nSubj)
@@ -188,14 +188,14 @@ func (w *memoryRetrieval) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.Ba
 
 	// Priors.
 	b.Add(dist.NormalLPDF(t, muA, ad.Const(0), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigA, 1))
+	b.Add(halfCauchy1.LPDF(t, sigA))
 	b.Add(dist.NormalLPDF(t, bA, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, aRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDF(t, muM, ad.Const(6), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigM, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigM))
 	b.Add(dist.NormalLPDF(t, bM, ad.Const(0), ad.Const(0.5)))
 	b.Add(dist.NormalLPDFVarData(t, mRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, sigRT, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigRT))
 
 	// Per-subject effects (non-centered) as kernel group effects.
 	alpha := t.ScratchVars(w.nSubj)

@@ -156,9 +156,9 @@ func (w *odeWorkload) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	lslope := prior(fkLogSlope, math.Log(0.15), 0.5)
 	lgamma := prior(fkLogGamma, math.Log(0.17), 0.25)
 	sigC := b.Positive(q[fkLogSigC])
-	b.Add(dist.HalfCauchyLPDF(t, sigC, 0.2))
+	b.Add(halfCauchyFifth.LPDF(t, sigC))
 	sigA := b.Positive(q[fkLogSigA])
-	b.Add(dist.HalfCauchyLPDF(t, sigA, 0.2))
+	b.Add(halfCauchyFifth.LPDF(t, sigA))
 
 	ka := t.Exp(lka)
 	ke := t.Exp(t.Sub(lcl, lv)) // CL/V

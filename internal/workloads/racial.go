@@ -124,7 +124,7 @@ func (w *racial) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	for _, v := range tRace {
 		b.Add(dist.NormalLPDF(t, v, ad.Const(0), ad.Const(1)))
 	}
-	b.Add(dist.HalfCauchyLPDF(t, sigT, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigT))
 	b.Add(dist.NormalLPDFVarData(t, deptRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, cellRaw, ad.Const(0), ad.Const(1)))
 	for _, v := range hRace {

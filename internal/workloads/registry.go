@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sync"
 
+	"bayessuite/internal/dist"
 	"bayessuite/internal/model"
 )
 
@@ -134,6 +135,14 @@ var builders = []struct {
 	{"butterfly", NewButterfly},
 	{"survival", NewSurvival},
 }
+
+// The half-Cauchy priors the workloads put on scale parameters, built once
+// so that no evaluation recomputes their normalising constants.
+var (
+	halfCauchy1     = dist.NewHalfCauchy(1)
+	halfCauchyHalf  = dist.NewHalfCauchy(0.5)
+	halfCauchyFifth = dist.NewHalfCauchy(0.2)
+)
 
 // Names returns the workload names in Table I order.
 func Names() []string {

@@ -114,7 +114,7 @@ func (w *tickets) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	alphaRaw := q[1 : 1+w.nOfficers]
 	beta := q[1+w.nOfficers:]
 
-	b.Add(dist.HalfCauchyLPDF(t, sigAlpha, 1))
+	b.Add(halfCauchy1.LPDF(t, sigAlpha))
 	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
 	for _, bj := range beta {
 		b.Add(dist.NormalLPDF(t, bj, ad.Const(0), ad.Const(2.5)))
@@ -140,7 +140,7 @@ func (w *tickets) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.BatchResul
 	alphaRaw := q[1 : 1+w.nOfficers]
 	beta := q[1+w.nOfficers:]
 
-	b.Add(dist.HalfCauchyLPDF(t, sigAlpha, 1))
+	b.Add(halfCauchy1.LPDF(t, sigAlpha))
 	b.Add(kernels.NormalDeviations(t, alphaRaw, ad.Const(0), ad.Const(1)))
 	b.Add(kernels.NormalDeviations(t, beta, ad.Const(0), ad.Const(2.5)))
 	// Non-centered officer intercepts feed the kernel as group

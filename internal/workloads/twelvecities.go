@@ -132,7 +132,7 @@ func (w *twelveCities) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 
 	// Priors.
 	b.Add(dist.NormalLPDF(t, muAlpha, ad.Const(-11), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigAlpha, 1))
+	b.Add(halfCauchy1.LPDF(t, sigAlpha))
 	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDF(t, trend, ad.Const(0), ad.Const(0.1)))
 	b.Add(dist.NormalLPDF(t, beta, ad.Const(0), ad.Const(1)))
@@ -171,7 +171,7 @@ func (w *twelveCities) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.Batch
 
 	// Priors.
 	b.Add(dist.NormalLPDF(t, muAlpha, ad.Const(-11), ad.Const(2)))
-	b.Add(dist.HalfCauchyLPDF(t, sigAlpha, 1))
+	b.Add(halfCauchy1.LPDF(t, sigAlpha))
 	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDF(t, trend, ad.Const(0), ad.Const(0.1)))
 	b.Add(dist.NormalLPDF(t, beta, ad.Const(0), ad.Const(1)))

@@ -136,11 +136,11 @@ func (w *votes) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	z := q[i:]
 
 	// Hyperpriors.
-	b.Add(dist.HalfCauchyLPDF(t, alpha, 1))
+	b.Add(halfCauchy1.LPDF(t, alpha))
 	b.Add(dist.LogNormalLPDF(t, rho, ad.Const(0), ad.Const(0.75)))
-	b.Add(dist.HalfCauchyLPDF(t, sigma, 0.5))
+	b.Add(halfCauchyHalf.LPDF(t, sigma))
 	b.Add(dist.NormalLPDF(t, mu0, ad.Const(0), ad.Const(1)))
-	b.Add(dist.HalfCauchyLPDF(t, tau, 1))
+	b.Add(halfCauchy1.LPDF(t, tau))
 	b.Add(dist.NormalLPDFVarData(t, muRaw, ad.Const(0), ad.Const(1)))
 	b.Add(dist.NormalLPDFVarData(t, z, ad.Const(0), ad.Const(1)))
 
