@@ -23,11 +23,16 @@ fmt-check:
 # go vet's asmdecl check holds internal/mathx/vec_amd64.s to its Go
 # declarations. The arm64 pass cross-compiles (offline, no cgo) what every
 # non-amd64 build uses instead of that file: the Go encoding of the link
-# functions and the kernels on top of it.
+# functions and the kernels on top of it. The benchmark is its own module
+# (benchmark/go.mod) that ./... does not reach; it compiles against
+# internal symbols (mcmc.Config.BatchGrad, model.NewBatchEvaluator, the
+# batched kernels), so a change to those must build and vet it too.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mathx/ ./internal/kernels/
 	GOARCH=arm64 $(GO) build ./...
+	$(GO) build -C benchmark -o /dev/null ./...
+	$(GO) vet -C benchmark ./...
 
 # Full suite. internal/bench regenerates paper figures from real sampler
 # runs and is by far the slowest package; give it room. On a 2-core box it
@@ -68,26 +73,30 @@ fuzz:
 # sampler crossed with every injectable fault kind (panic, non-finite,
 # slow iteration, cancel, worker loss), plus the checkpoint/resume and
 # quarantine suites and the serve-layer retry tests they feed. Includes
-# the batched column (TestFaultMatrixBatched, HMC and NUTS ×
-# the same five kinds, pinned to GOMAXPROCS 1 because the runner fuses
+# the batched column (TestFaultMatrixBatched, HMC and NUTS × the same
+# five kinds, pinned to GOMAXPROCS 1 because mcmc.Config.BatchGrad fuses
 # gradients only on one core): faults injected while chains share fused
 # gradient sweeps must quarantine identically, with bit-identical draws and
 # checkpoint-resume replay on the batched path, and slow iterations,
-# cancels and worker losses must behave as they do unbatched — its
-# service column (TestFaultMatrixBatchedSpec: the same ten cells on a
-# batchable job submitted as a serve.JobSpec), and the cluster columns: worker loss migration, the network-chaos
-# partition matrix ({HMC,NUTS} × {drop,dup,delay,partition-then-heal}),
-# and coordinator crash-restart from the durable journal.
+# cancels and worker losses must behave as they do unbatched. Its service
+# column (TestFaultMatrixBatchedSpec) runs the same ten cells on a
+# batchable job submitted as a serve.JobSpec, also at GOMAXPROCS 1; a
+# served job's chains step on their own evaluators, so its draws are held
+# to a per-chain reference run. Then the cluster columns: worker loss
+# migration, the network-chaos partition matrix ({HMC,NUTS} ×
+# {drop,dup,delay,partition-then-heal}), and coordinator crash-restart
+# from the durable journal.
 fault-matrix:
 	$(GO) test -race -run 'Fault|Checkpoint|Quarantine|Retry|Resume|Injector|NetChaos' \
 		./internal/fault/... ./internal/mcmc/... ./internal/serve/... ./internal/cluster/...
 
 # Runner hot-path benchmarks with allocation accounting, at one and two
 # procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a
-# large GLM; …Registry: NUTS on registry jobs as bayesd runs them) one
-# proc is the sharing regime the coalescer exists for; at two procs the
-# runner builds no coalescer, so both sides of each pair run the same
-# unbatched path and should read alike. The
+# large GLM; …Registry: NUTS on registry jobs, batched as mcmc.Config.
+# BatchGrad allows — bayesd itself never sets it) one proc is the sharing
+# regime the coalescer exists for; at two procs the runner builds no
+# coalescer, so both sides of each pair run the same unbatched path and
+# should read alike. The
 # BenchmarkGradient*{Kernel,Tape} pairs time one gradient on each path, with its tape nodes and edges, for all nine
 # kernel-backed workloads (GLM is tickets; 12Cities, AD and Memory are the
 # other batchable three) and the large-N NormalGLM. BenchmarkGradientBatch

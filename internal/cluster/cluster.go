@@ -8,7 +8,7 @@
 // slot keeps one lease request open at the coordinator (POST
 // /cluster/v1/lease, a long-poll held for LeaseRequest.WaitMS), carrying
 // its capability document — the same JSON the extended /readyz probe
-// serves: LLC size, frequency, slot occupancy, grad-batch support. The
+// serves: LLC size, frequency, slot occupancy, kernel ISA. The
 // coordinator re-evaluates every parked request whenever fleet state
 // changes (a job admitted or requeued, a slot freed, a grant elsewhere, a
 // worker joining or leaving) and grants a queued job to a worker only
@@ -173,12 +173,6 @@ type FleetStats struct {
 	Retries         int64   `json:"retries"`
 	SavedIterations int64   `json:"saved_iterations"`
 	SavedJoules     float64 `json:"saved_joules"`
-
-	// Gradient batching rolled up over worker heartbeat stats: fused
-	// sweeps, the chain evaluations they carried, and their ratio.
-	BatchSweeps        int64   `json:"batch_sweeps,omitempty"`
-	BatchChainEvals    int64   `json:"batch_chain_evals,omitempty"`
-	MeanBatchOccupancy float64 `json:"mean_batch_occupancy,omitempty"`
 
 	// Placement state: the fitted threshold on the calibration platform
 	// (each node's effective threshold scales with its LLC), or the

@@ -391,14 +391,9 @@ func (co *Coordinator) ServiceStats() any {
 		st.Retries += ws.stats.Retries
 		st.SavedIterations += ws.stats.SavedIterations
 		st.SavedJoules += ws.stats.SavedJoules
-		st.BatchSweeps += ws.stats.BatchSweeps
-		st.BatchChainEvals += ws.stats.BatchChainEvals
 		st.PerWorker = append(st.PerWorker, w)
 	}
 	co.mu.Unlock()
-	if st.BatchSweeps > 0 {
-		st.MeanBatchOccupancy = float64(st.BatchChainEvals) / float64(st.BatchSweeps)
-	}
 
 	st.QueueDepth = co.queue.Len()
 	for _, cj := range co.snapshot() {
@@ -457,9 +452,6 @@ func (co *Coordinator) Capability() serve.Capability {
 		c.Slots += ws.cap.Slots
 		c.Running += len(ws.assigned)
 		c.Cores += ws.cap.Cores
-		if ws.cap.GradBatch {
-			c.GradBatch = true
-		}
 		if ws.cap.LLCBytes > c.LLCBytes {
 			c.LLCBytes = ws.cap.LLCBytes // largest node LLC in the fleet
 		}
@@ -513,7 +505,6 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			Cores:        w.cap.Cores,
 			Slots:        w.cap.Slots,
 			Running:      len(w.assigned),
-			GradBatch:    w.cap.GradBatch,
 		})
 	}
 	co.mu.Unlock()
@@ -1036,7 +1027,7 @@ func (cj *clusterJob) finalize(state serve.JobState, msg string) {
 
 // statusLocked snapshots the job. Caller holds cj.mu (or the job is
 // freshly built and unshared). Once a worker uploaded the terminal
-// status, that richer view (R̂ trace, grad-batch stats, fault records)
+// status, that richer view (R̂ trace, fault records)
 // wins, relabeled with the coordinator's job ID and fleet placement.
 func (cj *clusterJob) statusLocked() serve.JobStatus {
 	if cj.finalStatus != nil {

@@ -493,3 +493,89 @@ func TestClusterCheckpointRetention(t *testing.T) {
 		t.Errorf("fleet stats JSON checkpoints_gced = %v, want >= 2", v)
 	}
 }
+
+// TestClusterReplaysResultWithGradBatch: a journal whose result record
+// status still carries a "grad_batch" block — as coordinators wrote them
+// while job statuses had one — replays. The durable coordinator rebuilds
+// from it the job state and payload it rebuilds from the same record
+// without the block, and both match the job that produced the record.
+func TestClusterReplaysResultWithGradBatch(t *testing.T) {
+	s := serve.NewServer(serve.Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	job, err := s.Submit(serve.JobSpec{Workload: "12cities", Scale: 0.1, Seed: 5, Iterations: 100, Chains: 4, NoElide: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-job.Done()
+	st := job.Status()
+	payload, ready := job.Result()
+	if st.State != serve.Done || !ready {
+		t.Fatalf("source job ended %s (ready %v), want done", st.State, ready)
+	}
+
+	const id = "cjob-000001"
+	replay := func(gradBatch bool) (serve.JobStatus, serve.ResultPayload) {
+		var status map[string]any
+		raw, _ := json.Marshal(st)
+		if err := json.Unmarshal(raw, &status); err != nil {
+			t.Fatal(err)
+		}
+		if gradBatch {
+			status["grad_batch"] = map[string]any{"sweeps": 412, "chain_evals": 1480, "mean_occupancy": 3.59}
+		}
+		dir := t.TempDir()
+		j, _, err := journal.Open(filepath.Join(dir, "coordinator.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []map[string]any{
+			{"t": "admit", "id": id, "spec": st.Spec, "budget": st.Budget, "submitted_ns": st.SubmittedAt.UnixNano()},
+			{"t": "result", "id": id, "worker": "w1", "attempt": 1, "status": status, "payload": payload,
+				"finished_ns": st.FinishedAt.UnixNano()},
+		} {
+			raw, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(raw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		co := cluster.NewCoordinator(cluster.CoordinatorConfig{StateDir: dir, HeartbeatTimeout: time.Second, ReapInterval: time.Hour})
+		defer co.Kill()
+		got, err := co.GetJob(id) // gates on recovery completing
+		if err != nil {
+			t.Fatalf("replayed job: %v", err)
+		}
+		res, ok, err := co.GetResult(id)
+		if err != nil || !ok {
+			t.Fatalf("replayed result ready=%v err=%v", ok, err)
+		}
+		return got, res
+	}
+	asJSON := func(v any) string {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+
+	withSt, withRes := replay(true)
+	bareSt, bareRes := replay(false)
+	if a, b := asJSON(withSt), asJSON(bareSt); a != b {
+		t.Fatalf("status replayed with grad_batch differs from without:\n%s\n%s", a, b)
+	}
+	if a, b := asJSON(withRes), asJSON(bareRes); a != b {
+		t.Fatalf("payload replayed with grad_batch differs from without:\n%s\n%s", a, b)
+	}
+	if withSt.State != serve.Done || withSt.Progress != st.Progress || withSt.Attempts != st.Attempts {
+		t.Fatalf("replayed job %s at %d iterations after %d attempts, source %s at %d after %d",
+			withSt.State, withSt.Progress, withSt.Attempts, st.State, st.Progress, st.Attempts)
+	}
+	payload.ID = id
+	if a, b := asJSON(withRes), asJSON(payload); a != b {
+		t.Fatalf("replayed payload differs from the source job's:\n%s\n%s", a, b)
+	}
+}

@@ -26,7 +26,7 @@ func capabilityFor(name string, plat hw.Platform) serve.Capability {
 	return serve.Capability{
 		Node: name, Role: "worker", Status: "ready", State: "ready",
 		Platform: plat.Codename, LLCBytes: plat.LLCBytes, FrequencyGHz: plat.TurboGHz,
-		Cores: plat.Cores, Slots: 1, GradBatch: true,
+		Cores: plat.Cores, Slots: 1,
 	}
 }
 

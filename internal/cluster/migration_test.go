@@ -96,7 +96,8 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			// can starve a worker's heartbeat goroutine past the liveness
 			// bound and get the healthy rescue worker falsely reaped.
 			if tc.batched {
-				// The runner fuses gradients only on one core.
+				// Batchable jobs also migrate at one core: their draws
+				// must not depend on GOMAXPROCS.
 				prev := runtime.GOMAXPROCS(1)
 				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			}
@@ -161,13 +162,6 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			}
 			if _, err := cluster.DecodeDraws(got); err != nil {
 				t.Fatalf("decoding migrated draws: %v", err)
-			}
-			if tc.batched {
-				// The rescue worker's heartbeat carries its batching
-				// counters into the fleet rollup.
-				eventually(t, "batching counters in fleet stats", func() bool {
-					return co.ServiceStats().(cluster.FleetStats).BatchChainEvals > 0
-				})
 			}
 			stopWorker(t, w2)
 		})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -428,21 +429,34 @@ func pinOneProc(t *testing.T) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// batchCount is a run's own view of its fused gradient path: BatchGrad
+// calls and the chain requests (rows) they carried.
+type batchCount struct{ calls, rows atomic.Int64 }
+
 // batchedTargets wires cfg's fused gradient path over a fresh evaluator
-// for m.
-func batchedTargets(t *testing.T, cfg *mcmc.Config, m *batchGLM) mcmc.TargetFactory {
+// for m, counting what goes through it.
+func batchedTargets(t *testing.T, cfg *mcmc.Config, m *batchGLM) (mcmc.TargetFactory, *batchCount) {
 	t.Helper()
 	be, ok := model.NewBatchEvaluator(m, chains)
 	if !ok {
 		t.Fatal("batchGLM is not batchable")
 	}
-	cfg.BatchGrad = be.LogDensityGradBatch
+	n := new(batchCount)
+	cfg.BatchGrad = func(qs, grads [][]float64, lps []float64) {
+		n.calls.Add(1)
+		for _, q := range qs {
+			if q != nil {
+				n.rows.Add(1)
+			}
+		}
+		be.LogDensityGradBatch(qs, grads, lps)
+	}
 	next := 0
 	return func() mcmc.Target {
 		c := next
 		next++
 		return be.Chain(c)
-	}
+	}, n
 }
 
 func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind) {
@@ -456,7 +470,7 @@ func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind) {
 		cfg.FaultHook = inj.Hook
 		var factory mcmc.TargetFactory
 		if batched {
-			factory = batchedTargets(t, &cfg, m)
+			factory, _ = batchedTargets(t, &cfg, m)
 		} else {
 			factory = func() mcmc.Target { return model.NewEvaluator(m) }
 		}
@@ -490,11 +504,17 @@ func testBatchedQuarantine(t *testing.T, kind mcmc.SamplerKind, fk Kind) {
 	sameChainDraws(t, "batched resume replay", res, replay)
 }
 
-// coalesced fails a run that never went through the gradient coalescer.
-func coalesced(t *testing.T, res *mcmc.Result) {
+// coalesced fails a run that never went through the gradient coalescer,
+// or whose fused sweeps carried more rows than its chains demanded (a
+// one-row batch is served by the chain's own evaluator, so fewer is
+// fine).
+func coalesced(t *testing.T, res *mcmc.Result, n *batchCount) {
 	t.Helper()
-	if res.GradBatch == nil {
-		t.Fatal("batched run reported no GradBatch")
+	if n.calls.Load() == 0 {
+		t.Fatal("batched run never called BatchGrad")
+	}
+	if rows := n.rows.Load(); rows > res.TotalWork() {
+		t.Fatalf("fused sweeps carried %d rows for %d demanded gradients", rows, res.TotalWork())
 	}
 }
 
@@ -508,7 +528,7 @@ func testBatchedSlow(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // observed like a served job; any parallel run on one core engages the coalescer
 	cfg.FaultHook = inj.Hook
-	factory := batchedTargets(t, &cfg, m)
+	factory, n := batchedTargets(t, &cfg, m)
 	res := mcmc.Run(cfg, factory)
 
 	if inj.Injected() == 0 {
@@ -518,7 +538,7 @@ func testBatchedSlow(t *testing.T, kind mcmc.SamplerKind) {
 		t.Fatalf("slow iterations must not quarantine: %v", res.Faults())
 	}
 	sameChainDraws(t, "batched slow", ref, res)
-	coalesced(t, res)
+	coalesced(t, res, n)
 }
 
 // testBatchedCancel: a cooperative cancel mid-round on the batched path
@@ -531,7 +551,7 @@ func testBatchedCancel(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // observed like a served job; chains end level after a cancel on every run
 	cfg.FaultHook = inj.Hook
-	factory := batchedTargets(t, &cfg, m)
+	factory, n := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)
 
 	if inj.Fired(Cancel) != 1 {
@@ -546,7 +566,7 @@ func testBatchedCancel(t *testing.T, kind mcmc.SamplerKind) {
 	if res.Iterations < faultIter || res.Iterations >= iterations {
 		t.Errorf("Iterations = %d, want in [%d, %d)", res.Iterations, faultIter, iterations)
 	}
-	coalesced(t, res)
+	coalesced(t, res, n)
 }
 
 // testBatchedWorkerLoss: an abrupt kill under the batched sampler honors
@@ -566,7 +586,7 @@ func testBatchedWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	cfg := baseConfig(kind)
 	cfg.Progress = func(int) {} // observed like a served job; chains end level after the kill on every run
 	cfg.FaultHook = inj.Hook
-	factory := batchedTargets(t, &cfg, m)
+	factory, n := batchedTargets(t, &cfg, m)
 	res := mcmc.RunContext(ctx, cfg, factory)
 
 	if kills != 1 {
@@ -578,5 +598,5 @@ func testBatchedWorkerLoss(t *testing.T, kind mcmc.SamplerKind) {
 	if len(res.Faults()) != 0 {
 		t.Fatalf("worker loss must not quarantine chains (the whole node died): %v", res.Faults())
 	}
-	coalesced(t, res)
+	coalesced(t, res, n)
 }

@@ -54,10 +54,6 @@ type gradCoalescer struct {
 	grads     [][]float64
 	lps       []float64 // per-chain results; stable until that chain's next submit
 	wake      []chan struct{}
-
-	// Accounting (guarded by mu; authoritative for Result.GradBatch).
-	sweeps   int64
-	realRows int64
 }
 
 // newGradCoalescer builds the rendezvous for n chains. inner, when
@@ -104,13 +100,6 @@ func (co *gradCoalescer) leave(c int) {
 		co.runBatchLocked(-1)
 	}
 	co.mu.Unlock()
-}
-
-// report returns the run's batching accounting.
-func (co *gradCoalescer) report() *GradBatchReport {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	return &GradBatchReport{Sweeps: co.sweeps, RealRows: co.realRows}
 }
 
 // submit hands chain c's gradient request to the rendezvous and returns
@@ -166,10 +155,6 @@ func (co *gradCoalescer) runBatchLocked(leader int) any {
 	co.mu.Unlock()
 	pv := co.tryEval(n == 1)
 	co.mu.Lock()
-	co.realRows += int64(n)
-	if pv == nil {
-		co.sweeps++
-	}
 	for c, q := range co.qs {
 		if q == nil {
 			continue

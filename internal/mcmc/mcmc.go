@@ -161,7 +161,8 @@ type Config struct {
 	// model.BatchEvaluator.LogDensityGradBatch satisfies this contract. A
 	// request that ends up alone in its batch is evaluated by the chain's
 	// own Target instead. Ignored on sequential runs, where there is
-	// nothing to coalesce.
+	// nothing to coalesce. bayesd leaves it nil: served chains run free at
+	// every GOMAXPROCS (DESIGN.md, "One gradient path for served jobs").
 	BatchGrad func(qs, grads [][]float64, lps []float64)
 }
 
@@ -268,30 +269,6 @@ type Result struct {
 	Interrupted bool
 	// Config echoes the effective configuration.
 	Config Config
-	// GradBatch carries the gradient coalescer's accounting when the run
-	// used cross-chain batching (nil otherwise): batch evaluations and the
-	// rows they served.
-	GradBatch *GradBatchReport
-}
-
-// GradBatchReport is the batched gradient path's occupancy accounting,
-// kept by the gradient coalescer.
-type GradBatchReport struct {
-	// Sweeps counts batch evaluations, one-row batches served by the
-	// chain's own target included. How requests group into batches
-	// depends on scheduling, so this varies run to run; the row counts
-	// below do not.
-	Sweeps int64
-	// RealRows counts rows demanded by live chain steps.
-	RealRows int64
-}
-
-// RealOccupancy is mean demanded rows per sweep.
-func (g *GradBatchReport) RealOccupancy() float64 {
-	if g.Sweeps == 0 {
-		return 0
-	}
-	return float64(g.RealRows) / float64(g.Sweeps)
 }
 
 // Faults returns the fault records of every quarantined chain, in chain

@@ -113,11 +113,7 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 	}
 
 	iters, elided, interrupted := newRunner(&cfg, steppers, chains, acceptSums, startIter, co).run(ctx, startIter)
-	res := &Result{Chains: chains, Iterations: iters, Elided: elided, Interrupted: interrupted, Config: cfg}
-	if co != nil {
-		res.GradBatch = co.report()
-	}
-	return res
+	return &Result{Chains: chains, Iterations: iters, Elided: elided, Interrupted: interrupted, Config: cfg}
 }
 
 // initPoint draws a uniform(-r, r) starting point, retrying until the

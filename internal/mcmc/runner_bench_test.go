@@ -368,10 +368,11 @@ func BenchmarkRunnerBatchedLockstep4(b *testing.B)   { benchLockstepGLM(b, true,
 func BenchmarkRunnerUnbatchedLockstep4(b *testing.B) { benchLockstepGLM(b, false, 4) }
 
 // The Registry pair is the end-to-end check of the coalescer on real
-// jobs: registry workloads wired the way bayesd runs them (NUTS, 4
-// chains, convergence stop rule, a checkpoint every 50 iterations), with
-// and without BatchGrad. Both sides draw the same numbers and stop at the
-// same iteration; grads/s is their common gradient count over wall time.
+// jobs: registry workloads wired like a served job (NUTS, 4 chains,
+// convergence stop rule, a checkpoint every 50 iterations), with and
+// without BatchGrad; bayesd runs the unbatched side at every GOMAXPROCS.
+// Both sides draw the same numbers and stop at the same iteration;
+// grads/s is their common gradient count over wall time.
 // Run at -cpu 1,2 (make bench-runner): one core shows what sharing the
 // data pass buys. At two cores the runner builds no coalescer, so both
 // sides run the same free-running chains and should read alike; served

@@ -84,9 +84,6 @@ func NewBatchEvaluator(m Model, chains int) (*BatchEvaluator, bool) {
 	return b, true
 }
 
-// Chains reports the number of per-chain evaluators.
-func (b *BatchEvaluator) Chains() int { return len(b.evals) }
-
 // Chain returns chain c's Evaluator — a full standalone Evaluator (used
 // as the per-chain sampling target), with its own tape, work counters,
 // and LastNonFinite diagnostics.

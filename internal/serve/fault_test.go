@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +24,7 @@ func faultServer(cfg Config, failAttempts int, chains map[int]bool) *Server {
 	if cfg.Predictor == nil {
 		cfg.Predictor = testPredictor()
 	}
-	s := NewServer(cfg)
-	s.mu.Lock()
-	s.injectFaultHook = func(job *Job, attempt int) func(chain, iter int) mcmc.FaultAction {
+	cfg.InjectFaultHook = func(job *Job, attempt int) func(chain, iter int) mcmc.FaultAction {
 		if attempt > failAttempts {
 			return nil
 		}
@@ -36,8 +35,7 @@ func faultServer(cfg Config, failAttempts int, chains map[int]bool) *Server {
 			return mcmc.FaultActNone
 		}
 	}
-	s.mu.Unlock()
-	return s
+	return NewServer(cfg)
 }
 
 // TestRetryFromCheckpoint: a run whose every chain faults retries from
@@ -227,6 +225,83 @@ func TestDrainWithRetryPending(t *testing.T) {
 	final := job.Status()
 	if final.State != Canceled || !strings.Contains(final.Error, "retry pending") {
 		t.Fatalf("final %s (%q), want canceled with retry pending", final.State, final.Error)
+	}
+}
+
+// TestTerminalJobReleasesCheckpoint: a job that took a checkpoint lets go
+// of it on every terminal transition — done, failed (a worker panic on
+// the retry), faulted (retries exhausted), canceled and drained while
+// awaiting a retry. The checkpoint is a copy of every chain's draw
+// prefix; once the job has ended nothing resumes from it.
+func TestTerminalJobReleasesCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		cfg          Config
+		failAttempts int
+		panicOn      int // attempt whose pre-run hook panics; 0 = none
+		end          func(t *testing.T, s *Server, job *Job)
+		want         JobState
+	}{
+		{name: "done", want: Done},
+		{name: "failed", cfg: Config{RetryBackoff: time.Millisecond},
+			failAttempts: 1, panicOn: 2, want: Failed},
+		{name: "faulted", cfg: Config{MaxRetries: 1, RetryBackoff: time.Millisecond},
+			failAttempts: 99, want: Failed},
+		{name: "canceled", cfg: Config{RetryBackoff: time.Hour, RetryMaxBackoff: time.Hour},
+			failAttempts: 99, want: Canceled,
+			end: func(t *testing.T, s *Server, job *Job) {
+				waitState(t, job, Retrying, 60*time.Second)
+				if _, err := s.Cancel(job.ID()); err != nil {
+					t.Fatalf("cancel retrying: %v", err)
+				}
+			}},
+		{name: "drained", cfg: Config{RetryBackoff: time.Hour, RetryMaxBackoff: time.Hour},
+			failAttempts: 99, want: Canceled,
+			end: func(t *testing.T, s *Server, job *Job) {
+				waitState(t, job, Retrying, 60*time.Second)
+				if err := s.Shutdown(context.Background()); err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers, cfg.QueueCap = 1, 4
+			var took atomic.Int64
+			cfg.OnCheckpoint = func(*Job, *mcmc.Checkpoint) { took.Add(1) }
+			s := faultServer(cfg, tc.failAttempts, nil)
+			if tc.panicOn > 0 {
+				s.mu.Lock()
+				s.beforeRun = func(j *Job) {
+					j.mu.Lock()
+					attempt := j.attempts
+					j.mu.Unlock()
+					if attempt == tc.panicOn {
+						panic("synthetic workload bug")
+					}
+				}
+				s.mu.Unlock()
+			}
+			job, err := s.Submit(faultSpec(26))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.end != nil {
+				tc.end(t, s, job)
+			}
+			if st := waitDone(t, job, 60*time.Second); st.State != tc.want {
+				t.Fatalf("job ended %s (%s), want %s", st.State, st.Error, tc.want)
+			}
+			if took.Load() == 0 {
+				t.Fatal("job took no checkpoint")
+			}
+			job.mu.Lock()
+			ck := job.checkpoint
+			job.mu.Unlock()
+			if ck != nil {
+				t.Fatalf("%s job still holds its iteration-%d checkpoint", tc.want, ck.Iteration)
+			}
+		})
 	}
 }
 

@@ -51,8 +51,8 @@ const maxSpecBytes = 1 << 20
 //
 // /readyz content-negotiates: a bare probe gets the legacy {"status"}
 // body, while a client sending Accept: application/json gets the full
-// Capability document (LLC bytes, frequency, occupancy, grad-batch
-// support) — the probe the cluster coordinator reads fleet capabilities
+// Capability document (LLC bytes, frequency, occupancy, kernel ISA)
+// — the probe the cluster coordinator reads fleet capabilities
 // from. Both forms share the 200/503 status semantics.
 //
 // Error mapping: bad spec → 400, unknown job → 404, result not ready or

@@ -203,9 +203,6 @@ func TestHTTPReadyzCapabilityNegotiation(t *testing.T) {
 	if full["slots"] != float64(3) || full["llc_bytes"] == float64(0) || full["frequency_ghz"] == float64(0) {
 		t.Fatalf("capability hardware facts %v, want 3 slots and non-zero LLC/frequency", full)
 	}
-	if full["grad_batch"] != true {
-		t.Fatalf("capability grad_batch %v, want true", full["grad_batch"])
-	}
 	if full["kernel_isa"] != mathx.VectorISA() {
 		t.Fatalf("capability kernel_isa %v, want %q", full["kernel_isa"], mathx.VectorISA())
 	}

@@ -106,21 +106,6 @@ type PlacementDecision struct {
 	Reason string `json:"reason"`
 }
 
-// GradBatchStats is a job's cross-chain gradient batching accounting:
-// how many data sweeps the run executed, how many chain gradient
-// evaluations (rows) those sweeps carried, and their ratio — the mean
-// number of chains served per sweep. The runner fuses only at GOMAXPROCS
-// 1, where the chains' gradient requests meet in full sets (the data is
-// streamed from the cache hierarchy once per set, not once per chain), so
-// occupancy reads near the chain count, lower only where chains that
-// finished their segment early left the set. ChainEvals is fixed by the
-// spec.
-type GradBatchStats struct {
-	Sweeps        int64   `json:"sweeps"`
-	ChainEvals    int64   `json:"chain_evals"`
-	MeanOccupancy float64 `json:"mean_occupancy"`
-}
-
 // ChainFaultInfo is one quarantined chain's fault record, as reported
 // over the API (the wire form of mcmc.ChainFault; stack traces stay
 // server-side).
@@ -170,11 +155,6 @@ type JobStatus struct {
 
 	Placement *PlacementDecision `json:"placement,omitempty"`
 	RHatTrace []RHatPoint        `json:"rhat_trace,omitempty"`
-
-	// GradBatch is the most recent attempt's gradient batching accounting
-	// (absent when the model exposes no batched kernels or the run never
-	// coalesced a sweep — as on any node with more than one core).
-	GradBatch *GradBatchStats `json:"grad_batch,omitempty"`
 
 	// Elided: the run stopped early on convergence. Interrupted: it was
 	// cut short by cancel/timeout (draws up to Progress are retained).
@@ -264,9 +244,6 @@ type Capability struct {
 	Running    int     `json:"running"`
 	QueueDepth int     `json:"queue_depth"`
 	Occupancy  float64 `json:"occupancy"`
-	// GradBatch reports cross-chain gradient batching support (fused
-	// multi-chain sweeps for batchable workloads).
-	GradBatch bool `json:"grad_batch"`
 	// KernelISA names the instruction set the GLM kernels' link functions
 	// run on here (mathx.VectorISA: "avx2+fma" or "generic"); empty on a
 	// coordinator, which samples nothing. Results are bit-identical
@@ -310,13 +287,6 @@ type Stats struct {
 
 	Platforms []PlatformStats `json:"platforms"`
 
-	// Gradient batching aggregated over all jobs: fused sweeps executed,
-	// chain evaluations they carried, and the service-wide mean batch
-	// occupancy (chain_evals / sweeps).
-	BatchSweeps        int64   `json:"batch_sweeps,omitempty"`
-	BatchChainEvals    int64   `json:"batch_chain_evals,omitempty"`
-	MeanBatchOccupancy float64 `json:"mean_batch_occupancy,omitempty"`
-
 	// Elision savings aggregated over completed jobs.
 	SavedIterations int64   `json:"saved_iterations"`
 	SavedJoules     float64 `json:"saved_joules"`
@@ -359,8 +329,9 @@ type Job struct {
 
 	// Fault/retry state. attempts counts sampling attempts started;
 	// checkpoint is the most recent all-healthy snapshot (what a retry
-	// resumes from); faults records the latest attempt's quarantined
-	// chains; retryTimer/nextRetry are live only in the Retrying state.
+	// resumes from; released when the job ends); faults records the
+	// latest attempt's quarantined chains; retryTimer/nextRetry are live
+	// only in the Retrying state.
 	attempts   int
 	checkpoint *mcmc.Checkpoint
 	faults     []mcmc.ChainFault
@@ -371,12 +342,18 @@ type Job struct {
 	summaries []ParamSummary
 	maxRHat   float64
 
-	// Gradient batching accounting of the most recent attempt (zero when
-	// the model is not batchable).
-	batchSweeps     int64
-	batchChainEvals int64
-
 	done chan struct{}
+}
+
+// finishLocked ends a job whose terminal state the caller (holding j.mu)
+// has set: it stamps the finish time and signals Done, and it releases
+// the retry checkpoint — a row-major copy of every chain's draw prefix
+// that nothing resumes from once the job is terminal.
+func (j *Job) finishLocked() {
+	j.finished = time.Now()
+	j.checkpoint = nil
+	j.cancelRun = nil
+	close(j.done)
 }
 
 // ID returns the job's server-assigned identifier.
@@ -425,13 +402,6 @@ func (j *Job) Status() JobStatus {
 	}
 	if len(j.rhat) > 0 {
 		st.RHatTrace = append([]RHatPoint(nil), j.rhat...)
-	}
-	if j.batchSweeps > 0 {
-		st.GradBatch = &GradBatchStats{
-			Sweeps:        j.batchSweeps,
-			ChainEvals:    j.batchChainEvals,
-			MeanOccupancy: float64(j.batchChainEvals) / float64(j.batchSweeps),
-		}
 	}
 	return st
 }

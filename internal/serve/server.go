@@ -155,10 +155,6 @@ type Server struct {
 	// job and before sampling starts. Test hook: lets the queue tests
 	// hold a worker busy deterministically.
 	beforeRun func(*Job)
-	// injectFaultHook, when non-nil, supplies the mcmc fault hook for a
-	// job's sampling run (attempt is 1-based). Test hook: drives the
-	// serve-layer fault matrix deterministically.
-	injectFaultHook func(job *Job, attempt int) func(chain, iter int) mcmc.FaultAction
 }
 
 // NewServer builds the server, fits the predictor if calibration points
@@ -170,7 +166,6 @@ func NewServer(cfg Config) *Server {
 		queue: NewQueue[*Job](cfg.QueueCap),
 		jobs:  make(map[string]*Job),
 	}
-	s.injectFaultHook = cfg.InjectFaultHook
 	switch {
 	case cfg.Predictor != nil:
 		s.pred = cfg.Predictor
@@ -342,8 +337,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		job.cancelCause = "canceled by client while queued"
 		job.errMsg = job.cancelCause
 		job.state = Canceled
-		job.finished = time.Now()
-		close(job.done)
+		job.finishLocked()
 	case job.state == Retrying:
 		job.cancelRequested = true
 		job.cancelCause = "canceled by client while awaiting retry"
@@ -353,8 +347,7 @@ func (s *Server) Cancel(id string) (JobStatus, error) {
 		}
 		job.errMsg = job.cancelCause
 		job.state = Canceled
-		job.finished = time.Now()
-		close(job.done)
+		job.finishLocked()
 	case job.state == Running:
 		if !job.cancelRequested {
 			job.cancelRequested = true
@@ -398,8 +391,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 			job.state = Canceled
 			job.errMsg = "canceled: server draining with retry pending"
-			job.finished = time.Now()
-			close(job.done)
+			job.finishLocked()
 		}
 		job.mu.Unlock()
 	}
@@ -480,8 +472,6 @@ func (s *Server) Stats() Stats {
 		state, placement, chains := job.state, job.placement, job.spec.Chains
 		st.SavedIterations += job.savedIters
 		st.SavedJoules += job.savedJoules
-		st.BatchSweeps += job.batchSweeps
-		st.BatchChainEvals += job.batchChainEvals
 		job.mu.Unlock()
 		switch state {
 		case Queued:
@@ -513,9 +503,6 @@ func (s *Server) Stats() Stats {
 			}
 			ps.CoresInUse += cores
 		}
-	}
-	if st.BatchSweeps > 0 {
-		st.MeanBatchOccupancy = float64(st.BatchChainEvals) / float64(st.BatchSweeps)
 	}
 	for _, ps := range perPlat {
 		if ps.CoresInUse > ps.Cores {
@@ -561,7 +548,6 @@ func (s *Server) Capability() Capability {
 		Slots:        s.cfg.Workers,
 		Running:      running,
 		QueueDepth:   s.queue.Len(),
-		GradBatch:    true,
 		KernelISA:    mathx.VectorISA(),
 		Draining:     draining,
 	}
@@ -714,8 +700,7 @@ func (s *Server) runJobLocked(job *Job) {
 	if draining {
 		job.state = Canceled
 		job.errMsg = "canceled: server draining"
-		job.finished = time.Now()
-		close(job.done)
+		job.finishLocked()
 		job.mu.Unlock()
 		return
 	}
@@ -797,35 +782,13 @@ func (s *Server) runJobLocked(job *Job) {
 		},
 		ResumeFrom: resume,
 	}
-	if s.injectFaultHook != nil {
-		cfg.FaultHook = s.injectFaultHook(job, attempt)
+	if s.cfg.InjectFaultHook != nil {
+		cfg.FaultHook = s.cfg.InjectFaultHook(job, attempt)
 	}
-	// Cross-chain gradient batching: when the workload exposes batched
-	// kernels, hand the run one fused evaluator whose per-chain targets
-	// the runner rendezvouses into cache-blocked data sweeps — on one core
-	// only; with more, the chains step on those targets alone (see
-	// mcmc.Config.BatchGrad). Batched results are bit-identical to
-	// per-chain evaluation, so the determinism contract (equal specs ⇒
-	// equal draws) is unaffected — including checkpoint-resume retries.
-	factory := func() mcmc.Target { return model.NewEvaluator(w.Model) }
-	if be, ok := model.NewBatchEvaluator(w.Model, job.spec.Chains); ok {
-		cfg.BatchGrad = be.LogDensityGradBatch
-		next := 0
-		factory = func() mcmc.Target { // called sequentially by the runner
-			c := next
-			next++
-			return be.Chain(c)
-		}
-	}
-	res := mcmc.RunContext(ctx, cfg, factory)
-
-	var sweeps, rows int64
-	if gb := res.GradBatch; gb != nil {
-		sweeps, rows = gb.Sweeps, gb.RealRows
-	}
-	job.mu.Lock()
-	job.batchSweeps, job.batchChainEvals = sweeps, rows // this attempt's, like faults
-	job.mu.Unlock()
+	// Every chain steps on its own evaluator at any GOMAXPROCS: served
+	// chains never rendezvous for fused gradient sweeps (DESIGN.md, "One
+	// gradient path for served jobs").
+	res := mcmc.RunContext(ctx, cfg, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 
 	faults := res.Faults()
 	if len(faults) > 0 {
@@ -898,9 +861,7 @@ func (s *Server) runJobLocked(job *Job) {
 		job.state = Canceled
 		job.errMsg = "canceled"
 	}
-	job.finished = time.Now()
-	job.cancelRun = nil
-	close(job.done)
+	job.finishLocked()
 	job.mu.Unlock()
 }
 
@@ -913,8 +874,7 @@ func (s *Server) finalizeFailed(job *Job, msg string) {
 	}
 	job.state = Failed
 	job.errMsg = msg
-	job.finished = time.Now()
-	close(job.done)
+	job.finishLocked()
 }
 
 // finalizeFaulted fails a job whose every chain was quarantined with no
@@ -935,9 +895,7 @@ func (s *Server) finalizeFaulted(job *Job, res *mcmc.Result, msg string) {
 	} else {
 		job.errMsg = msg
 	}
-	job.finished = time.Now()
-	job.cancelRun = nil
-	close(job.done)
+	job.finishLocked()
 }
 
 // maybeRetry arms a backoff retry for a job whose every chain faulted.
@@ -1036,8 +994,7 @@ func (s *Server) abandonRetry(job *Job, msg string) {
 	job.retryTimer = nil
 	job.state = Canceled
 	job.errMsg = msg
-	job.finished = time.Now()
-	close(job.done)
+	job.finishLocked()
 }
 
 // elisionJoules converts a job's elided iterations into simulated energy

@@ -370,12 +370,9 @@ func TestSubmitValidation(t *testing.T) {
 	waitDone(t, job, 60*time.Second)
 }
 
-// TestGradBatchOccupancy: a job on a batchable workload runs its chains'
-// gradients through the fused cross-chain sweep, reports the batch
-// occupancy in its status, and — the determinism contract — still
-// produces bit-identical draws across identical specs. The server-wide
-// stats aggregate the same accounting. It runs at GOMAXPROCS 1, the only
-// setting at which the runner fuses.
+// TestGradBatchOccupancy: two jobs of one spec on a batchable workload
+// produce bit-identical draws — the determinism contract — at GOMAXPROCS
+// 1, where a served job's chains timeshare one core.
 func TestGradBatchOccupancy(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
@@ -385,34 +382,19 @@ func TestGradBatchOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := waitDone(t, job, 60*time.Second)
-	if st.State != Done {
+	if st := waitDone(t, job, 60*time.Second); st.State != Done {
 		t.Fatalf("job ended %s (%s), want done", st.State, st.Error)
 	}
-	gb := st.GradBatch
-	if gb == nil {
-		t.Fatal("batchable workload reported no gradient-batch stats")
-	}
-	if gb.Sweeps <= 0 || gb.ChainEvals < gb.Sweeps {
-		t.Fatalf("implausible accounting: %+v", gb)
-	}
-	if gb.MeanOccupancy < 1 || gb.MeanOccupancy > float64(spec.Chains) {
-		t.Fatalf("mean occupancy %.2f outside [1, %d]", gb.MeanOccupancy, spec.Chains)
-	}
-	// Row conservation: every gradient a chain demanded inside a round was
-	// evaluated exactly once. How the rows group into sweeps is scheduling.
-	if demand := job.Raw().TotalWork(); gb.ChainEvals != demand {
-		t.Fatalf("%d rows evaluated for a demand of %d gradients", gb.ChainEvals, demand)
-	}
 
-	// Same spec again: batched sampling must preserve the bit-identity
-	// contract job to job — the draws, and with them the rows; the sweep
-	// count is free to differ.
+	// Same spec again: the draws, and with them the gradient work, must
+	// match job to job.
 	job2, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2 := waitDone(t, job2, 60*time.Second)
+	if st := waitDone(t, job2, 60*time.Second); st.State != Done {
+		t.Fatalf("rerun ended %s (%s), want done", st.State, st.Error)
+	}
 	a, b := job.Raw(), job2.Raw()
 	if a == nil || b == nil || len(a.Chains) != len(b.Chains) {
 		t.Fatal("missing results")
@@ -431,17 +413,7 @@ func TestGradBatchOccupancy(t *testing.T) {
 			}
 		}
 	}
-	gb2 := st2.GradBatch
-	if gb2 == nil || gb2.ChainEvals != gb.ChainEvals {
-		t.Fatalf("rerun evaluated %+v rows, first run %d", gb2, gb.ChainEvals)
-	}
-
-	stats := s.Stats()
-	if stats.BatchSweeps != gb.Sweeps+gb2.Sweeps || stats.BatchChainEvals != 2*gb.ChainEvals {
-		t.Fatalf("stats aggregation %d/%d, the two jobs' own %d+%d/%d",
-			stats.BatchSweeps, stats.BatchChainEvals, gb.Sweeps, gb2.Sweeps, 2*gb.ChainEvals)
-	}
-	if stats.MeanBatchOccupancy < 1 {
-		t.Fatalf("service mean occupancy %.2f < 1", stats.MeanBatchOccupancy)
+	if a.TotalWork() != b.TotalWork() {
+		t.Fatalf("rerun evaluated %d gradients, first run %d", b.TotalWork(), a.TotalWork())
 	}
 }
