@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fuzz fault-matrix bench bench-runner bench-kernels bench-hw bench-compare
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix bench bench-runner bench-kernels bench-hw bench-compare deadcode
 
 ci: fmt-check vet test race fuzz fault-matrix
 
@@ -129,3 +129,38 @@ bench:
 bench-compare:
 	@test -n "$(PARENT)" -a -n "$(CHANGE)" || { echo "usage: make bench-compare PARENT=<result.json> CHANGE=<result.json>"; exit 2; }
 	$(GO) run -C benchmark . compare $(abspath $(PARENT)) $(abspath $(CHANGE))
+
+# Report-only, outside `make ci`: every function declared outside _test.go
+# files (for this GOOS/GOARCH) that no main package links. The commands,
+# the examples and the benchmark are built with inlining off, so a call
+# the compiler would inline still leaves its callee's symbol, and their
+# `go tool nm` text symbols are matched against the declarations: generic
+# shape names and the .abi0 suffix of assembly stubs are stripped, and a
+# binary's main.X is renamed to its package path. CHANGES.md gives the
+# reason each function it prints is kept.
+deadcode:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for p in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) bayessuite/benchmark; do \
+		if [ "$$p" = bayessuite/benchmark ]; then \
+			$(GO) build -C benchmark -gcflags=all=-l -o "$$tmp/bin" . || exit 1; \
+		else \
+			$(GO) build -gcflags=all=-l -o "$$tmp/bin" "$$p" || exit 1; \
+		fi; \
+		$(GO) tool nm "$$tmp/bin" | awk '{ $$1 = ""; $$2 = ""; sub(/^ +/, ""); print }' | \
+			sed -E -e ':a' -e 's/\[[^][]*\]//' -e 'ta' -e 's/\.abi0$$//' -e "s#^main\.#$$p.#" >> "$$tmp/linked"; \
+	done; \
+	sort -u -o "$$tmp/linked" "$$tmp/linked"; \
+	$(GO) list -f '{{.ImportPath}} {{.Dir}}{{range .GoFiles}} {{.}}{{end}}' ./... | while read -r pkg dir files; do \
+		for f in $$files; do \
+			awk -v pkg="$$pkg" '/^func / { \
+				l = substr($$0, 6); recv = ""; \
+				if (l ~ /^\(/) { \
+					r = substr(l, 2, index(l, ")") - 2); l = substr(l, index(l, ")") + 2); \
+					gsub(/\[[^]]*\]/, "", r); n = split(r, part, " "); t = part[n]; \
+					recv = (t ~ /^\*/) ? "(" t ")." : t "."; \
+				} \
+				name = l; sub(/[[(].*/, "", name); \
+				if (name != "init" && name != "_") print pkg "." recv name; \
+			}' "$$dir/$$f"; \
+		done; \
+	done | sort -u | comm -23 - "$$tmp/linked"

@@ -26,9 +26,9 @@
 // heartbeat, stream checkpoints, and upload results, so a job migrates
 // off a lost worker with bit-identical draws (see internal/cluster).
 //
-// Jobs whose every chain is quarantined (panic, non-finite density,
-// divergence storm) are retried up to -retries times from their last
-// all-healthy checkpoint, with capped exponential backoff. GET /healthz
+// Jobs whose every chain is quarantined (a panic or a non-finite
+// density) are retried up to -retries times from their last all-healthy
+// checkpoint, with capped exponential backoff. GET /healthz
 // is liveness (200 while the process serves); GET /readyz is readiness
 // (503 once a drain begins).
 //

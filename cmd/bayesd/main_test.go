@@ -213,7 +213,7 @@ func TestCoordinatorSIGKILLRestart(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("draws %s: %d, want 200", id, resp.StatusCode)
 		}
-		if !cluster.DrawsEqual(want[i], got) {
+		if !bytes.Equal(want[i], got) {
 			t.Fatalf("%s (%s): draws differ from the uninterrupted reference (%d vs %d bytes)",
 				id, specs[i].Sampler, len(got), len(want[i]))
 		}

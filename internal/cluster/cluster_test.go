@@ -146,6 +146,9 @@ func TestClusterEndToEnd(t *testing.T) {
 	if ws[0].KernelISA != mathx.VectorISA() || co.Capability().KernelISA != "" {
 		t.Fatalf("kernel_isa: worker %q, coordinator %q; want %q and none", ws[0].KernelISA, co.Capability().KernelISA, mathx.VectorISA())
 	}
+	if r := w1.Engine().Capability().Role; r != "worker" || ws[0].Role != "worker" {
+		t.Fatalf("worker role: engine %q, fleet list %q; want worker", r, ws[0].Role)
+	}
 
 	// /v1/stats over HTTP serves the same fleet document.
 	resp, err := http.Get(base + "/v1/stats")

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net"
@@ -171,7 +172,7 @@ func crashRestart(t *testing.T, spec serve.JobSpec) {
 	if err != nil {
 		t.Fatalf("draws: %v", err)
 	}
-	if !cluster.DrawsEqual(want, got) {
+	if !bytes.Equal(want, got) {
 		t.Fatalf("post-crash draws differ from uninterrupted reference (%d vs %d bytes)", len(got), len(want))
 	}
 
@@ -374,7 +375,7 @@ func TestClusterCoordinatorReplayDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy draws: %v", err)
 	}
-	if !cluster.DrawsEqual(want, got) {
+	if !bytes.Equal(want, got) {
 		t.Fatal("legacy-spec job's draws differ from the job whose spec it copied")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
@@ -157,7 +158,7 @@ func TestClusterFaultWorkerLossMigration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("draws: %v", err)
 			}
-			if !cluster.DrawsEqual(want, got) {
+			if !bytes.Equal(want, got) {
 				t.Fatalf("migrated draws differ from uninterrupted reference (%d vs %d bytes)", len(got), len(want))
 			}
 			if _, err := cluster.DecodeDraws(got); err != nil {
@@ -221,7 +222,7 @@ func TestClusterFaultWorkerLossBeforeCheckpointResumeFromZero(t *testing.T) {
 	if err != nil {
 		t.Fatalf("draws: %v", err)
 	}
-	if !cluster.DrawsEqual(want, got) {
+	if !bytes.Equal(want, got) {
 		t.Fatalf("restarted draws differ from reference (%d vs %d bytes)", len(got), len(want))
 	}
 	stopWorker(t, w2)

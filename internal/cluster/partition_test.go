@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -131,7 +132,7 @@ func TestClusterFaultPartitionMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("draws: %v", err)
 				}
-				if !cluster.DrawsEqual(want, got) {
+				if !bytes.Equal(want, got) {
 					t.Fatalf("draws under %s differ from unfaulted reference (%d vs %d bytes)",
 						k.kind, len(got), len(want))
 				}

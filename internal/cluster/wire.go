@@ -86,18 +86,3 @@ func DecodeDraws(data []byte) ([][][]float64, error) {
 	}
 	return out, nil
 }
-
-// DrawsEqual compares two encoded draw blocks bit for bit. Raw byte
-// equality is exactly draw-level bit identity: the encoding is
-// canonical (no padding, floats as bit patterns).
-func DrawsEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"testing"
 
 	"bayessuite/internal/cluster"
@@ -51,12 +52,12 @@ func TestDrawsCheckpointRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if !cluster.DrawsEqual(blob, cluster.EncodeDraws(res)) {
+	if !bytes.Equal(blob, cluster.EncodeDraws(res)) {
 		t.Fatal("re-encoding the same result is not byte-identical")
 	}
 	// A chain shorter than the prefix encodes fewer draws — distinct.
 	other := cluster.EncodeDraws(fakeResult(5, 3, 5, 4))
-	if cluster.DrawsEqual(blob, other) {
+	if bytes.Equal(blob, other) {
 		t.Fatal("distinct results compare equal")
 	}
 }

@@ -57,7 +57,7 @@ type WorkerConfig struct {
 	HTTP *http.Client
 	// Engine, when non-zero, overrides pieces of the embedded
 	// serve.Server config (checkpoint cadence, retries, fault hook for
-	// the injection harness). Node/Role/PinnedPlatform/OnCheckpoint are
+	// the injection harness). Node/PinnedPlatform/OnCheckpoint are
 	// always set by the worker.
 	Engine serve.Config
 }
@@ -164,7 +164,6 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	ecfg := cfg.Engine
 	ecfg.Node = cfg.Name
-	ecfg.Role = "worker"
 	plat := cfg.Platform
 	ecfg.PinnedPlatform = &plat
 	ecfg.Workers = cfg.Slots

@@ -158,11 +158,6 @@ func MaxSplitRHatCols(cols [][][]float64) float64 {
 	return maxOverParamsCols(cols, SplitRHat)
 }
 
-// MaxRHatCols is the column-major counterpart of MaxRHat.
-func MaxRHatCols(cols [][][]float64) float64 {
-	return maxOverParamsCols(cols, RHat)
-}
-
 // ESS estimates the effective sample size of one scalar parameter across
 // chains using the initial-monotone-sequence autocorrelation estimator
 // (Geyer 1992), the same family Stan uses.

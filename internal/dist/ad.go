@@ -27,26 +27,6 @@ func NormalLPDF(t *ad.Tape, x, mu, sigma ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// NormalLPDFSum records sum_i log N(y[i] | mu, sigma) for constant data y.
-func NormalLPDFSum(t *ad.Tape, y []float64, mu, sigma ad.Var) ad.Var {
-	s := sigma.Value()
-	m := mu.Value()
-	inv := 1 / s
-	var val, dmu, dsigma float64
-	for _, yi := range y {
-		z := (yi - m) * inv
-		val += -0.5 * z * z
-		dmu += z * inv
-		dsigma += (z*z - 1) * inv
-	}
-	n := float64(len(y))
-	val += n * (-math.Log(s) - mathx.LnSqrt2Pi)
-	mark := t.BeginFused()
-	t.FusedEdge(mu, dmu)
-	t.FusedEdge(sigma, dsigma)
-	return t.EndFused(mark, val)
-}
-
 // NormalLPDFVec records sum_i log N(y[i] | mu[i], sigma) where each
 // observation has its own tracked mean (the regression case).
 func NormalLPDFVec(t *ad.Tape, y []float64, mu []ad.Var, sigma ad.Var) ad.Var {
@@ -89,20 +69,7 @@ func NormalLPDFVarData(t *ad.Tape, y []ad.Var, mu, sigma ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// CauchyLPDF records log Cauchy(x | loc, scale).
-func CauchyLPDF(t *ad.Tape, x, loc, scale ad.Var) ad.Var {
-	s := scale.Value()
-	z := (x.Value() - loc.Value()) / s
-	val := -math.Log(math.Pi) - math.Log(s) - math.Log1p(z*z)
-	common := 2 * z / (1 + z*z) / s
-	mark := t.BeginFused()
-	t.FusedEdge(x, -common)
-	t.FusedEdge(loc, common)
-	t.FusedEdge(scale, (common*z)-1/s)
-	return t.EndFused(mark, val)
-}
-
-// The five densities below take constant parameters, so the part of the
+// The two densities below take constant parameters, so the part of the
 // log density that depends on them alone is computed once, by the New*
 // constructor, and added by LPDF in the position the closed form puts it:
 // a model that builds its priors once pays no lgamma or log per
@@ -150,28 +117,6 @@ func expValues(t *ad.Tape, q []ad.Var) []float64 {
 	return g
 }
 
-// StudentT is the Student-t density with constant degrees of freedom nu.
-type StudentT struct{ nu, norm float64 }
-
-// NewStudentT returns the Student-t family with nu degrees of freedom.
-func NewStudentT(nu float64) StudentT {
-	return StudentT{nu: nu, norm: mathx.Lgamma((nu+1)/2) - mathx.Lgamma(nu/2) - 0.5*math.Log(nu*math.Pi)}
-}
-
-// LPDF records log t_nu(x | mu, sigma).
-func (d StudentT) LPDF(t *ad.Tape, x, mu, sigma ad.Var) ad.Var {
-	nu := d.nu
-	s := sigma.Value()
-	z := (x.Value() - mu.Value()) / s
-	val := d.norm - math.Log(s) - (nu+1)/2*math.Log1p(z*z/nu)
-	common := (nu + 1) * z / (nu + z*z) / s
-	mark := t.BeginFused()
-	t.FusedEdge(x, -common)
-	t.FusedEdge(mu, common)
-	t.FusedEdge(sigma, common*z-1/s)
-	return t.EndFused(mark, val)
-}
-
 // Gamma is the Gamma(shape alpha, rate beta) density with constant
 // parameters.
 type Gamma struct{ alpha, beta, norm float64 }
@@ -202,41 +147,6 @@ func (d Gamma) LogScaleLPDF(t *ad.Tape, q []ad.Var) ad.Var {
 		g[i] = d.alpha - d.beta*g[i]
 	}
 	return t.CustomChecked("gamma_log_scale", val, q, g)
-}
-
-// InvGamma is the InvGamma(shape alpha, scale beta) density with constant
-// parameters.
-type InvGamma struct{ alpha, beta, norm float64 }
-
-// NewInvGamma returns InvGamma(shape alpha, scale beta).
-func NewInvGamma(alpha, beta float64) InvGamma {
-	return InvGamma{alpha: alpha, beta: beta, norm: alpha*math.Log(beta) - mathx.Lgamma(alpha)}
-}
-
-// LPDF records log InvGamma(x | alpha, beta).
-func (d InvGamma) LPDF(t *ad.Tape, x ad.Var) ad.Var {
-	v := x.Value()
-	val := d.norm - (d.alpha+1)*math.Log(v) - d.beta/v
-	return t.EndFusedSingle(x, -(d.alpha+1)/v+d.beta/(v*v), val)
-}
-
-// Beta is the Beta(a, b) density with constant parameters.
-type Beta struct{ a, b, lbeta float64 }
-
-// NewBeta returns Beta(a, b).
-func NewBeta(a, b float64) Beta { return Beta{a: a, b: b, lbeta: mathx.LBeta(a, b)} }
-
-// LPDF records log Beta(x | a, b).
-func (d Beta) LPDF(t *ad.Tape, x ad.Var) ad.Var {
-	v := x.Value()
-	val := (d.a-1)*math.Log(v) + (d.b-1)*math.Log1p(-v) - d.lbeta
-	return t.EndFusedSingle(x, (d.a-1)/v-(d.b-1)/(1-v), val)
-}
-
-// ExponentialLPDF records log Exp(x | rate) with constant rate.
-func ExponentialLPDF(t *ad.Tape, x ad.Var, rate float64) ad.Var {
-	val := math.Log(rate) - rate*x.Value()
-	return t.EndFusedSingle(x, -rate, val)
 }
 
 // LogNormalLPDF records log LogNormal(x | mu, sigma).
@@ -326,21 +236,4 @@ func BinomialLogitLPMFSum(t *ad.Tape, y, n []int, lchoose []float64, eta []ad.Va
 		t.FusedEdge(eta[i], fy-fn*p)
 	}
 	return t.EndFused(mark, val)
-}
-
-// BinomialLPMF records log Binomial(y | n, p) with tracked probability p.
-func BinomialLPMF(t *ad.Tape, y, n int, p ad.Var) ad.Var {
-	pv := p.Value()
-	fy, fn := float64(y), float64(n)
-	val := mathx.LChoose(fn, fy) + fy*math.Log(pv) + (fn-fy)*math.Log1p(-pv)
-	return t.EndFusedSingle(p, fy/pv-(fn-fy)/(1-pv), val)
-}
-
-// BernoulliLPMF records log Bernoulli(y | p) with tracked probability p.
-func BernoulliLPMF(t *ad.Tape, y int, p ad.Var) ad.Var {
-	pv := p.Value()
-	if y == 1 {
-		return t.EndFusedSingle(p, 1/pv, math.Log(pv))
-	}
-	return t.EndFusedSingle(p, -1/(1-pv), math.Log1p(-pv))
 }

@@ -76,15 +76,6 @@ func NewCache(sizeBytes int64, ways, lineBytes int, policy Policy) *Cache {
 	return c
 }
 
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	clear(c.tags)
-	clear(c.lru)
-	c.stamp = 0
-	c.Hits = 0
-	c.Misses = 0
-}
-
 // ResetStats clears hit/miss counters but keeps contents (used to discard
 // cold-start warmup).
 func (c *Cache) ResetStats() {
@@ -171,13 +162,4 @@ func (c *Cache) accessLRU(tags, lru []uint64, line uint64) bool {
 	tags[victim] = line
 	lru[victim] = c.stamp
 	return false
-}
-
-// MissRate returns misses / accesses (0 when untouched).
-func (c *Cache) MissRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(total)
 }

@@ -313,129 +313,3 @@ func (d *glmData) normalP2Duo(s, a0, lo, hi int) {
 	r0[0], r0[1], r0[2], r0[3+g] = v0, dA0, dB0, g0
 	r1[0], r1[1], r1[2], r1[3+g] = v1, dA1, dB1, g1
 }
-
-// NormalDeviationsKernel is the Batcher form of NormalDeviations for a
-// fixed-length deviation block: params[k] = [u_0..u_{Len-1}, mu, sigma],
-// partials in the same order. The block is O(Len) with no shared dataset,
-// so batching buys load amortisation only; it exists so hierarchical
-// models can batch every likelihood block, not just the GLM.
-type NormalDeviationsKernel struct{ Len int }
-
-// InputDim implements Batcher.
-func (k NormalDeviationsKernel) InputDim() int { return k.Len + 2 }
-
-// BatchEval implements Batcher, mirroring NormalDeviations exactly.
-func (k NormalDeviationsKernel) BatchEval(params [][]float64, out []BatchResult) {
-	if len(out) < len(params) {
-		panic("kernels: BatchEval out shorter than params")
-	}
-	n := k.Len
-	for c, pk := range params {
-		if pk == nil {
-			continue
-		}
-		if len(pk) != n+2 {
-			panic("kernels: BatchEval parameter vector length != InputDim")
-		}
-		o := &out[c]
-		if cap(o.Partials) < n+2 {
-			o.Partials = make([]float64, n+2)
-		}
-		o.Partials = o.Partials[:n+2]
-		m := pk[n]
-		s := pk[n+1]
-		inv := 1 / s
-		dU := o.Partials
-		var val, dmu, dsigma float64
-		for i := 0; i < n; i++ {
-			z := (pk[i] - m) * inv
-			val += -0.5 * z * z
-			dU[i] = -z * inv
-			dmu += z * inv
-			dsigma += (z*z - 1) * inv
-		}
-		val += float64(n) * (-math.Log(s) - mathx.LnSqrt2Pi)
-		dU[n] = dmu
-		dU[n+1] = dsigma
-		o.Val = val
-		o.Err = ad.CheckFinite("normal_deviations", val, dU)
-	}
-}
-
-// NormalDeviationsPre splices a precomputed batched result into the tape
-// as the Custom node NormalDeviations would have recorded, re-raising the
-// non-finite panic the single evaluation would have raised.
-func NormalDeviationsPre(t *ad.Tape, u []ad.Var, mu, sigma ad.Var, pre *BatchResult) ad.Var {
-	if pre.Err != nil {
-		panic(pre.Err)
-	}
-	n := len(u)
-	if len(pre.Partials) != n+2 {
-		panic("kernels: NormalDeviationsPre partials length mismatch")
-	}
-	ins := t.ScratchVars(n + 2)
-	copy(ins, u)
-	ins[n] = mu
-	ins[n+1] = sigma
-	return t.Custom(pre.Val, ins, pre.Partials)
-}
-
-// InputDim implements Batcher: params[k] = [mu, sigma].
-func (st NormalSuffStats) InputDim() int { return 2 }
-
-// BatchEval implements Batcher, mirroring LogLik exactly — including
-// which non-finite condition it reports first.
-func (st NormalSuffStats) BatchEval(params [][]float64, out []BatchResult) {
-	if len(out) < len(params) {
-		panic("kernels: BatchEval out shorter than params")
-	}
-	for c, pk := range params {
-		if pk == nil {
-			continue
-		}
-		if len(pk) != 2 {
-			panic("kernels: BatchEval parameter vector length != InputDim")
-		}
-		o := &out[c]
-		if cap(o.Partials) < 2 {
-			o.Partials = make([]float64, 2)
-		}
-		o.Partials = o.Partials[:2]
-		m := pk[0]
-		s := pk[1]
-		inv := 1 / s
-		inv2 := inv * inv
-		q := st.SumSq - 2*m*st.Sum + st.N*m*m
-		val := -0.5*q*inv2 + st.N*(-math.Log(s)-mathx.LnSqrt2Pi)
-		dmu := (st.Sum - st.N*m) * inv2
-		dsigma := q*inv2*inv - st.N*inv
-		o.Val = val
-		o.Partials[0] = dmu
-		o.Partials[1] = dsigma
-		switch {
-		case math.IsNaN(val):
-			o.Err = &ad.ErrNonFinite{Op: "normal_suffstats", Index: -1, Value: val}
-		case math.IsNaN(dmu) || math.IsInf(dmu, 0):
-			o.Err = &ad.ErrNonFinite{Op: "normal_suffstats", Index: 0, Value: dmu}
-		case math.IsNaN(dsigma) || math.IsInf(dsigma, 0):
-			o.Err = &ad.ErrNonFinite{Op: "normal_suffstats", Index: 1, Value: dsigma}
-		default:
-			o.Err = nil
-		}
-	}
-}
-
-// LogLikPre splices a precomputed batched result into the tape as the
-// fused node LogLik would have recorded.
-func (st NormalSuffStats) LogLikPre(t *ad.Tape, mu, sigma ad.Var, pre *BatchResult) ad.Var {
-	if pre.Err != nil {
-		panic(pre.Err)
-	}
-	if len(pre.Partials) != 2 {
-		panic("kernels: LogLikPre partials length mismatch")
-	}
-	mark := t.BeginFused()
-	t.FusedEdge(mu, pre.Partials[0])
-	t.FusedEdge(sigma, pre.Partials[1])
-	return t.EndFused(mark, pre.Val)
-}

@@ -170,44 +170,6 @@ func TestBatchEvalNonFinite(t *testing.T) {
 	})
 }
 
-func TestBatchEvalNormalDeviations(t *testing.T) {
-	const n = 64
-	kn := NormalDeviationsKernel{Len: n}
-	base := make([]float64, n+2)
-	for i := 0; i < n; i++ {
-		base[i] = 0.3 * float64(i%7-3)
-	}
-	base[n] = 0.2
-	base[n+1] = 1.3
-	rec := func(tp *ad.Tape, in []ad.Var) ad.Var {
-		return NormalDeviations(tp, in[:n], in[n], in[n+1])
-	}
-	checkBatchMatchesSingle(t, "normal_deviations", kn, batchPoints(base, 4), rec)
-
-	bad := batchPoints(base, 3)
-	bad[1] = append([]float64(nil), base...)
-	bad[1][2] = math.NaN()
-	bad[2] = append([]float64(nil), base...)
-	bad[2][n+1] = -1.0
-	checkBatchMatchesSingle(t, "normal_deviations", kn, bad, rec)
-}
-
-func TestBatchEvalNormalSuffStats(t *testing.T) {
-	y := make([]float64, 400)
-	for i := range y {
-		y[i] = 0.8*float64(i%9-4) + 0.1
-	}
-	st := NewNormalSuffStats(y)
-	base := []float64{0.15, 1.1}
-	rec := func(tp *ad.Tape, in []ad.Var) ad.Var {
-		return st.LogLik(tp, in[0], in[1])
-	}
-	checkBatchMatchesSingle(t, "normal_suffstats", st, batchPoints(base, 4), rec)
-
-	bad := [][]float64{{0.15, -1.0}, nil, {math.NaN(), 1.1}}
-	checkBatchMatchesSingle(t, "normal_suffstats", st, bad, rec)
-}
-
 // TestBatchLogLikPre replays a batched result through LogLikPre and
 // checks the tape gradient is bit-identical to recording LogLik directly,
 // and that a stored error re-raises as the single path would have.

@@ -1,9 +1,9 @@
 // Package kernels provides fused analytic value-and-gradient kernels for
 // the likelihood families the registry workloads actually use: identity-link
-// normal GLMs, logit-link bernoulli GLMs, log-link poisson GLMs, normal
-// sufficient statistics, hierarchical normal deviation blocks, and the
-// model-specific likelihoods of survival (CJS), butterfly (Occupancy),
-// racial (ThresholdTest), disease (ISplineNormal) and votes (GPNormal).
+// normal GLMs, logit-link bernoulli GLMs, log-link poisson GLMs,
+// hierarchical normal deviation blocks, and the model-specific likelihoods
+// of survival (CJS), butterfly (Occupancy), racial (ThresholdTest),
+// disease (ISplineNormal) and votes (GPNormal).
 // The first two of those are collapsed as well as fused: whatever the
 // likelihood lets one count once is counted at construction, and an
 // evaluation no longer touches the observations at all.

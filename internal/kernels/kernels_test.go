@@ -230,38 +230,6 @@ func TestNormalDeviationsMatchesVarData(t *testing.T) {
 	}
 }
 
-func TestNormalSuffStatsMatchesSum(t *testing.T) {
-	r := rng.New(37)
-	y := make([]float64, 4000)
-	for i := range y {
-		y[i] = 2.5 + 1.3*r.Norm()
-	}
-	st := NewNormalSuffStats(y)
-	q := []float64{2.2, 1.5}
-
-	rec := func(useKernel bool) (float64, []float64) {
-		tp := ad.NewTape(0)
-		in := tp.Input(q)
-		var out ad.Var
-		if useKernel {
-			out = st.LogLik(tp, in[0], in[1])
-		} else {
-			out = dist.NormalLPDFSum(tp, y, in[0], in[1])
-		}
-		grad := make([]float64, 2)
-		tp.Grad(out, grad)
-		return out.Value(), grad
-	}
-	kv, kg := rec(true)
-	tv, tg := rec(false)
-	if d := math.Abs(kv-tv) / (1 + math.Abs(tv)); d > 1e-10 {
-		t.Errorf("logp: suffstats %.12g vs sum %.12g", kv, tv)
-	}
-	if d := maxRelDiff(kg, tg); d > 1e-10 {
-		t.Errorf("gradient max rel diff %.3g", d)
-	}
-}
-
 // TestParallelismDeterminism is the acceptance check that a result's bits
 // depend on the parameter vector alone: at any GOMAXPROCS, with any number
 // of evaluations sweeping the same kernel side by side on tapes of their

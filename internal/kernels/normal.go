@@ -39,54 +39,3 @@ func NormalDeviations(t *ad.Tape, u []ad.Var, mu, sigma ad.Var) ad.Var {
 	ins[n+1] = sigma
 	return t.Custom(val, ins, dU)
 }
-
-// NormalSuffStats holds the sufficient statistics (n, Σy, Σy²) of a fixed
-// iid normal sample so each evaluation of the log-likelihood is O(1) in
-// the data size — the Pichler & Jewson substitution for conjugate-shaped
-// blocks. Build once per dataset with NewNormalSuffStats.
-type NormalSuffStats struct {
-	N     float64
-	Sum   float64
-	SumSq float64
-}
-
-// NewNormalSuffStats scans y once and caches its sufficient statistics.
-func NewNormalSuffStats(y []float64) NormalSuffStats {
-	var st NormalSuffStats
-	st.N = float64(len(y))
-	for _, yi := range y {
-		st.Sum += yi
-		st.SumSq += yi * yi
-	}
-	return st
-}
-
-// LogLik records sum_i log N(y_i | mu, sigma) from the cached statistics:
-//
-//	-(Σy² - 2μΣy + nμ²)/(2σ²) - n·log σ - n·log √(2π)
-//
-// with exact partials dμ = (Σy - nμ)/σ² and
-// dσ = (Σy² - 2μΣy + nμ²)/σ³ - n/σ.
-func (st NormalSuffStats) LogLik(t *ad.Tape, mu, sigma ad.Var) ad.Var {
-	m := mu.Value()
-	s := sigma.Value()
-	inv := 1 / s
-	inv2 := inv * inv
-	q := st.SumSq - 2*m*st.Sum + st.N*m*m
-	val := -0.5*q*inv2 + st.N*(-math.Log(s)-mathx.LnSqrt2Pi)
-	dmu := (st.Sum - st.N*m) * inv2
-	dsigma := q*inv2*inv - st.N*inv
-	if math.IsNaN(val) {
-		panic(&ad.ErrNonFinite{Op: "normal_suffstats", Index: -1, Value: val})
-	}
-	if math.IsNaN(dmu) || math.IsInf(dmu, 0) {
-		panic(&ad.ErrNonFinite{Op: "normal_suffstats", Index: 0, Value: dmu})
-	}
-	if math.IsNaN(dsigma) || math.IsInf(dsigma, 0) {
-		panic(&ad.ErrNonFinite{Op: "normal_suffstats", Index: 1, Value: dsigma})
-	}
-	mark := t.BeginFused()
-	t.FusedEdge(mu, dmu)
-	t.FusedEdge(sigma, dsigma)
-	return t.EndFused(mark, val)
-}

@@ -1,6 +1,5 @@
 // Package linalg implements the small dense linear-algebra substrate that
-// the Gaussian-process workload (votes), the multivariate normal
-// distribution, and the mass-matrix machinery need: vectors, row-major
+// the Gaussian-process workload (votes) needs: vectors, row-major
 // matrices, Cholesky factorization, and triangular solves.
 //
 // Only what BayesSuite requires is implemented; this is not a general BLAS.
@@ -8,7 +7,6 @@ package linalg
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -35,25 +33,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	s := ""
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			s += fmt.Sprintf("%10.4g ", m.At(i, j))
-		}
-		s += "\n"
-	}
-	return s
-}
 
 // MulVec computes y = M * x. It panics on dimension mismatch.
 func (m *Matrix) MulVec(x []float64) []float64 {
@@ -173,15 +152,6 @@ func CholSolve(l *Matrix, b []float64) []float64 {
 	return SolveUpperT(l, SolveLower(l, b))
 }
 
-// LogDetFromChol returns log(det(A)) given the Cholesky factor L of A.
-func LogDetFromChol(l *Matrix) float64 {
-	s := 0.0
-	for i := 0; i < l.Rows; i++ {
-		s += math.Log(l.At(i, i))
-	}
-	return 2 * s
-}
-
 // Dot returns the inner product of a and b.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -192,37 +162,4 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// AXPY computes y += alpha * x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("linalg: AXPY dimension mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Copy returns a fresh copy of x.
-func Copy(x []float64) []float64 {
-	c := make([]float64, len(x))
-	copy(c, x)
-	return c
 }

@@ -87,34 +87,11 @@ func TestSolvesInvert(t *testing.T) {
 	}
 }
 
-func TestLogDetFromChol(t *testing.T) {
-	// det(diag(4, 9)) = 36.
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 4)
-	a.Set(1, 1, 9)
-	l, _ := Cholesky(a)
-	if got := LogDetFromChol(l); math.Abs(got-math.Log(36)) > 1e-12 {
-		t.Errorf("logdet %g want %g", got, math.Log(36))
-	}
-}
-
 func TestDotAXPYScaleNorm(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{4, 5, 6}
 	if Dot(a, b) != 32 {
 		t.Errorf("dot = %g", Dot(a, b))
-	}
-	y := Copy(b)
-	AXPY(2, a, y)
-	if y[0] != 6 || y[1] != 9 || y[2] != 12 {
-		t.Errorf("axpy = %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3 || y[1] != 4.5 || y[2] != 6 {
-		t.Errorf("scale = %v", y)
-	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-12 {
-		t.Error("norm2 wrong")
 	}
 }
 
@@ -165,7 +142,6 @@ func TestDimensionPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { m.MulVec([]float64{1}) },
 		func() { Dot([]float64{1}, []float64{1, 2}) },
-		func() { AXPY(1, []float64{1}, []float64{1, 2}) },
 		func() { SolveLower(m, []float64{1}) },
 	} {
 		func() {

@@ -6,14 +6,8 @@ package mathx
 
 import "math"
 
-const (
-	// Ln2Pi is log(2*pi).
-	Ln2Pi = 1.8378770664093454835606594728112352797227949472755668
-	// LnSqrt2Pi is log(sqrt(2*pi)).
-	LnSqrt2Pi = 0.91893853320467274178032973640561763986139747363778
-	// Sqrt2 is sqrt(2).
-	Sqrt2 = 1.4142135623730950488016887242096980785696718753769
-)
+// LnSqrt2Pi is log(sqrt(2*pi)).
+const LnSqrt2Pi = 0.91893853320467274178032973640561763986139747363778
 
 // LogSumExp returns log(exp(a) + exp(b)) without overflow.
 func LogSumExp(a, b float64) float64 {
@@ -25,28 +19,6 @@ func LogSumExp(a, b float64) float64 {
 	}
 	m := math.Max(a, b)
 	return m + math.Log(math.Exp(a-m)+math.Exp(b-m))
-}
-
-// LogSumExpSlice returns log(sum_i exp(x[i])) without overflow. It returns
-// -Inf for an empty slice.
-func LogSumExpSlice(x []float64) float64 {
-	if len(x) == 0 {
-		return math.Inf(-1)
-	}
-	m := math.Inf(-1)
-	for _, v := range x {
-		if v > m {
-			m = v
-		}
-	}
-	if math.IsInf(m, -1) {
-		return m
-	}
-	s := 0.0
-	for _, v := range x {
-		s += math.Exp(v - m)
-	}
-	return m + math.Log(s)
 }
 
 // Log1pExp returns log(1 + exp(x)) (softplus) stably for all x.
@@ -85,73 +57,9 @@ func Lgamma(x float64) float64 {
 	return v
 }
 
-// LBeta returns log(Beta(a, b)) = lgamma(a)+lgamma(b)-lgamma(a+b).
-func LBeta(a, b float64) float64 {
-	return Lgamma(a) + Lgamma(b) - Lgamma(a+b)
-}
-
 // LChoose returns log(n choose k) for real-valued n, k.
 func LChoose(n, k float64) float64 {
 	return Lgamma(n+1) - Lgamma(k+1) - Lgamma(n-k+1)
-}
-
-// NormalCDF returns the standard normal CDF Phi(x).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/Sqrt2)
-}
-
-// NormalLogCDF returns log(Phi(x)) stably in the deep lower tail, using an
-// asymptotic expansion when erfc underflows.
-func NormalLogCDF(x float64) float64 {
-	// erfc stays representable down to roughly x = -37; switch to the
-	// asymptotic expansion only below that, where it is extremely
-	// accurate.
-	if x > -36 {
-		return math.Log(NormalCDF(x))
-	}
-	// Asymptotic: Phi(x) ~ phi(x)/(-x) * (1 - 1/x^2 + 3/x^4 - ...).
-	x2 := x * x
-	series := 1 - 1/x2 + 3/(x2*x2) - 15/(x2*x2*x2)
-	return -0.5*x2 - LnSqrt2Pi - math.Log(-x) + math.Log(series)
-}
-
-// NormalQuantile returns the standard normal quantile function (inverse
-// CDF) using the Acklam rational approximation refined with one Halley
-// step; absolute error below 1e-9 over (0, 1).
-func NormalQuantile(p float64) float64 {
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	// Acklam's coefficients.
-	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
-	b := [5]float64{-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02, 6.680131188771972e+01, -1.328068155288572e+01}
-	c := [6]float64{-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00, -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00}
-	d := [4]float64{7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00, 3.754408661907416e+00}
-	const plow, phigh = 0.02425, 1 - 0.02425
-	var x float64
-	switch {
-	case p < plow:
-		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= phigh:
-		q := p - 0.5
-		r := q * q
-		x = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
-			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	}
-	// One Halley refinement step.
-	e := NormalCDF(x) - p
-	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
-	return x
 }
 
 // Mean returns the arithmetic mean of x (0 for empty input).
@@ -164,21 +72,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Variance returns the unbiased sample variance of x (0 when len(x) < 2).
-func Variance(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(x)
-	s := 0.0
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(n-1)
 }
 
 // MeanVar returns mean and unbiased variance in one pass (Welford).
@@ -195,17 +88,6 @@ func MeanVar(x []float64) (mean, variance float64) {
 		return m, 0
 	}
 	return m, m2 / float64(n-1)
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Quantile returns the q-th sample quantile (linear interpolation) of the

@@ -23,15 +23,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestLogSumExpSlice(t *testing.T) {
-	if !math.IsInf(LogSumExpSlice(nil), -1) {
-		t.Error("empty slice should be -inf")
-	}
-	xs := []float64{700, 701, 699}
-	want := 701 + math.Log(math.Exp(-1)+1+math.Exp(-2))
-	almost(t, LogSumExpSlice(xs), want, 1e-9, "lse slice")
-}
-
 func TestLog1pExpStable(t *testing.T) {
 	for _, x := range []float64{-800, -40, -5, 0, 5, 30, 40, 800} {
 		got := Log1pExp(x)
@@ -68,57 +59,18 @@ func TestInvLogitLogitRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNormalCDFValues(t *testing.T) {
-	almost(t, NormalCDF(0), 0.5, 1e-12, "Phi(0)")
-	almost(t, NormalCDF(1.959963984540054), 0.975, 1e-9, "Phi(1.96)")
-	almost(t, NormalCDF(-1.959963984540054), 0.025, 1e-9, "Phi(-1.96)")
-}
-
-func TestNormalLogCDFDeepTail(t *testing.T) {
-	// Compare against the asymptotic region smoothly.
-	for _, x := range []float64{-5, -6, -8, -15, -30} {
-		v := NormalLogCDF(x)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("logPhi(%g) = %g", x, v)
-		}
-		// log Phi(x) ~ -x^2/2 - log(-x) - log sqrt(2pi): check leading term.
-		lead := -0.5 * x * x
-		if v > lead || v < lead*1.3-10 {
-			t.Errorf("logPhi(%g) = %g implausible vs leading %g", x, v, lead)
-		}
-	}
-	// Continuity at the switch point.
-	a, b := NormalLogCDF(-35.999), NormalLogCDF(-36.001)
-	if math.Abs(a-b) > 0.1 {
-		t.Errorf("logPhi discontinuous at -36: %g vs %g", a, b)
-	}
-}
-
-func TestNormalQuantileInvertsCDF(t *testing.T) {
-	for p := 0.001; p < 0.999; p += 0.013 {
-		x := NormalQuantile(p)
-		almost(t, NormalCDF(x), p, 1e-8, "Phi(Quantile(p))")
-	}
-	if !math.IsInf(NormalQuantile(0), -1) || !math.IsInf(NormalQuantile(1), 1) {
-		t.Error("quantile endpoints should be infinite")
-	}
-}
-
 func TestLBetaChoose(t *testing.T) {
 	// C(10, 3) = 120.
 	almost(t, math.Exp(LChoose(10, 3)), 120, 1e-9, "choose(10,3)")
-	// Beta(2,3) = 1/12.
-	almost(t, math.Exp(LBeta(2, 3)), 1.0/12, 1e-12, "beta(2,3)")
 }
 
 func TestMeanVariance(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	almost(t, Mean(xs), 5, 1e-12, "mean")
-	almost(t, Variance(xs), 32.0/7, 1e-12, "variance")
 	m, v := MeanVar(xs)
 	almost(t, m, 5, 1e-12, "meanvar mean")
 	almost(t, v, 32.0/7, 1e-12, "meanvar var")
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
+	if _, v := MeanVar([]float64{1}); Mean(nil) != 0 || v != 0 {
 		t.Error("degenerate cases wrong")
 	}
 }
@@ -132,11 +84,5 @@ func TestQuantile(t *testing.T) {
 	almost(t, Quantile(xs, 0.25), 2, 1e-12, "q25")
 	if !math.IsNaN(Quantile(nil, 0.5)) {
 		t.Error("empty quantile should be NaN")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("clamp wrong")
 	}
 }

@@ -137,7 +137,7 @@ func TestMassAdaptationAblation(t *testing.T) {
 
 func TestInitPointFindsFiniteDensity(t *testing.T) {
 	g := newGaussian()
-	q, fellBack := initPoint(g, newTestRNG(5), 2)
+	q, fellBack := initPoint(g, newTestRNG(5))
 	if fellBack {
 		t.Error("fell back to origin on an everywhere-finite density")
 	}

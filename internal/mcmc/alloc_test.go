@@ -38,7 +38,7 @@ func TestStepAllocsZero(t *testing.T) {
 			cfg := Config{Sampler: kind, Iterations: 4096}.withDefaults()
 			target := allocTarget{}
 			st := newStepper(cfg, target, rng.NewStream(19, 0), 500)
-			q0, _ := initPoint(target, rng.NewStream(20, 0), 2)
+			q0, _ := initPoint(target, rng.NewStream(20, 0))
 			st.Init(q0)
 			samples := NewSamples(target.Dim(), 4096)
 			logDensity := make([]float64, 0, 4096)

@@ -343,15 +343,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// ReadCheckpoint decodes a checkpoint from r.
-func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(data)
-}
-
 // cenc is a little-endian append-only encoder. Floats are written as raw
 // IEEE-754 bit patterns so every value — NaN payloads and infinities
 // included — round-trips exactly.

@@ -127,7 +127,6 @@ type hmcSampler struct {
 
 	eps     float64
 	intTime float64
-	daTA    float64 // dual-averaging target acceptance
 	da      *dualAveraging
 	wf      *welford
 	sched   warmupSchedule
@@ -138,7 +137,7 @@ type hmcSampler struct {
 	divergent  bool
 }
 
-func newHMCSampler(target Target, r *rng.RNG, targetAccept, intTime float64, warmup int) *hmcSampler {
+func newHMCSampler(target Target, r *rng.RNG, intTime float64, warmup int) *hmcSampler {
 	dim := target.Dim()
 	return &hmcSampler{
 		ham:     newHamiltonian(target),
@@ -153,7 +152,6 @@ func newHMCSampler(target Target, r *rng.RNG, targetAccept, intTime float64, war
 		wf:      newWelford(dim),
 		sched:   newWarmupSchedule(warmup),
 		warmup:  warmup,
-		daTA:    targetAccept,
 	}
 }
 
@@ -162,7 +160,7 @@ func (s *hmcSampler) Init(q []float64) {
 	s.lp = s.ham.target.LogDensityGrad(s.q, s.grad)
 	eps, _ := s.ham.findReasonableEpsilon(s.q, s.r)
 	s.eps = eps
-	s.da = newDualAveraging(eps, s.daTA)
+	s.da = newDualAveraging(eps, targetAccept)
 }
 
 func (s *hmcSampler) Current() []float64 { return s.q }
@@ -273,7 +271,7 @@ func (s *hmcSampler) restore(src *SamplerState) {
 	s.lastAccept = src.LastAccept
 	s.eps = src.StepSize
 	copy(s.ham.invMass, src.InvMass)
-	s.da = newDualAveraging(src.StepSize, s.daTA)
+	s.da = newDualAveraging(src.StepSize, targetAccept)
 	s.da.restoreState(src.DualAvg)
 	s.wf.n = src.WelfordN
 	copy(s.wf.mean, src.WelfordMean)

@@ -62,6 +62,14 @@ func (k SamplerKind) String() string {
 	return fmt.Sprintf("SamplerKind(%d)", int(k))
 }
 
+// Sampler tuning shared by every run, Stan's defaults where Stan has one.
+const (
+	targetAccept = 0.8 // dual-averaging target acceptance statistic (HMC, NUTS)
+	maxDepth     = 10  // bound on the NUTS doubling depth
+	mhScale      = 0.5 // Metropolis proposal scale before adaptation
+	initRadius   = 2   // initial points are uniform(-r, r) per unconstrained dimension
+)
+
 // Config controls a multi-chain run. Zero values take the documented
 // defaults, chosen to match the paper's setup (4 chains, Stan-like NUTS).
 type Config struct {
@@ -77,19 +85,8 @@ type Config struct {
 	Sampler SamplerKind
 	// Seed seeds chain RNG streams deterministically.
 	Seed uint64
-	// TargetAccept is the dual-averaging target acceptance statistic
-	// (default 0.8, Stan's default).
-	TargetAccept float64
-	// MaxDepth bounds the NUTS doubling depth (default 10).
-	MaxDepth int
 	// IntTime is the HMC integration time (default 1.0).
 	IntTime float64
-	// MHScale is the Metropolis proposal scale before adaptation
-	// (default 0.5).
-	MHScale float64
-	// InitRadius: initial points are drawn uniform(-r, r) per dimension
-	// on the unconstrained scale (default 2, Stan's convention).
-	InitRadius float64
 	// Parallel runs chains on separate goroutines (the paper's multicore
 	// execution mode). The chains meet only at segment ends, where the
 	// runner checkpoints or consults the StopRule; between them no chain
@@ -186,20 +183,8 @@ func (c Config) withDefaults() Config {
 	if c.WarmupFrac == 0 {
 		c.WarmupFrac = 0.5
 	}
-	if c.TargetAccept == 0 {
-		c.TargetAccept = 0.8
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = 10
-	}
 	if c.IntTime == 0 {
 		c.IntTime = 1.0
-	}
-	if c.MHScale == 0 {
-		c.MHScale = 0.5
-	}
-	if c.InitRadius == 0 {
-		c.InitRadius = 2
 	}
 	if c.CheckInterval == 0 {
 		c.CheckInterval = 50
@@ -434,11 +419,11 @@ type stepper interface {
 func newStepper(cfg Config, target Target, r *rng.RNG, warmup int) stepper {
 	switch cfg.Sampler {
 	case MetropolisHastings:
-		return newMHSampler(target, r, cfg.MHScale, warmup)
+		return newMHSampler(target, r, warmup)
 	case HMC:
-		return newHMCSampler(target, r, cfg.TargetAccept, cfg.IntTime, warmup)
+		return newHMCSampler(target, r, cfg.IntTime, warmup)
 	default:
-		ns := newNUTSSampler(target, r, cfg.TargetAccept, cfg.MaxDepth, warmup)
+		ns := newNUTSSampler(target, r, warmup)
 		ns.noMass = cfg.DisableMassAdaptation
 		return ns
 	}

@@ -209,8 +209,8 @@ func TestStopRuleTerminatesEarly(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Chains != 4 || c.Iterations != 2000 || c.TargetAccept != 0.8 || c.MaxDepth != 10 {
-		t.Errorf("unexpected defaults: %+v", c)
+	if c.Chains != 4 || c.Iterations != 2000 || targetAccept != 0.8 || maxDepth != 10 || mhScale != 0.5 || initRadius != 2 {
+		t.Errorf("unexpected defaults: %+v, tuning %g %d %g %g", c, targetAccept, maxDepth, mhScale, float64(initRadius))
 	}
 }
 

@@ -27,13 +27,13 @@ type mhSampler struct {
 	adaptCount  float64
 }
 
-func newMHSampler(target Target, r *rng.RNG, scale float64, warmup int) *mhSampler {
+func newMHSampler(target Target, r *rng.RNG, warmup int) *mhSampler {
 	return &mhSampler{
 		target: target,
 		r:      r,
 		q:      make([]float64, target.Dim()),
 		prop:   make([]float64, target.Dim()),
-		scale:  scale,
+		scale:  mhScale,
 		warmup: warmup,
 	}
 }

@@ -20,12 +20,10 @@ type nutsSampler struct {
 	q, grad []float64
 	lp      float64
 
-	eps      float64
-	maxDepth int
-	daTA     float64
-	da       *dualAveraging
-	wf       *welford
-	sched    warmupSchedule
+	eps   float64
+	da    *dualAveraging
+	wf    *welford
+	sched warmupSchedule
 
 	iter       int
 	warmup     int
@@ -65,23 +63,21 @@ func (t *treeState) copyFrom(s *treeState) {
 	t.lp = s.lp
 }
 
-func newNUTSSampler(target Target, r *rng.RNG, targetAccept float64, maxDepth, warmup int) *nutsSampler {
+func newNUTSSampler(target Target, r *rng.RNG, warmup int) *nutsSampler {
 	dim := target.Dim()
 	return &nutsSampler{
-		ham:      newHamiltonian(target),
-		r:        r,
-		q:        make([]float64, dim),
-		grad:     make([]float64, dim),
-		maxDepth: maxDepth,
-		daTA:     targetAccept,
-		wf:       newWelford(dim),
-		sched:    newWarmupSchedule(warmup),
-		warmup:   warmup,
-		dim:      dim,
-		minus:    newTreeState(dim),
-		plus:     newTreeState(dim),
-		states:   newStatePool(dim),
-		bufs:     newBufPool(dim),
+		ham:    newHamiltonian(target),
+		r:      r,
+		q:      make([]float64, dim),
+		grad:   make([]float64, dim),
+		wf:     newWelford(dim),
+		sched:  newWarmupSchedule(warmup),
+		warmup: warmup,
+		dim:    dim,
+		minus:  newTreeState(dim),
+		plus:   newTreeState(dim),
+		states: newStatePool(dim),
+		bufs:   newBufPool(dim),
 	}
 }
 
@@ -90,7 +86,7 @@ func (s *nutsSampler) Init(q []float64) {
 	s.lp = s.ham.target.LogDensityGrad(s.q, s.grad)
 	eps, _ := s.ham.findReasonableEpsilon(s.q, s.r)
 	s.eps = eps
-	s.da = newDualAveraging(eps, s.daTA)
+	s.da = newDualAveraging(eps, targetAccept)
 }
 
 func (s *nutsSampler) Current() []float64 { return s.q }
@@ -225,7 +221,7 @@ func (s *nutsSampler) Step() (float64, int64) {
 	var nAlpha int
 	depth := 0
 
-	for ok && depth < s.maxDepth {
+	for ok && depth < maxDepth {
 		dir := 1.0
 		if s.r.Float64() < 0.5 {
 			dir = -1.0
@@ -320,7 +316,7 @@ func (s *nutsSampler) restore(src *SamplerState) {
 	s.lastAccept = src.LastAccept
 	s.eps = src.StepSize
 	copy(s.ham.invMass, src.InvMass)
-	s.da = newDualAveraging(src.StepSize, s.daTA)
+	s.da = newDualAveraging(src.StepSize, targetAccept)
 	s.da.restoreState(src.DualAvg)
 	s.wf.n = src.WelfordN
 	copy(s.wf.mean, src.WelfordMean)

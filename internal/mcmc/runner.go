@@ -102,7 +102,7 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 			// and leaves the chain exactly where the checkpoint froze it.
 			restoreChain(&cfg.ResumeFrom.Chains[c], st, chains[c], &acceptSums[c])
 		} else {
-			q0, fellBack := initPoint(targets[c], rng.NewStream(cfg.Seed^0xabcdef, c), cfg.InitRadius)
+			q0, fellBack := initPoint(targets[c], rng.NewStream(cfg.Seed^0xabcdef, c))
 			st.Init(q0)
 			chains[c].InitFallback = fellBack
 		}
@@ -121,12 +121,12 @@ func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result 
 // is found in 100 attempts it falls back to the origin and reports the
 // fallback, which the runner records on the chain result rather than
 // hiding it.
-func initPoint(t Target, r *rng.RNG, radius float64) (q []float64, fellBack bool) {
+func initPoint(t Target, r *rng.RNG) (q []float64, fellBack bool) {
 	dim := t.Dim()
 	q = make([]float64, dim)
 	for attempt := 0; attempt < 100; attempt++ {
 		for i := range q {
-			q[i] = (2*r.Float64() - 1) * radius
+			q[i] = (2*r.Float64() - 1) * initRadius
 		}
 		if lp := t.LogDensity(q); !math.IsInf(lp, -1) && !math.IsNaN(lp) {
 			return q, false

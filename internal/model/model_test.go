@@ -7,6 +7,7 @@ import (
 
 	"bayessuite/internal/ad"
 	"bayessuite/internal/dist"
+	"bayessuite/internal/mathx"
 )
 
 // TestTransformRoundTrips checks constrain/unconstrain inverses.
@@ -123,14 +124,17 @@ func TestJacobiansNormalize(t *testing.T) {
 		}}, -15, 8)
 	integrates(t, "Upper+reflectedExp", &transformJacobianModel{
 		build: func(b *Builder, q ad.Var) {
-			x := b.Upper(q, 3) // support (-inf, 3); use exp(-(3-x)) flipped
-			// density of (3 - x) ~ Exponential(1)
-			b.Add(dist.ExponentialLPDF(b.T, b.T.SubFromConst(3, x), 1))
+			x := b.Upper(q, 3) // support (-inf, 3)
+			// (3 - x) ~ Exponential(1): log density -(3 - x)
+			b.Add(b.T.AddConst(x, -3))
 		}}, -15, 8)
 	integrates(t, "LowerUpper+Beta", &transformJacobianModel{
 		build: func(b *Builder, q ad.Var) {
 			x := b.Prob(q)
-			b.Add(dist.NewBeta(2.5, 1.5).LPDF(b.T, x))
+			// Beta(2.5, 1.5): 1.5·log x + 0.5·log(1 - x) - log B(2.5, 1.5)
+			lb := mathx.Lgamma(2.5) + mathx.Lgamma(1.5) - mathx.Lgamma(4)
+			b.Add(b.T.AddConst(b.T.Add(b.T.MulConst(b.T.Log(x), 1.5),
+				b.T.MulConst(b.T.Log1p(b.T.Neg(x)), 0.5)), -lb))
 		}}, -25, 25)
 }
 

@@ -13,7 +13,7 @@ import "math"
 
 // RNG is a xoshiro256** pseudo-random number generator. It is not safe for
 // concurrent use; give each goroutine (each Markov chain) its own stream
-// via NewStream or Split.
+// via NewStream.
 type RNG struct {
 	s [4]uint64
 
@@ -51,13 +51,6 @@ func NewStream(seed uint64, i int) *RNG {
 	sm := seed ^ (0x9e3779b97f4a7c15 * (uint64(i) + 1))
 	sm = splitmix64(&sm)
 	return New(sm)
-}
-
-// Split returns a new generator whose stream is derived from, and
-// independent of, the receiver's future output.
-func (r *RNG) Split() *RNG {
-	seed := r.Uint64()
-	return New(seed ^ 0xd1b54a32d192ed03)
 }
 
 // State is a snapshot of a generator's complete internal state: the four
@@ -277,42 +270,3 @@ func (r *RNG) Binomial(n int, p float64) int {
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// Cauchy returns a Cauchy(loc, scale) variate.
-func (r *RNG) Cauchy(loc, scale float64) float64 {
-	return loc + scale*math.Tan(math.Pi*(r.Float64OO()-0.5))
-}
-
-// StudentT returns a Student-t variate with nu degrees of freedom.
-func (r *RNG) StudentT(nu float64) float64 {
-	z := r.Norm()
-	g := r.Gamma(nu / 2)
-	return z / math.Sqrt(2*g/nu)
-}
-
-// Dirichlet fills out with one draw from Dirichlet(alpha). out and alpha
-// must have equal length.
-func (r *RNG) Dirichlet(alpha []float64, out []float64) {
-	if len(alpha) != len(out) {
-		panic("rng: Dirichlet length mismatch")
-	}
-	sum := 0.0
-	for i, a := range alpha {
-		out[i] = r.Gamma(a)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-}
-
-// Perm fills p with a uniformly random permutation of [0, len(p)).
-func (r *RNG) Perm(p []int) {
-	for i := range p {
-		p[i] = i
-	}
-	for i := len(p) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-}

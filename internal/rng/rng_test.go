@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -176,81 +175,5 @@ func TestBinomialEdges(t *testing.T) {
 	r := New(11)
 	if r.Binomial(10, 0) != 0 || r.Binomial(10, 1) != 10 || r.Binomial(0, 0.5) != 0 {
 		t.Error("binomial edge cases wrong")
-	}
-}
-
-func TestStudentTSymmetric(t *testing.T) {
-	r := New(12)
-	mean, _ := moments(200000, func() float64 { return r.StudentT(5) })
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("t(5) mean %g", mean)
-	}
-}
-
-func TestDirichletSimplex(t *testing.T) {
-	r := New(13)
-	alpha := []float64{1, 2, 3, 0.5}
-	out := make([]float64, 4)
-	for i := 0; i < 1000; i++ {
-		r.Dirichlet(alpha, out)
-		sum := 0.0
-		for _, v := range out {
-			if v < 0 || v > 1 {
-				t.Fatalf("dirichlet component out of range: %v", out)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Fatalf("dirichlet does not sum to 1: %g", sum)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw)%30 + 1
-		p := make([]int, n)
-		r.Perm(p)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCauchyMedian(t *testing.T) {
-	r := New(15)
-	below := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Cauchy(2, 1.5) < 2 {
-			below++
-		}
-	}
-	frac := float64(below) / n
-	if math.Abs(frac-0.5) > 0.01 {
-		t.Errorf("cauchy median fraction %g", frac)
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	a := New(16)
-	b := a.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Errorf("split streams overlap: %d/1000", same)
 	}
 }

@@ -200,6 +200,9 @@ func TestHTTPReadyzCapabilityNegotiation(t *testing.T) {
 	if full["node"] != "probe-node" || full["role"] != "node" {
 		t.Fatalf("capability identity %v/%v, want probe-node/node", full["node"], full["role"])
 	}
+	if r := s.Capability().Role; r != "node" {
+		t.Fatalf("Capability().Role %q, want node", r)
+	}
 	if full["slots"] != float64(3) || full["llc_bytes"] == float64(0) || full["frequency_ghz"] == float64(0) {
 		t.Fatalf("capability hardware facts %v, want 3 slots and non-zero LLC/frequency", full)
 	}

@@ -48,13 +48,11 @@ type Config struct {
 	// document (default "local"). Cluster workers set it to their fleet
 	// name so the coordinator's aggregated stats stay attributable.
 	Node string
-	// Role is reported in the capability document: "node" (default,
-	// single-process), or "worker" when embedded in a cluster worker.
-	Role string
 	// PinnedPlatform, when non-nil, pins every job's placement to one
 	// simulated platform instead of running the two-platform scheduler —
 	// a cluster worker *is* one platform; the fleet-level choice already
-	// happened at the coordinator.
+	// happened at the coordinator. The capability document then reports
+	// the role "worker" instead of "node".
 	PinnedPlatform *hw.Platform
 	// DefaultTimeout bounds each job's running time when the spec does
 	// not set one (default 0: no timeout).
@@ -106,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Node == "" {
 		c.Node = "local"
-	}
-	if c.Role == "" {
-		c.Role = "node"
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 50
@@ -532,13 +527,13 @@ func (s *Server) Capability() Capability {
 	// A pinned worker is one platform; an unpinned node fronts the paper's
 	// two-platform box, and advertises its high-frequency half (the
 	// fallback placement target) as the representative hardware.
-	plat := hw.Skylake
+	plat, role := hw.Skylake, "node"
 	if s.cfg.PinnedPlatform != nil {
-		plat = *s.cfg.PinnedPlatform
+		plat, role = *s.cfg.PinnedPlatform, "worker"
 	}
 	c := Capability{
 		Node:         s.cfg.Node,
-		Role:         s.cfg.Role,
+		Role:         role,
 		Status:       "ready",
 		State:        "ready",
 		Platform:     plat.Codename,

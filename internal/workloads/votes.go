@@ -8,7 +8,6 @@ import (
 	"bayessuite/internal/dist"
 	"bayessuite/internal/kernels"
 	"bayessuite/internal/linalg"
-	"bayessuite/internal/mathx"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
 )
@@ -208,45 +207,3 @@ func (w *votes) ForecastMean(q []float64, s int, future []float64) []float64 {
 	}
 	return out
 }
-
-// Forecast draws a posterior-predictive trajectory extension for state s
-// at future scaled years, given one unconstrained posterior draw. Used by
-// the votesforecast example to produce the 2020-2028 forecasts.
-func (w *votes) Forecast(q []float64, s int, future []float64, r *rng.RNG) []float64 {
-	alpha := math.Exp(q[0])
-	rho := 0.05 + math.Exp(q[1])
-	mu0 := q[3]
-	tau := math.Exp(q[4])
-	mu := mu0 + tau*q[5+s]
-	zs := q[5+w.nStates+s*w.nYears : 5+w.nStates+(s+1)*w.nYears]
-
-	// Reconstruct f_s at observed years.
-	k := kernelMatrix(w.years, alpha, rho, kernelJitter)
-	l, err := linalg.Cholesky(k)
-	if err != nil {
-		return nil
-	}
-	f := l.MulVec(zs)
-
-	// GP conditional mean at the future points: k*^T K^-1 f.
-	out := make([]float64, len(future))
-	for fi, xf := range future {
-		ks := make([]float64, w.nYears)
-		for j, xo := range w.years {
-			d := xf - xo
-			ks[j] = alpha * alpha * math.Exp(-d*d/(2*rho*rho))
-		}
-		wv := linalg.CholSolve(l, f)
-		mean := mu + linalg.Dot(ks, wv)
-		// Predictive variance (ignoring hyperparameter correlation).
-		v := alpha*alpha - linalg.Dot(ks, linalg.CholSolve(l, ks))
-		if v < 0 {
-			v = 0
-		}
-		out[fi] = mean + math.Sqrt(v)*r.Norm()
-	}
-	return out
-}
-
-// ShareProb converts a logit vote share to a probability.
-func ShareProb(logit float64) float64 { return mathx.InvLogit(logit) }
