@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci build fmt-check vet test race fuzz fault-matrix bench bench-runner bench-kernels bench-hw bench-compare deadcode
+.PHONY: ci build fmt-check vet test race fuzz fault-matrix pins bench bench-runner bench-kernels bench-hw bench-compare deadcode
 
-ci: fmt-check vet test race fuzz fault-matrix
+ci: fmt-check vet test race fuzz fault-matrix pins
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,12 @@ fuzz:
 fault-matrix:
 	$(GO) test -race -run 'Fault|Checkpoint|Quarantine|Retry|Resume|Injector|NetChaos' \
 		./internal/fault/... ./internal/mcmc/... ./internal/serve/... ./internal/cluster/...
+
+# The draw and density pins and the determinism suites at one, two and
+# eight procs: a chain's draws must not depend on GOMAXPROCS, and `go
+# test` alone runs them only at the machine's default.
+pins:
+	$(GO) test -run 'DrawBitsUnchanged|DensityBitsUnchanged|Determinism' -cpu 1,2,8 ./internal/mcmc/ ./internal/workloads/
 
 # Runner hot-path benchmarks with allocation accounting, at one and two
 # procs. For the two batched-vs-unbatched pairs (…Lockstep4: HMC on a

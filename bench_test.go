@@ -14,7 +14,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 
 	"bayessuite/internal/bench"
 	"bayessuite/internal/diag"
@@ -224,48 +223,6 @@ func BenchmarkRHatOverhead(b *testing.B) {
 
 // ---- Ablations (DESIGN.md) ----
 
-// ablTarget builds a moderately correlated Gaussian target whose
-// conditioning gives the mass matrix something to do.
-type ablTarget struct{ scales []float64 }
-
-func newAblTarget() *ablTarget {
-	return &ablTarget{scales: []float64{0.05, 0.3, 1, 3, 10}}
-}
-func (t *ablTarget) Dim() int { return len(t.scales) }
-func (t *ablTarget) LogDensityGrad(q, grad []float64) float64 {
-	lp := 0.0
-	for i, s := range t.scales {
-		z := q[i] / s
-		lp += -0.5 * z * z
-		grad[i] = -z / s
-	}
-	return lp
-}
-func (t *ablTarget) LogDensity(q []float64) float64 {
-	g := make([]float64, len(q))
-	return t.LogDensityGrad(q, g)
-}
-
-// BenchmarkAblationMassMatrix compares NUTS gradient evaluations with and
-// without diagonal mass-matrix adaptation on a badly scaled target.
-func BenchmarkAblationMassMatrix(b *testing.B) {
-	run := func(disable bool) int64 {
-		res := mcmc.Run(mcmc.Config{
-			Chains: 4, Iterations: 600, Seed: 9,
-			DisableMassAdaptation: disable,
-		}, func() mcmc.Target { return newAblTarget() })
-		return res.TotalWork()
-	}
-	var with, without int64
-	for i := 0; i < b.N; i++ {
-		with = run(false)
-		without = run(true)
-	}
-	b.ReportMetric(float64(with), "gradevals-adapted")
-	b.ReportMetric(float64(without), "gradevals-unit-metric")
-	b.ReportMetric(float64(without)/float64(with), "work-ratio")
-}
-
 // BenchmarkAblationSampler compares MH, HMC and NUTS gradient/density
 // evaluations to convergence (R-hat < 1.1) on the 12cities posterior.
 func BenchmarkAblationSampler(b *testing.B) {
@@ -281,33 +238,12 @@ func BenchmarkAblationSampler(b *testing.B) {
 			det := elide.NewDetector()
 			res := mcmc.Run(mcmc.Config{
 				Chains: 4, Iterations: budget[kind], Sampler: kind, Seed: 4,
-				StopRule: det, CheckInterval: 100, MinIterations: 200, Parallel: true,
+				StopRule: det, Parallel: true,
 			}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 			b.ReportMetric(float64(res.TotalWork()), kind.String()+"-evals-to-converge")
 			if !res.Elided {
 				b.ReportMetric(1, kind.String()+"-did-not-converge")
 			}
-		}
-	}
-}
-
-// BenchmarkAblationElisionInterval sweeps the convergence-check interval:
-// frequent checks waste less sampling but cost more diagnostic time.
-func BenchmarkAblationElisionInterval(b *testing.B) {
-	w, err := workloads.New("12cities", 0.25, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		for _, interval := range []int{10, 50, 100} {
-			det := elide.NewDetector()
-			res := mcmc.Run(mcmc.Config{
-				Chains: 4, Iterations: 2000, Seed: 4,
-				StopRule: det, CheckInterval: interval, MinIterations: 100, Parallel: true,
-			}, func() mcmc.Target { return model.NewEvaluator(w.Model) })
-			label := "check" + itoa(interval)
-			b.ReportMetric(float64(res.Iterations), label+"-stop-iter")
-			b.ReportMetric(float64(det.Overhead)/float64(time.Millisecond), label+"-overhead-ms")
 		}
 	}
 }
@@ -380,18 +316,4 @@ func BenchmarkCacheSimAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i) * 64 % (32 << 20))
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -90,17 +90,16 @@ func main() {
 	}
 
 	draws := res.SecondHalfDraws()
+	// The CSV and the summary table report the model's natural scale; the
+	// R-hat line judges the unconstrained draws, as the stop rule does.
+	natural, names := model.ConstrainDraws(w.Model, draws)
 	if *drawsOut != "" {
 		f, err := os.Create(*drawsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "bayessuite:", err)
 			os.Exit(1)
 		}
-		var names []string
-		if c, ok := w.Model.(model.Constrainer); ok {
-			names = c.ConstrainedNames()
-		}
-		if err := stanio.WriteDraws(f, draws, names); err != nil {
+		if err := stanio.WriteDraws(f, natural, names); err != nil {
 			fmt.Fprintln(os.Stderr, "bayessuite:", err)
 			os.Exit(1)
 		}
@@ -111,17 +110,16 @@ func main() {
 		diag.MaxSplitRHat(draws), res.TotalWork(),
 		float64(res.MaxChainWork())/float64(maxI64(res.MinChainWork(), 1)))
 
-	// Summaries: constrained when the model supports it.
-	var names []string
-	if c, ok := w.Model.(model.Constrainer); ok {
-		names = c.ConstrainedNames()
+	sums := diag.Summarize(natural, names)
+	heading := "unconstrained"
+	if names != nil {
+		heading = "constrained"
 	}
-	sums := diag.Summarize(draws, names)
 	limit := len(sums)
 	if limit > 12 {
 		limit = 12
 	}
-	fmt.Println("\nposterior summary (first parameters, unconstrained scale):")
+	fmt.Printf("\nposterior summary (first parameters, %s scale):\n", heading)
 	fmt.Printf("%-16s %10s %10s %10s %8s %8s\n", "param", "mean", "sd", "median", "rhat", "ess")
 	for _, s := range sums[:limit] {
 		label := s.Name

@@ -148,8 +148,8 @@ const runChains = 4
 
 // prefixElision is the StopRule of a workload's sampler run: one detector
 // per elision chain count c, fed the first c chains at exactly the checks
-// a c-chain elision run gets (the runner's MinIterations/CheckInterval
-// schedule calls the rule) until it fires, when that run would stop. The
+// a c-chain elision run gets (the runner calls the rule every 50
+// iterations from iteration 100) until it fires, when that run would stop. The
 // run stops once every detector fired, unless toBudget.
 type prefixElision struct {
 	dets     map[int]*elide.Detector // key: chain count

@@ -93,7 +93,7 @@ func serveSpec(t *testing.T, spec serve.JobSpec, ck *mcmc.Checkpoint, plan specP
 }
 
 // perChainReference runs spec's sampling with per-chain (unbatched)
-// gradients, segmented at every CheckInterval, under hook.
+// gradients, segmented at every 50-iteration check, under hook.
 func perChainReference(t *testing.T, spec serve.JobSpec, kind mcmc.SamplerKind, hook func(chain, iter int) mcmc.FaultAction) *mcmc.Result {
 	t.Helper()
 	_, budget, err := serve.Normalize(spec)

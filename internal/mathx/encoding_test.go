@@ -29,7 +29,7 @@ type neverStop struct{}
 func (neverStop) ShouldStop([]*mcmc.Samples, int) bool { return false }
 
 // runnerModes are the ways a job's chains are driven: in one segment,
-// meeting at every CheckInterval segment end, and meeting there with
+// meeting at every 50-iteration segment end, and meeting there with
 // gradients fused by the coalescer — which the runner builds only at
 // GOMAXPROCS 1, so the batched mode runs there.
 var runnerModes = []struct {

@@ -107,31 +107,28 @@ func TestWarmupScheduleTiny(t *testing.T) {
 	}
 }
 
-func TestMassAdaptationAblation(t *testing.T) {
-	// On a badly scaled Gaussian, the adapted metric should need far
-	// fewer gradient evaluations post-warmup than the unit metric.
-	scales := &gaussianTarget{
+// TestMassAdaptationTracksVariances: on a badly scaled Gaussian, warm-up
+// must leave the diagonal inverse metric at the target's variances
+// (0.05², 1, 20²), each within a factor of 2, in both Hamiltonian samplers.
+func TestMassAdaptationTracksVariances(t *testing.T) {
+	g := &gaussianTarget{
 		mu: []float64{0, 0, 0},
 		sd: []float64{0.05, 1, 20},
 	}
-	run := func(disable bool) int64 {
-		res := Run(Config{
-			Chains: 2, Iterations: 800, Seed: 31,
-			DisableMassAdaptation: disable,
-		}, func() Target { return scales })
-		var post int64
-		for _, ch := range res.Chains {
-			for _, w := range ch.Work[400:] {
-				post += w
+	for _, kind := range []SamplerKind{HMC, NUTS} {
+		var cks []*Checkpoint
+		Run(Config{
+			Chains: 2, Iterations: 800, Sampler: kind, Seed: 31,
+			CheckpointEvery: 800, CheckpointSink: collectSink(&cks),
+		}, func() Target { return g })
+		for c, cc := range cks[0].Chains {
+			for d, sd := range g.sd {
+				if ratio := cc.State.InvMass[d] / (sd * sd); ratio < 0.5 || ratio > 2 {
+					t.Errorf("%v chain %d: inverse metric %d is %g, %.2f× the variance %g",
+						kind, c, d, cc.State.InvMass[d], ratio, sd*sd)
+				}
 			}
 		}
-		return post
-	}
-	adapted := run(false)
-	unit := run(true)
-	if unit <= adapted {
-		t.Errorf("unit metric (%d evals) should cost more than adapted (%d) on a badly scaled target",
-			unit, adapted)
 	}
 }
 

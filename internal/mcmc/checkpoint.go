@@ -110,8 +110,10 @@ type Checkpoint struct {
 	Version int
 	// Iteration is the aligned iteration count every chain has completed.
 	Iteration int
-	// Sampler, NumChains, Iterations, WarmupFrac, Seed echo the run
-	// configuration for resume-time validation.
+	// Sampler, NumChains, Iterations and Seed echo the run configuration
+	// for resume-time validation. WarmupFrac records the warm-up share the
+	// run adapted over, always 0.5 here; a checkpoint that arrives with
+	// another one is refused.
 	Sampler    SamplerKind
 	NumChains  int
 	Iterations int
@@ -138,8 +140,8 @@ func (ck *Checkpoint) Validate(cfg Config, dim int) error {
 		return fmt.Errorf("mcmc: checkpoint has %d chains, config wants %d", len(ck.Chains), cfg.Chains)
 	case ck.Iterations != cfg.Iterations:
 		return fmt.Errorf("mcmc: checkpoint budget %d, config wants %d", ck.Iterations, cfg.Iterations)
-	case ck.WarmupFrac != cfg.WarmupFrac:
-		return fmt.Errorf("mcmc: checkpoint warmup fraction %g, config wants %g", ck.WarmupFrac, cfg.WarmupFrac)
+	case ck.WarmupFrac != warmupFrac:
+		return fmt.Errorf("mcmc: checkpoint warmup fraction %g, want %g", ck.WarmupFrac, warmupFrac)
 	case ck.Seed != cfg.Seed:
 		return fmt.Errorf("mcmc: checkpoint seed %d, config wants %d", ck.Seed, cfg.Seed)
 	case ck.Iteration > ck.Iterations:
@@ -168,7 +170,7 @@ func captureCheckpoint(cfg Config, steppers []stepper, chains []*ChainResult, ac
 		Sampler:    cfg.Sampler,
 		NumChains:  cfg.Chains,
 		Iterations: cfg.Iterations,
-		WarmupFrac: cfg.WarmupFrac,
+		WarmupFrac: warmupFrac,
 		Seed:       cfg.Seed,
 		Chains:     make([]ChainCheckpoint, len(steppers)),
 	}

@@ -42,7 +42,7 @@ func sameRun(t *testing.T, label string, a, b *Result) {
 // TestCheckpointResumeBitIdentical is the determinism-under-resume
 // contract: for every sampler, a run resumed from a mid-run checkpoint
 // must reproduce the uninterrupted run bit for bit — in one segment per
-// checkpoint, with a StopRule segmenting at every CheckInterval, and with
+// checkpoint, with a StopRule segmenting at every checkInterval, and with
 // parallel chains.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	for _, kind := range []SamplerKind{MetropolisHastings, HMC, NUTS} {
@@ -197,19 +197,19 @@ func TestCheckpointValidate(t *testing.T) {
 	}
 	mismatches := []struct {
 		name string
-		mut  func(*Config) int // returns dim
+		mut  func(*Config, *Checkpoint) int // returns dim
 	}{
-		{"sampler", func(c *Config) int { c.Sampler = NUTS; return 3 }},
-		{"chains", func(c *Config) int { c.Chains = 4; return 3 }},
-		{"budget", func(c *Config) int { c.Iterations = 80; return 3 }},
-		{"warmup", func(c *Config) int { c.WarmupFrac = 0.25; return 3 }},
-		{"seed", func(c *Config) int { c.Seed = 2; return 3 }},
-		{"dim", func(c *Config) int { return 5 }},
+		{"sampler", func(c *Config, _ *Checkpoint) int { c.Sampler = NUTS; return 3 }},
+		{"chains", func(c *Config, _ *Checkpoint) int { c.Chains = 4; return 3 }},
+		{"budget", func(c *Config, _ *Checkpoint) int { c.Iterations = 80; return 3 }},
+		{"warmup", func(_ *Config, k *Checkpoint) int { k.WarmupFrac = 0.25; return 3 }},
+		{"seed", func(c *Config, _ *Checkpoint) int { c.Seed = 2; return 3 }},
+		{"dim", func(*Config, *Checkpoint) int { return 5 }},
 	}
 	for _, m := range mismatches {
-		c := okCfg
-		dim := m.mut(&c)
-		if err := ck.Validate(c, dim); err == nil {
+		c, k := okCfg, *ck
+		dim := m.mut(&c, &k)
+		if err := k.Validate(c, dim); err == nil {
 			t.Errorf("%s mismatch accepted", m.name)
 		}
 	}

@@ -166,7 +166,7 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			base := Config{
-				Chains: 4, Iterations: 80, Sampler: kind, Seed: 31, IntTime: 0.3,
+				Chains: 4, Iterations: 80, Sampler: kind, Seed: 31,
 				StopRule: neverFire{}, Parallel: true,
 			}
 			hook := func(chain, iter int) FaultAction {
@@ -211,7 +211,7 @@ func TestCoalescedLockstepDeterminism(t *testing.T) {
 						// every chain still in the segment, so a segment costs
 						// as many batches as its busiest chain has leapfrogs.
 						fullSets := int64(0)
-						seg := batched.Config.CheckInterval
+						seg := checkInterval
 						for from := 0; from < batched.Iterations; from += seg {
 							busiest := int64(0)
 							for _, ch := range batched.Chains {

@@ -34,7 +34,7 @@ func (g *slowGaussian) LogDensityGrad(q, grad []float64) float64 {
 }
 
 // neverStop is a StopRule that never fires: the chains meet at every
-// CheckInterval segment end and run their full budget unless canceled.
+// checkInterval segment end and run their full budget unless canceled.
 type neverStop struct{}
 
 func (neverStop) ShouldStop([]*Samples, int) bool { return false }

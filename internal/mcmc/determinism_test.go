@@ -8,7 +8,7 @@ import (
 )
 
 // neverFire is a StopRule that never triggers: the run meets at every
-// CheckInterval segment end while keeping the full iteration budget.
+// checkInterval segment end while keeping the full iteration budget.
 type neverFire struct{}
 
 func (neverFire) ShouldStop(chains []*Samples, iter int) bool { return false }
@@ -47,7 +47,7 @@ func (n stopAt) ShouldStop(chains []*Samples, iter int) bool { return iter >= in
 // TestSeedDeterminism checks the bit-identity guarantees the runner makes
 // for a fixed Config.Seed: scheduling must not matter (sequential vs
 // Parallel), segmenting must not matter (one segment vs a StopRule that
-// never fires, consulted at every CheckInterval), the chain count must not
+// never fires, consulted at every checkInterval), the chain count must not
 // matter (a c-chain run is the first c chains of a 4-chain run), and a run
 // a StopRule ends early is a prefix of the run without one. The figure
 // harness reads every elision and chain-subset run off one 4-chain run on

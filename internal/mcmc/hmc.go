@@ -60,37 +60,30 @@ func (h *hamiltonian) leapfrog(q, p, grad []float64, eps float64) float64 {
 
 // findReasonableEpsilon implements Algorithm 4 of Hoffman & Gelman: double
 // or halve eps until one leapfrog step changes the joint density by about
-// a factor of 1/2. Returns the epsilon and the number of gradient
-// evaluations spent.
-func (h *hamiltonian) findReasonableEpsilon(q0 []float64, r *rng.RNG) (float64, int64) {
+// a factor of 1/2. lp0 and grad0 are the log density and its gradient at
+// q0, which the caller has just evaluated; every probe starts from them.
+func (h *hamiltonian) findReasonableEpsilon(q0 []float64, lp0 float64, grad0 []float64, r *rng.RNG) float64 {
+	if math.IsInf(lp0, -1) {
+		return 0.1
+	}
 	eps := 1.0
 	h.scratch.reset()
 	q := h.scratch.get()
 	p := h.scratch.get()
 	grad := h.scratch.get()
 	pTry := h.scratch.get()
-	var work int64
-
-	copy(q, q0)
-	lp0 := h.target.LogDensityGrad(q, grad)
-	work++
-	if math.IsInf(lp0, -1) {
-		return 0.1, work
-	}
 	h.sampleMomentum(r, p)
 	joint0 := lp0 - h.kinetic(p)
 
 	step := func() float64 {
 		copy(q, q0)
-		lp := h.target.LogDensityGrad(q, grad)
-		_ = lp
+		copy(grad, grad0)
 		copy(pTry, p)
 		lpNew := h.leapfrog(q, pTry, grad, eps)
 		return lpNew - h.kinetic(pTry)
 	}
 
 	joint := step()
-	work += 2
 	var a float64 = -1
 	if joint-joint0 > math.Log(0.5) {
 		a = 1
@@ -101,7 +94,6 @@ func (h *hamiltonian) findReasonableEpsilon(q0 []float64, r *rng.RNG) (float64, 
 		}
 		eps *= math.Pow(2, a)
 		joint = step()
-		work += 2
 		if math.IsNaN(joint) || math.IsInf(joint, -1) && a > 0 {
 			eps /= 2
 			break
@@ -110,26 +102,26 @@ func (h *hamiltonian) findReasonableEpsilon(q0 []float64, r *rng.RNG) (float64, 
 	if eps <= 0 || math.IsNaN(eps) {
 		eps = 0.1
 	}
-	return eps, work
+	return eps
 }
 
-// hmcSampler is static-path HMC: each iteration integrates for a fixed
-// total time (intTime), so the number of leapfrog steps is intTime/eps.
-type hmcSampler struct {
+// hamiltonianChain is the chain state static HMC and NUTS share, as Stan's
+// two transitions share one step-size and diagonal-metric adapter: the
+// current point with its gradient and log density, the step size, the
+// dual-averaging and Welford accumulators of warm-up, and the checkpoint
+// snapshot of all of it. The samplers embed it and add only their
+// transition (Step) and its scratch.
+type hamiltonianChain struct {
 	ham *hamiltonian
 	r   *rng.RNG
 
-	q, p, grad []float64
-	qNew       []float64
-	gradNew    []float64
-	pNew       []float64
-	lp         float64
+	q, grad []float64
+	lp      float64
 
-	eps     float64
-	intTime float64
-	da      *dualAveraging
-	wf      *welford
-	sched   warmupSchedule
+	eps   float64
+	da    *dualAveraging
+	wf    *welford
+	sched warmupSchedule
 
 	iter       int
 	warmup     int
@@ -137,33 +129,113 @@ type hmcSampler struct {
 	divergent  bool
 }
 
-func newHMCSampler(target Target, r *rng.RNG, intTime float64, warmup int) *hmcSampler {
+func newHamiltonianChain(target Target, r *rng.RNG, warmup int) hamiltonianChain {
 	dim := target.Dim()
-	return &hmcSampler{
-		ham:     newHamiltonian(target),
-		r:       r,
-		q:       make([]float64, dim),
-		p:       make([]float64, dim),
-		grad:    make([]float64, dim),
-		qNew:    make([]float64, dim),
-		gradNew: make([]float64, dim),
-		pNew:    make([]float64, dim),
-		intTime: intTime,
-		wf:      newWelford(dim),
-		sched:   newWarmupSchedule(warmup),
-		warmup:  warmup,
+	return hamiltonianChain{
+		ham:    newHamiltonian(target),
+		r:      r,
+		q:      make([]float64, dim),
+		grad:   make([]float64, dim),
+		wf:     newWelford(dim),
+		sched:  newWarmupSchedule(warmup),
+		warmup: warmup,
 	}
 }
 
-func (s *hmcSampler) Init(q []float64) {
+func (s *hamiltonianChain) Init(q []float64) {
 	copy(s.q, q)
 	s.lp = s.ham.target.LogDensityGrad(s.q, s.grad)
-	eps, _ := s.ham.findReasonableEpsilon(s.q, s.r)
-	s.eps = eps
-	s.da = newDualAveraging(eps, targetAccept)
+	s.eps = s.ham.findReasonableEpsilon(s.q, s.lp, s.grad, s.r)
+	s.da = newDualAveraging(s.eps, targetAccept)
 }
 
-func (s *hmcSampler) Current() []float64 { return s.q }
+func (s *hamiltonianChain) Current() []float64 { return s.q }
+
+func (s *hamiltonianChain) adapt(accept float64) {
+	if s.iter >= s.warmup {
+		return
+	}
+	if math.IsNaN(accept) {
+		// A NaN acceptance statistic would poison the dual-averaging
+		// state (and through it every later step size) permanently;
+		// treat it as a hard rejection instead.
+		accept = 0
+	}
+	s.eps = s.da.update(accept)
+	if s.sched.inSlowWindow(s.iter) {
+		s.wf.add(s.q)
+	}
+	if s.sched.windowEnd(s.iter) {
+		s.wf.variance(s.ham.invMass)
+		s.wf.reset()
+		s.da.restart(s.eps)
+	}
+	if s.iter == s.warmup-1 {
+		s.eps = s.da.adapted()
+	}
+}
+
+// EndWarmup freezes the step size at its dual-averaged value when warm-up
+// was cut short; after a full warm-up adapt has already frozen it.
+func (s *hamiltonianChain) EndWarmup() {
+	if s.da != nil && s.iter < s.warmup {
+		s.eps = s.da.adapted()
+	}
+}
+func (s *hamiltonianChain) AcceptStat() float64 { return s.lastAccept }
+func (s *hamiltonianChain) StepSize() float64   { return s.eps }
+func (s *hamiltonianChain) Divergent() bool     { return s.divergent }
+
+func (s *hamiltonianChain) snapshot(dst *SamplerState) {
+	*dst = SamplerState{
+		RNG:         s.r.State(),
+		Q:           append([]float64(nil), s.q...),
+		Grad:        append([]float64(nil), s.grad...),
+		LogP:        s.lp,
+		Iter:        s.iter,
+		LastAccept:  s.lastAccept,
+		StepSize:    s.eps,
+		InvMass:     append([]float64(nil), s.ham.invMass...),
+		DualAvg:     s.da.state(),
+		WelfordN:    s.wf.n,
+		WelfordMean: append([]float64(nil), s.wf.mean...),
+		WelfordM2:   append([]float64(nil), s.wf.m2...),
+	}
+}
+
+func (s *hamiltonianChain) restore(src *SamplerState) {
+	s.r.Restore(src.RNG)
+	copy(s.q, src.Q)
+	copy(s.grad, src.Grad)
+	s.lp = src.LogP
+	s.iter = src.Iter
+	s.lastAccept = src.LastAccept
+	s.eps = src.StepSize
+	copy(s.ham.invMass, src.InvMass)
+	s.da = newDualAveraging(src.StepSize, targetAccept)
+	s.da.restoreState(src.DualAvg)
+	s.wf.n = src.WelfordN
+	copy(s.wf.mean, src.WelfordMean)
+	copy(s.wf.m2, src.WelfordM2)
+}
+
+// hmcSampler is static-path HMC: each iteration integrates for a fixed
+// total time (intTime), so the number of leapfrog steps is intTime/eps.
+type hmcSampler struct {
+	hamiltonianChain
+	p, qNew, gradNew, pNew []float64
+}
+
+func newHMCSampler(target Target, r *rng.RNG, warmup int) *hmcSampler {
+	dim := target.Dim()
+	return &hmcSampler{
+		hamiltonianChain: newHamiltonianChain(target, r, warmup),
+		p:                make([]float64, dim),
+		qNew:             make([]float64, dim),
+		gradNew:          make([]float64, dim),
+		pNew:             make([]float64, dim),
+	}
+}
 
 func (s *hmcSampler) Step() (float64, int64) {
 	var work int64
@@ -171,7 +243,7 @@ func (s *hmcSampler) Step() (float64, int64) {
 	s.ham.sampleMomentum(s.r, s.p)
 	joint0 := s.lp - s.ham.kinetic(s.p)
 
-	nSteps := int(math.Max(1, math.Round(s.intTime/s.eps)))
+	nSteps := int(math.Max(1, math.Round(intTime/s.eps)))
 	if nSteps > 1024 {
 		nSteps = 1024
 	}
@@ -210,70 +282,4 @@ func (s *hmcSampler) Step() (float64, int64) {
 	s.adapt(accept)
 	s.iter++
 	return s.lp, work
-}
-
-func (s *hmcSampler) adapt(accept float64) {
-	if s.iter >= s.warmup {
-		return
-	}
-	if math.IsNaN(accept) {
-		// A NaN acceptance statistic would poison the dual-averaging
-		// state (and through it every later step size) permanently;
-		// treat it as a hard rejection instead.
-		accept = 0
-	}
-	s.eps = s.da.update(accept)
-	if s.sched.inSlowWindow(s.iter) {
-		s.wf.add(s.q)
-	}
-	if s.sched.windowEnd(s.iter) {
-		s.wf.variance(s.ham.invMass)
-		s.wf.reset()
-		s.da.restart(s.eps)
-	}
-	if s.iter == s.warmup-1 {
-		s.eps = s.da.adapted()
-	}
-}
-
-func (s *hmcSampler) EndWarmup() {
-	if s.da != nil {
-		s.eps = s.da.adapted()
-	}
-}
-func (s *hmcSampler) AcceptStat() float64 { return s.lastAccept }
-func (s *hmcSampler) StepSize() float64   { return s.eps }
-func (s *hmcSampler) Divergent() bool     { return s.divergent }
-
-func (s *hmcSampler) snapshot(dst *SamplerState) {
-	*dst = SamplerState{
-		RNG:         s.r.State(),
-		Q:           append([]float64(nil), s.q...),
-		Grad:        append([]float64(nil), s.grad...),
-		LogP:        s.lp,
-		Iter:        s.iter,
-		LastAccept:  s.lastAccept,
-		StepSize:    s.eps,
-		InvMass:     append([]float64(nil), s.ham.invMass...),
-		DualAvg:     s.da.state(),
-		WelfordN:    s.wf.n,
-		WelfordMean: append([]float64(nil), s.wf.mean...),
-		WelfordM2:   append([]float64(nil), s.wf.m2...),
-	}
-}
-
-func (s *hmcSampler) restore(src *SamplerState) {
-	s.r.Restore(src.RNG)
-	copy(s.q, src.Q)
-	copy(s.grad, src.Grad)
-	s.lp = src.LogP
-	s.iter = src.Iter
-	s.lastAccept = src.LastAccept
-	s.eps = src.StepSize
-	copy(s.ham.invMass, src.InvMass)
-	s.da = newDualAveraging(src.StepSize, targetAccept)
-	s.da.restoreState(src.DualAvg)
-	s.wf.n = src.WelfordN
-	copy(s.wf.mean, src.WelfordMean)
-	copy(s.wf.m2, src.WelfordM2)
 }

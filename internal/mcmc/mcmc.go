@@ -62,12 +62,17 @@ func (k SamplerKind) String() string {
 	return fmt.Sprintf("SamplerKind(%d)", int(k))
 }
 
-// Sampler tuning shared by every run, Stan's defaults where Stan has one.
+// Sampler and runner tuning shared by every run, Stan's defaults where
+// Stan has one.
 const (
-	targetAccept = 0.8 // dual-averaging target acceptance statistic (HMC, NUTS)
-	maxDepth     = 10  // bound on the NUTS doubling depth
-	mhScale      = 0.5 // Metropolis proposal scale before adaptation
-	initRadius   = 2   // initial points are uniform(-r, r) per unconstrained dimension
+	targetAccept  = 0.8 // dual-averaging target acceptance statistic (HMC, NUTS)
+	maxDepth      = 10  // bound on the NUTS doubling depth
+	mhScale       = 0.5 // Metropolis proposal scale before adaptation
+	initRadius    = 2   // initial points are uniform(-r, r) per unconstrained dimension
+	warmupFrac    = 0.5 // share of Iterations spent adapting (Stan's convention)
+	intTime       = 1.0 // static-HMC integration time
+	checkInterval = 50  // iterations between StopRule consultations and cancel polls
+	minIterations = 100 // no StopRule consultation before this iteration
 )
 
 // Config controls a multi-chain run. Zero values take the documented
@@ -76,41 +81,30 @@ type Config struct {
 	// Chains is the number of Markov chains (default 4, per Brooks et al.
 	// as cited in the paper §VI-A).
 	Chains int
-	// Iterations is the per-chain iteration budget (warmup included).
+	// Iterations is the per-chain iteration budget; its first half is
+	// warm-up (step-size and diagonal-metric adaptation).
 	Iterations int
-	// WarmupFrac is the fraction of Iterations used for adaptation
-	// (default 0.5, Stan's convention).
-	WarmupFrac float64
 	// Sampler selects the algorithm (default NUTS).
 	Sampler SamplerKind
 	// Seed seeds chain RNG streams deterministically.
 	Seed uint64
-	// IntTime is the HMC integration time (default 1.0).
-	IntTime float64
 	// Parallel runs chains on separate goroutines (the paper's multicore
 	// execution mode). The chains meet only at segment ends, where the
 	// runner checkpoints or consults the StopRule; between them no chain
 	// waits for another.
 	Parallel bool
-	// StopRule, when non-nil, is consulted every CheckInterval iterations
-	// with the draws so far; returning true terminates all chains (the
-	// paper's computation elision, §VI).
+	// StopRule, when non-nil, is consulted every 50 iterations from
+	// iteration 100 on with the draws so far; returning true terminates
+	// all chains (the paper's computation elision, §VI). The same 50
+	// iterations space the segment ends of a run whose context can be
+	// canceled, bounding the extra work a cancel costs.
 	StopRule StopRule
-	// CheckInterval is how often (in iterations) StopRule runs
-	// (default 50). It also spaces the segment ends of a run whose context
-	// can be canceled, bounding the extra work a cancel costs.
-	CheckInterval int
 	// Progress, when non-nil, is called with k once for each k, in order,
 	// as soon as every live chain holds k draws. The chain that completes
 	// k makes the call, under a lock, so calls never overlap; it must be
 	// cheap, as it sits on the sampling critical path. It does not change
 	// how the run executes.
 	Progress func(completed int)
-	// MinIterations is the floor before StopRule may fire (default 100).
-	MinIterations int
-	// DisableMassAdaptation keeps the unit diagonal metric throughout
-	// warmup (the mass-matrix ablation in DESIGN.md).
-	DisableMassAdaptation bool
 
 	// CheckpointEvery, when positive, ends a segment every N completed
 	// iterations, where the chains meet and the run is snapshotted into a
@@ -179,18 +173,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 2000
-	}
-	if c.WarmupFrac == 0 {
-		c.WarmupFrac = 0.5
-	}
-	if c.IntTime == 0 {
-		c.IntTime = 1.0
-	}
-	if c.CheckInterval == 0 {
-		c.CheckInterval = 50
-	}
-	if c.MinIterations == 0 {
-		c.MinIterations = 100
 	}
 	return c
 }
@@ -421,10 +403,8 @@ func newStepper(cfg Config, target Target, r *rng.RNG, warmup int) stepper {
 	case MetropolisHastings:
 		return newMHSampler(target, r, warmup)
 	case HMC:
-		return newHMCSampler(target, r, cfg.IntTime, warmup)
+		return newHMCSampler(target, r, warmup)
 	default:
-		ns := newNUTSSampler(target, r, warmup)
-		ns.noMass = cfg.DisableMassAdaptation
-		return ns
+		return newNUTSSampler(target, r, warmup)
 	}
 }

@@ -160,7 +160,7 @@ func TestWorkVariesAcrossChains(t *testing.T) {
 }
 
 func TestLockstepParallelDeterministic(t *testing.T) {
-	// With a StopRule, chains meet at every CheckInterval segment end;
+	// With a StopRule, chains meet at every checkInterval segment end;
 	// running each segment's chains on goroutines must not change any draw.
 	g := newGaussian()
 	run := func(parallel bool) *Result {
@@ -192,7 +192,7 @@ func TestStopRuleTerminatesEarly(t *testing.T) {
 	g := newGaussian()
 	res := Run(Config{
 		Chains: 4, Iterations: 2000, Seed: 9,
-		StopRule: &stopAfter{n: 300}, CheckInterval: 50, MinIterations: 100,
+		StopRule: &stopAfter{n: 300},
 	}, func() Target { return g })
 	if !res.Elided {
 		t.Fatal("stop rule did not fire")
@@ -212,18 +212,21 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Chains != 4 || c.Iterations != 2000 || targetAccept != 0.8 || maxDepth != 10 || mhScale != 0.5 || initRadius != 2 {
 		t.Errorf("unexpected defaults: %+v, tuning %g %d %g %g", c, targetAccept, maxDepth, mhScale, float64(initRadius))
 	}
+	if warmupFrac != 0.5 || intTime != 1.0 || checkInterval != 50 || minIterations != 100 {
+		t.Errorf("unexpected run constants: warm-up %g, integration time %g, check every %d from %d",
+			warmupFrac, intTime, checkInterval, minIterations)
+	}
 }
 
 func TestFindReasonableEpsilon(t *testing.T) {
 	g := newGaussian()
 	h := newHamiltonian(g)
-	r := rng.New(4)
-	eps, work := h.findReasonableEpsilon([]float64{0, 0, 0}, r)
+	q := []float64{0, 0, 0}
+	grad := make([]float64, len(q))
+	lp := g.LogDensityGrad(q, grad)
+	eps := h.findReasonableEpsilon(q, lp, grad, rng.New(4))
 	if eps <= 0 || math.IsNaN(eps) {
 		t.Fatalf("bad epsilon %g", eps)
-	}
-	if work <= 0 {
-		t.Fatal("no work accounted")
 	}
 }
 

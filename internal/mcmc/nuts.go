@@ -14,28 +14,12 @@ import (
 // the local geometry, which is exactly what creates the paper's
 // chain-latency imbalance (§VI-A).
 type nutsSampler struct {
-	ham *hamiltonian
-	r   *rng.RNG
-
-	q, grad []float64
-	lp      float64
-
-	eps   float64
-	da    *dualAveraging
-	wf    *welford
-	sched warmupSchedule
-
-	iter       int
-	warmup     int
-	lastAccept float64
-	divergent  bool
-	noMass     bool // skip mass-matrix adaptation (ablation)
+	hamiltonianChain
 
 	// Scratch reused across iterations: the trajectory endpoints and the
 	// per-iteration arenas for subtree endpoint states and proposal
 	// vectors. Everything handed out during one Step is reclaimed at the
 	// start of the next, so steady-state iterations do not allocate.
-	dim    int
 	minus  *treeState
 	plus   *treeState
 	states *statePool
@@ -66,30 +50,13 @@ func (t *treeState) copyFrom(s *treeState) {
 func newNUTSSampler(target Target, r *rng.RNG, warmup int) *nutsSampler {
 	dim := target.Dim()
 	return &nutsSampler{
-		ham:    newHamiltonian(target),
-		r:      r,
-		q:      make([]float64, dim),
-		grad:   make([]float64, dim),
-		wf:     newWelford(dim),
-		sched:  newWarmupSchedule(warmup),
-		warmup: warmup,
-		dim:    dim,
-		minus:  newTreeState(dim),
-		plus:   newTreeState(dim),
-		states: newStatePool(dim),
-		bufs:   newBufPool(dim),
+		hamiltonianChain: newHamiltonianChain(target, r, warmup),
+		minus:            newTreeState(dim),
+		plus:             newTreeState(dim),
+		states:           newStatePool(dim),
+		bufs:             newBufPool(dim),
 	}
 }
-
-func (s *nutsSampler) Init(q []float64) {
-	copy(s.q, q)
-	s.lp = s.ham.target.LogDensityGrad(s.q, s.grad)
-	eps, _ := s.ham.findReasonableEpsilon(s.q, s.r)
-	s.eps = eps
-	s.da = newDualAveraging(eps, targetAccept)
-}
-
-func (s *nutsSampler) Current() []float64 { return s.q }
 
 // buildResult aggregates what a subtree hands back up the recursion,
 // including the subtree's own trajectory-order endpoints, which the
@@ -112,7 +79,7 @@ type buildResult struct {
 // metric).
 func (s *nutsSampler) uTurn(minus, plus *treeState) bool {
 	dotM, dotP := 0.0, 0.0
-	for i := 0; i < s.dim; i++ {
+	for i := range minus.q {
 		dq := plus.q[i] - minus.q[i]
 		dotM += dq * s.ham.invMass[i] * minus.p[i]
 		dotP += dq * s.ham.invMass[i] * plus.p[i]
@@ -255,70 +222,4 @@ func (s *nutsSampler) Step() (float64, int64) {
 	s.adapt(accept)
 	s.iter++
 	return s.lp, work
-}
-
-func (s *nutsSampler) adapt(accept float64) {
-	if s.iter >= s.warmup {
-		return
-	}
-	if math.IsNaN(accept) {
-		// Same guard as HMC: never let NaN into the dual-averaging state.
-		accept = 0
-	}
-	s.eps = s.da.update(accept)
-	if !s.noMass {
-		if s.sched.inSlowWindow(s.iter) {
-			s.wf.add(s.q)
-		}
-		if s.sched.windowEnd(s.iter) {
-			s.wf.variance(s.ham.invMass)
-			s.wf.reset()
-			s.da.restart(s.eps)
-		}
-	}
-	if s.iter == s.warmup-1 {
-		s.eps = s.da.adapted()
-	}
-}
-
-func (s *nutsSampler) EndWarmup() {
-	if s.da != nil && s.iter < s.warmup {
-		s.eps = s.da.adapted()
-	}
-}
-func (s *nutsSampler) AcceptStat() float64 { return s.lastAccept }
-func (s *nutsSampler) StepSize() float64   { return s.eps }
-func (s *nutsSampler) Divergent() bool     { return s.divergent }
-
-func (s *nutsSampler) snapshot(dst *SamplerState) {
-	*dst = SamplerState{
-		RNG:         s.r.State(),
-		Q:           append([]float64(nil), s.q...),
-		Grad:        append([]float64(nil), s.grad...),
-		LogP:        s.lp,
-		Iter:        s.iter,
-		LastAccept:  s.lastAccept,
-		StepSize:    s.eps,
-		InvMass:     append([]float64(nil), s.ham.invMass...),
-		DualAvg:     s.da.state(),
-		WelfordN:    s.wf.n,
-		WelfordMean: append([]float64(nil), s.wf.mean...),
-		WelfordM2:   append([]float64(nil), s.wf.m2...),
-	}
-}
-
-func (s *nutsSampler) restore(src *SamplerState) {
-	s.r.Restore(src.RNG)
-	copy(s.q, src.Q)
-	copy(s.grad, src.Grad)
-	s.lp = src.LogP
-	s.iter = src.Iter
-	s.lastAccept = src.LastAccept
-	s.eps = src.StepSize
-	copy(s.ham.invMass, src.InvMass)
-	s.da = newDualAveraging(src.StepSize, targetAccept)
-	s.da.restoreState(src.DualAvg)
-	s.wf.n = src.WelfordN
-	copy(s.wf.mean, src.WelfordMean)
-	copy(s.wf.m2, src.WelfordM2)
 }

@@ -26,7 +26,7 @@ func Run(cfg Config, factory TargetFactory) *Result {
 //
 // The chains are independent and, with Config.Parallel, run on their own
 // goroutines — the paper's coarse-grained chain-level parallelism. They
-// meet only at the end of a segment (see runner): every CheckInterval
+// meet only at the end of a segment (see runner): every checkInterval
 // iterations when a StopRule is set (the paper's runtime convergence
 // detection, §VI) or ctx can be canceled, and every CheckpointEvery
 // iterations when checkpointing. Without either, the run is one segment
@@ -59,7 +59,7 @@ func Run(cfg Config, factory TargetFactory) *Result {
 // uninterrupted run the checkpoint was captured from.
 func RunContext(ctx context.Context, cfg Config, factory TargetFactory) *Result {
 	cfg = cfg.withDefaults()
-	warmup := int(float64(cfg.Iterations) * cfg.WarmupFrac)
+	warmup := int(float64(cfg.Iterations) * warmupFrac)
 
 	targets := make([]Target, cfg.Chains)
 	for c := 0; c < cfg.Chains; c++ {
@@ -231,7 +231,7 @@ func safeStepSize(st stepper) (eps float64) {
 
 // runner drives the chains one segment at a time. A segment ends at the
 // budget, at the next CheckpointEvery multiple, and — when a StopRule may
-// read the draws or the run can be canceled — at the next CheckInterval
+// read the draws or the run can be canceled — at the next checkInterval
 // multiple: the only iterations at which the runner has anything to
 // decide. Inside a segment each live chain steps on its own, with no
 // barrier between iterations; the chains meet at its end, where faults are
@@ -303,7 +303,7 @@ func (r *runner) run(ctx context.Context, it int) (iters int, elided, interrupte
 			if cfg.CheckpointSink != nil && cfg.CheckpointEvery > 0 && healthy && it%cfg.CheckpointEvery == 0 {
 				cfg.CheckpointSink(captureCheckpoint(*cfg, r.steppers, r.chains, r.acceptSums, it))
 			}
-			if cfg.StopRule != nil && it >= cfg.MinIterations && it%cfg.CheckInterval == 0 &&
+			if cfg.StopRule != nil && it >= minIterations && it%checkInterval == 0 &&
 				cfg.StopRule.ShouldStop(r.views, it) {
 				return it, true, false
 			}
@@ -324,7 +324,7 @@ func (r *runner) segmentEnd(it int) int {
 		end = min(end, next(cfg.CheckpointEvery))
 	}
 	if cfg.StopRule != nil || r.done != nil {
-		end = min(end, next(cfg.CheckInterval))
+		end = min(end, next(checkInterval))
 	}
 	return end
 }

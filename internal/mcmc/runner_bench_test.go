@@ -45,13 +45,12 @@ func (g *benchGaussian) LogDensity(q []float64) float64 {
 func neverStop() *elide.Detector { return &elide.Detector{Threshold: 0.5} }
 
 // BenchmarkRunnerLockstepElide measures the paper-mode hot path: 4 chains
-// meeting for a convergence check every 10 iterations.
+// meeting for a convergence check every 50 iterations.
 func BenchmarkRunnerLockstepElide(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := mcmc.Run(mcmc.Config{
 			Chains: 4, Iterations: 1000, Sampler: mcmc.HMC, Seed: 11,
-			StopRule: neverStop(), CheckInterval: 10, MinIterations: 20,
-			Parallel: true,
+			StopRule: neverStop(), Parallel: true,
 		}, func() mcmc.Target { return &benchGaussian{dim: 16} })
 		if res.Elided {
 			b.Fatal("benchmark run elided")
@@ -65,7 +64,7 @@ func BenchmarkRunnerLockstepSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := mcmc.Run(mcmc.Config{
 			Chains: 4, Iterations: 1000, Sampler: mcmc.HMC, Seed: 11,
-			StopRule: neverStop(), CheckInterval: 10, MinIterations: 20,
+			StopRule: neverStop(),
 		}, func() mcmc.Target { return &benchGaussian{dim: 16} })
 		if res.Elided {
 			b.Fatal("benchmark run elided")
@@ -97,11 +96,8 @@ func benchWorkloadRun(b *testing.B, m model.Model) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// Short integration time keeps the leapfrog count per iteration
-		// bounded so the benchmark cost tracks gradient-evaluation cost.
 		mcmc.Run(mcmc.Config{
 			Chains: 2, Iterations: 10, Sampler: mcmc.HMC, Seed: 19,
-			IntTime: 0.25,
 		}, func() mcmc.Target { return model.NewEvaluator(m) })
 	}
 }
@@ -343,8 +339,7 @@ func benchLockstepGLM(b *testing.B, batched bool, chains int) {
 	for i := 0; i < b.N; i++ {
 		cfg := mcmc.Config{
 			Chains: chains, Iterations: 10, Sampler: mcmc.HMC, Seed: 19,
-			IntTime: 0.25, StopRule: neverStop(), CheckInterval: 10,
-			MinIterations: 20, Parallel: true,
+			StopRule: neverStop(), Parallel: true,
 		}
 		var factory mcmc.TargetFactory
 		if batched {

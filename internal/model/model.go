@@ -42,6 +42,24 @@ type Constrainer interface {
 	ConstrainedNames() []string
 }
 
+// ConstrainDraws maps every draw, draws[chain][i], to m's natural scale
+// and returns the mapped draws with their names when m is a Constrainer.
+// Otherwise it returns draws as they are and nil names.
+func ConstrainDraws(m Model, draws [][][]float64) ([][][]float64, []string) {
+	c, ok := m.(Constrainer)
+	if !ok {
+		return draws, nil
+	}
+	out := make([][][]float64, len(draws))
+	for ch, rows := range draws {
+		out[ch] = make([][]float64, len(rows))
+		for i, q := range rows {
+			out[ch][i] = c.Constrain(q)
+		}
+	}
+	return out, c.ConstrainedNames()
+}
+
 // Evaluator wraps a Model with a reusable tape and counts gradient
 // evaluations — the work units the hardware model converts to instructions.
 type Evaluator struct {

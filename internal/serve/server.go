@@ -811,12 +811,10 @@ func (s *Server) runJobLocked(job *Job) {
 	if res.Iterations >= 4 && len(res.HealthyChains()) > 0 {
 		// Summaries and convergence are computed over the healthy chains
 		// only — quarantined prefixes would bias both.
+		// They describe the model's natural scale; max_rhat judges the
+		// unconstrained draws, as the stop rule does.
 		draws := res.SecondHalfHealthyDraws()
-		var names []string
-		if c, ok := w.Model.(model.Constrainer); ok {
-			names = c.ConstrainedNames()
-		}
-		for _, d := range diag.Summarize(draws, names) {
+		for _, d := range diag.Summarize(model.ConstrainDraws(w.Model, draws)) {
 			sums = append(sums, ParamSummary{
 				Name: d.Name, Mean: d.Mean, SD: d.SD,
 				Q05: d.Q05, Median: d.Median, Q95: d.Q95,

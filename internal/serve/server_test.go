@@ -417,3 +417,42 @@ func TestGradBatchOccupancy(t *testing.T) {
 		t.Fatalf("rerun evaluated %d gradients, first run %d", b.TotalWork(), a.TotalWork())
 	}
 }
+
+// TestSummariesOnConstrainedScale: a job result summarises the model's
+// natural scale under the model's names — 12cities' sigma_alpha is a
+// standard deviation, every survival parameter a probability — while
+// max_rhat stays on the unconstrained draws the stop rule judges.
+func TestSummariesOnConstrainedScale(t *testing.T) {
+	s := NewServer(Config{Workers: 1, QueueCap: 4, Predictor: testPredictor()})
+	for _, tc := range []struct {
+		workload string
+		check    func(ParamSummary) bool
+	}{
+		{"12cities", func(p ParamSummary) bool { return p.Name != "sigma_alpha" || p.Q05 > 0 }},
+		{"survival", func(p ParamSummary) bool {
+			return p.Q05 > 0 && p.Q95 < 1 && p.Mean > 0 && p.Mean < 1 && p.Median > 0 && p.Median < 1
+		}},
+	} {
+		job, err := s.Submit(JobSpec{Workload: tc.workload, Scale: 0.25, Iterations: 400, Chains: 4, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitDone(t, job, 60*time.Second); st.State != Done {
+			t.Fatalf("%s: state %s (%s)", tc.workload, st.State, st.Error)
+		}
+		res, _ := job.Result()
+		if len(res.Summaries) == 0 || res.MaxRHat <= 0 {
+			t.Fatalf("%s: %d summaries, max_rhat %g", tc.workload, len(res.Summaries), res.MaxRHat)
+		}
+		named := false
+		for _, p := range res.Summaries {
+			named = named || p.Name == "sigma_alpha"
+			if !tc.check(p) {
+				t.Errorf("%s: %+v is not on the constrained scale", tc.workload, p)
+			}
+		}
+		if tc.workload == "12cities" && !named {
+			t.Errorf("12cities: no sigma_alpha summary in %+v", res.Summaries)
+		}
+	}
+}

@@ -193,7 +193,7 @@ func TestDiseaseKernelTapeIsBlocked(t *testing.T) {
 	}
 }
 
-// neverStop keeps a run's chains meeting at every CheckInterval segment
+// neverStop keeps a run's chains meeting at every 50-iteration segment
 // end for its whole budget.
 type neverStop struct{}
 
