@@ -84,10 +84,11 @@ fuzz:
 # served job's chains step on their own evaluators, so its draws are held
 # to a per-chain reference run. Then the cluster columns: worker loss
 # migration, the network-chaos partition matrix ({HMC,NUTS} ×
-# {drop,dup,delay,partition-then-heal}), and coordinator crash-restart
-# from the durable journal.
+# {drop,dup,delay,partition-then-heal}), coordinator crash-restart
+# from the durable journal, replay of hand-written and legacy logs, and a
+# closed journal under every transition that journals a record.
 fault-matrix:
-	$(GO) test -race -run 'Fault|Checkpoint|Quarantine|Retry|Resume|Injector|NetChaos' \
+	$(GO) test -race -run 'Fault|Checkpoint|Quarantine|Retry|Resume|Injector|NetChaos|Replay|Journal' \
 		./internal/fault/... ./internal/mcmc/... ./internal/serve/... ./internal/cluster/...
 
 # The draw and density pins and the determinism suites at one, two and

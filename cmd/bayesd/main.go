@@ -11,15 +11,17 @@
 //	bayesd -coordinator [-node NAME] [-state-dir DIR]   # fleet control plane
 //	bayesd -worker URL [-node NAME] [-platform P] [-slots N]
 //
-// With -state-dir the coordinator is durable: every acknowledged state
-// transition (admit, lease, checkpoint, result, cancel, requeue) is
-// journaled and fsynced under DIR before the acknowledgment leaves, with
-// checkpoints and result draws in a content-addressed blob store. A
-// coordinator restarted on the same DIR replays the journal, reports
-// "recovering" on /readyz until done, and requeues unfinished jobs from
-// their newest fingerprint-verified checkpoints — clients keep their job
-// IDs, and the deterministic sampler contract makes the re-run draws
-// bit-identical to an uninterrupted run.
+// With -state-dir the coordinator is durable: every state transition
+// (admit, lease, checkpoint, result, cancel, requeue, final) is journaled
+// and fsynced under DIR before it takes effect, let alone is
+// acknowledged, with checkpoints and result draws in a content-addressed
+// blob store. If an append fails, the transition does not happen and the
+// coordinator takes no further ones: /readyz reports "journal-failed"
+// until a restart. A coordinator restarted on the same DIR replays the
+// journal, reports "recovering" on /readyz until done, and requeues
+// unfinished jobs from their newest fingerprint-verified checkpoints —
+// clients keep their job IDs, and the deterministic sampler contract
+// makes the re-run draws bit-identical to an uninterrupted run.
 //
 // In cluster mode the coordinator serves the same client API as a single
 // node plus the /cluster/v1 worker protocol; workers pull leases from it,

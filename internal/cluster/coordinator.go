@@ -80,7 +80,8 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 
 // clusterJob is one admitted job's coordinator-side record. Guarded by
 // mu; the coordinator lock (Coordinator.mu) may be held when mu is taken,
-// never the reverse.
+// never the reverse. Every field below mu but progress and placement is
+// written by apply alone, as is the closing of done.
 type clusterJob struct {
 	id           string
 	spec         serve.JobSpec // normalized
@@ -167,12 +168,13 @@ type Coordinator struct {
 
 	// Durability (StateDir set). store is written once, during recovery,
 	// before recovered closes; recovered gates every job-touching API
-	// method. recoverErr is set before recovered closes. jinfo (guarded
-	// by mu) is the replay report surfaced on /readyz.
+	// method. failed holds the failure (a recovery's, or a journal
+	// append's) that stops all further transitions. jinfo (guarded by mu)
+	// is the replay report surfaced on /readyz.
 	store      *durableStore
 	recovering atomic.Bool
 	recovered  chan struct{}
-	recoverErr error
+	failed     atomic.Pointer[error]
 	jinfo      *serve.JournalStatus
 
 	reapStop chan struct{}
@@ -245,32 +247,22 @@ func (co *Coordinator) SubmitJob(spec serve.JobSpec) (serve.JobStatus, error) {
 	if co.draining {
 		return serve.JobStatus{}, serve.ErrDraining
 	}
-	cj := &clusterJob{
-		id:           fmt.Sprintf("cjob-%06d", co.seq+1),
-		spec:         norm,
-		budget:       budget,
-		modeledBytes: w.ModeledDataBytes(),
-		submitted:    time.Now(),
-		state:        serve.Queued,
-		done:         make(chan struct{}),
-	}
-	// Snapshot the initial status while the job is still unshared: once
-	// offered, a concurrent lease may grant it before this returns.
-	st := cj.statusLocked()
+	// The offer takes the admission slot (or fails on backpressure) before
+	// anything is journaled; Lease passes the job over until the admit
+	// applies, and a failed commit takes it back out.
+	cj := &clusterJob{id: fmt.Sprintf("cjob-%06d", co.seq+1), done: make(chan struct{})}
 	if err := co.queue.Offer(cj); err != nil {
 		return serve.JobStatus{}, err
 	}
-	// Journal the admission before acknowledging it; a failed append
-	// rolls the job back out so the client's error is honest.
-	spec2 := cj.spec
-	if err := co.logRecord(record{T: "admit", ID: cj.id, Spec: &spec2, Budget: cj.budget,
-		ModeledBytes: cj.modeledBytes, SubmittedNS: cj.submitted.UnixNano()}); err != nil {
+	cj.mu.Lock()
+	err = co.commit(cj, record{T: "admit", ID: cj.id, Spec: &norm, Budget: budget,
+		ModeledBytes: w.ModeledDataBytes(), SubmittedNS: time.Now().UnixNano()})
+	st := cj.statusLocked()
+	cj.mu.Unlock()
+	if err != nil {
 		co.queue.PopWhere(func(j *clusterJob) bool { return j == cj })
 		return serve.JobStatus{}, err
 	}
-	co.seq++
-	co.jobs[cj.id] = cj
-	co.order = append(co.order, cj.id)
 	co.wake() // a job to place
 	return st, nil
 }
@@ -311,33 +303,40 @@ func (co *Coordinator) GetResult(id string) (serve.ResultPayload, bool, error) {
 // next heartbeat and finalize when the worker uploads the canceled
 // result.
 func (co *Coordinator) CancelJob(id string) (serve.JobStatus, error) {
+	if err := co.ready(); err != nil {
+		return serve.JobStatus{}, err
+	}
 	cj, err := co.job(id)
 	if err != nil {
 		return serve.JobStatus{}, err
 	}
-	// Pull it from the queue first (no-op if a worker already holds it or
-	// it never re-enters); then finalize or flag under the job lock.
-	co.queue.PopWhere(func(j *clusterJob) bool { return j == cj })
+	st, queued, err := co.cancel(cj, "canceled by client while queued", "canceled by client while running")
+	if queued {
+		// Finalized, so Lease passes it over; now it leaves the queue.
+		co.queue.PopWhere(func(j *clusterJob) bool { return j == cj })
+		co.wake() // the queue changed
+	}
+	return st, err
+}
+
+// cancel ends a queued job at once (queued reports it), or records the
+// cancel of a running one, which its worker learns on its next heartbeat
+// and a restart must not resurrect as runnable.
+func (co *Coordinator) cancel(cj *clusterJob, queuedMsg, runningCause string) (st serve.JobStatus, queued bool, err error) {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
 	switch {
 	case cj.state.Terminal():
-		return cj.statusLocked(), serve.ErrFinished
+		return cj.statusLocked(), false, serve.ErrFinished
 	case cj.state == serve.Queued:
-		cj.cancelRequested = true
-		cj.cancelCause = "canceled by client while queued"
-		co.finishJob(cj, serve.Canceled, cj.cancelCause)
-		co.wake() // the queue changed
-	default: // running on a worker
-		if !cj.cancelRequested {
-			cj.cancelRequested = true
-			cj.cancelCause = "canceled by client while running"
-			// Journal the intent: a restart mid-cancel must not resurrect
-			// the job as runnable.
-			co.logRecord(record{T: "cancel", ID: cj.id, Cause: cj.cancelCause})
-		}
+		err, queued = co.commit(cj, cj.final(serve.Canceled, queuedMsg, cj.requeues)), true
+	case !cj.cancelRequested:
+		err = co.commit(cj, record{T: "cancel", ID: cj.id, Cause: runningCause})
 	}
-	return cj.statusLocked(), nil
+	if err != nil {
+		return serve.JobStatus{}, false, err
+	}
+	return cj.statusLocked(), queued, nil
 }
 
 // ListJobs returns every job's status in submission order.
@@ -438,8 +437,13 @@ func (co *Coordinator) Capability() serve.Capability {
 		// Journal replay in progress: /readyz reports 503 until the
 		// rebuilt jobs are requeued and leases can be granted again.
 		c.Status, c.State = "recovering", "recovering"
-	} else if co.recoverErr != nil {
-		c.Status, c.State = "recovery-failed", "recovering"
+	} else if co.failure() != nil {
+		// Not ready until a restart replays the journal: recovery failed
+		// (no store was installed) or, later, an append did.
+		c.Status, c.State = "journal-failed", "recovering"
+		if co.store == nil {
+			c.Status = "recovery-failed"
+		}
 	}
 	if co.jinfo != nil {
 		j := *co.jinfo
@@ -509,73 +513,78 @@ func (co *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	}
 	co.mu.Unlock()
 
-	var assign sched.FleetAssignment
-	cj, ok := co.queue.PopWhere(func(j *clusterJob) bool {
-		j.mu.Lock()
-		queued := j.state == serve.Queued && !j.cancelRequested
-		name, bytes := j.spec.Workload, j.modeledBytes
-		j.mu.Unlock()
-		if !queued {
-			return false
+	for {
+		var assign sched.FleetAssignment
+		cj, ok := co.queue.PopWhere(func(j *clusterJob) bool {
+			j.mu.Lock()
+			queued := j.state == serve.Queued
+			name, bytes := j.spec.Workload, j.modeledBytes
+			j.mu.Unlock()
+			if !queued {
+				return false
+			}
+			a, placed := co.fleet.Place(name, bytes, nodes)
+			if !placed || a.Node.ID != req.Worker {
+				return false
+			}
+			assign = a
+			return true
+		})
+		if !ok {
+			return LeaseResponse{}, nil
 		}
-		a, placed := co.fleet.Place(name, bytes, nodes)
-		if !placed || a.Node.ID != req.Worker {
-			return false
+		lease, err := co.grant(cj, req, assign)
+		if err != nil {
+			// The failed grant changed nothing: the job is still queued. A
+			// queue closed by a drain leaves it to Shutdown, which ends
+			// queued jobs from the table.
+			_ = co.queue.Requeue(cj)
+			return LeaseResponse{}, err
 		}
-		assign = a
-		return true
-	})
-	if !ok {
-		return LeaseResponse{}, nil
+		if lease == nil {
+			continue // a cancel ended the job between the pop and the grant
+		}
+		co.mu.Lock()
+		if w, ok := co.workers[req.Worker]; ok {
+			w.assigned[cj.id] = cj
+		}
+		co.mu.Unlock()
+		co.wake() // the free-node set shrank: the next queued job may place elsewhere now
+		return LeaseResponse{Lease: lease}, nil
 	}
+}
 
+// grant leases the popped job cj to req.Worker: the lease record is
+// durable before the worker learns of it (a coordinator killed after the
+// append replays the lease and requeues the job; killed before it, the
+// worker never saw the lease either way). A job a cancel ended between
+// the pop and this lock is not granted (nil lease, nil error).
+func (co *Coordinator) grant(cj *clusterJob, req LeaseRequest, a sched.FleetAssignment) (*Lease, error) {
 	cj.mu.Lock()
-	cj.worker = req.Worker
-	cj.granted = time.Now()
-	cj.state = serve.Running
-	cj.leases++
-	if cj.started.IsZero() {
-		cj.started = time.Now()
+	defer cj.mu.Unlock()
+	if cj.state != serve.Queued {
+		return nil, nil
 	}
-	pl := &serve.PlacementDecision{
-		Node:           assign.Node.ID,
+	if err := co.commit(cj, record{T: "lease", ID: cj.id, Worker: req.Worker, Attempt: cj.leases + 1,
+		GrantedNS: time.Now().UnixNano(), ResumeAt: cj.resumeAt()}); err != nil {
+		return nil, err
+	}
+	cj.placement = &serve.PlacementDecision{
+		Node:           a.Node.ID,
 		Platform:       req.Capability.Platform,
-		ModeledDataKB:  assign.ModeledDataKB,
-		PredictedMPKI:  assign.PredictedMPKI,
-		LLCBound:       assign.LLCBound,
-		FrequencyFirst: assign.FrequencyFirst,
-		Reason:         assign.Reason,
+		ModeledDataKB:  a.ModeledDataKB,
+		PredictedMPKI:  a.PredictedMPKI,
+		LLCBound:       a.LLCBound,
+		FrequencyFirst: a.FrequencyFirst,
+		Reason:         a.Reason,
 	}
-	cj.placement = pl
 	lease := &Lease{JobID: cj.id, Spec: cj.spec, Attempt: cj.leases}
-	cj.resumedFrom = 0
 	if cj.checkpoint != nil {
 		lease.CheckpointB64 = base64.StdEncoding.EncodeToString(cj.checkpoint.Encode())
 		lease.ResumeIteration = cj.checkpoint.Iteration
 		lease.CheckpointFP = cj.checkpoint.Fingerprint()
-		cj.resumedFrom = cj.checkpoint.Iteration
 	}
-	rec := record{T: "lease", ID: cj.id, Worker: req.Worker, Attempt: cj.leases,
-		GrantedNS: cj.granted.UnixNano(), ResumeAt: cj.resumedFrom}
-	cj.mu.Unlock()
-
-	// Journal the grant before the worker learns of it: a coordinator
-	// killed after this append replays the lease (and requeues the job);
-	// killed before it, the worker never saw the lease either way.
-	if err := co.logRecord(rec); err != nil {
-		co.mu.Lock()
-		co.requeueJob(cj, "journal append failed at lease grant")
-		co.mu.Unlock()
-		return LeaseResponse{}, err
-	}
-
-	co.mu.Lock()
-	if w, ok := co.workers[req.Worker]; ok {
-		w.assigned[cj.id] = cj
-	}
-	co.mu.Unlock()
-	co.wake() // the free-node set shrank: the next queued job may place elsewhere now
-	return LeaseResponse{Lease: lease}, nil
+	return lease, nil
 }
 
 // Heartbeat handles a worker's periodic report, returning the IDs of its
@@ -678,6 +687,9 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error
 // snapshot is acknowledged as a no-op. Only the newest snapshot is
 // retained — the one it supersedes is GCed from memory and blob store.
 func (co *Coordinator) UploadCheckpoint(jobID, worker string, attempt int, data []byte) error {
+	if err := co.ready(); err != nil {
+		return err
+	}
 	cj, err := co.job(jobID)
 	if err != nil {
 		return err
@@ -698,18 +710,8 @@ func (co *Coordinator) UploadCheckpoint(jobID, worker string, attempt int, data 
 	if cj.checkpoint != nil && ck.Iteration <= cj.checkpoint.Iteration {
 		return nil // duplicate or stale delivery; keep the newer snapshot
 	}
-	addr, err := co.putBlob(data)
-	if err != nil {
-		return err
-	}
-	if err := co.logRecord(record{T: "ckpt", ID: cj.id, Worker: worker, Attempt: cj.leases,
-		Iteration: ck.Iteration, FP: ck.Fingerprint(), Addr: addr}); err != nil {
-		return err
-	}
-	co.dropCheckpointLocked(cj) // GC the superseded snapshot
-	cj.checkpoint = ck
-	cj.ckptAddr = addr
-	return nil
+	return co.commit(cj, record{T: "ckpt", ID: cj.id, Worker: worker, Attempt: cj.leases,
+		Iteration: ck.Iteration, FP: ck.Fingerprint(), blob: data, ckpt: ck})
 }
 
 // UploadResult records a job's terminal report from its assigned worker
@@ -721,6 +723,9 @@ func (co *Coordinator) UploadCheckpoint(jobID, worker string, attempt int, data 
 // superseded attempt — a stale local run finishing after the job
 // migrated or the coordinator restarted — is rejected.
 func (co *Coordinator) UploadResult(up ResultUpload) error {
+	if err := co.ready(); err != nil {
+		return err
+	}
 	cj, err := co.job(up.JobID)
 	if err != nil {
 		return err
@@ -735,56 +740,9 @@ func (co *Coordinator) UploadResult(up ResultUpload) error {
 			return fmt.Errorf("%w: bad draws encoding: %v", serve.ErrBadSpec, err)
 		}
 	}
-	cj.mu.Lock()
-	if cj.state.Terminal() {
-		// Duplicate delivery of the accepted upload (response lost, worker
-		// retried) is success; anything else racing a finished job is stale.
-		dup := cj.worker == up.Worker && (up.Attempt == 0 || up.Attempt == cj.leases)
-		cj.mu.Unlock()
-		if dup {
-			return nil
-		}
-		return fmt.Errorf("%w: job %s already finished", serve.ErrFinished, up.JobID)
+	if err := co.acceptResult(cj, up, draws); err != nil {
+		return err
 	}
-	if cj.worker != up.Worker {
-		cj.mu.Unlock()
-		return fmt.Errorf("%w: job %s not assigned to worker %s", serve.ErrFinished, up.JobID, up.Worker)
-	}
-	if up.Attempt != 0 && up.Attempt != cj.leases {
-		cj.mu.Unlock()
-		return fmt.Errorf("%w: job %s result from superseded attempt %d (current %d)",
-			serve.ErrFinished, up.JobID, up.Attempt, cj.leases)
-	}
-	st := up.Status
-	cj.finalStatus = &st
-	p := up.Payload
-	cj.result = &p
-	cj.draws = draws
-	cj.progress = st.Progress
-	cj.finalize(st.State, st.Error)
-	co.dropCheckpointLocked(cj) // terminal: nothing left to resume from
-	if co.store != nil {
-		// Draws blob first, then the result record referencing it; the
-		// append is the acknowledgment point.
-		var addr string
-		if len(draws) > 0 {
-			var berr error
-			if addr, berr = co.putBlob(draws); berr != nil {
-				cj.mu.Unlock()
-				return berr
-			}
-		}
-		cj.drawsAddr = addr
-		if lerr := co.logRecord(record{T: "result", ID: cj.id, Worker: up.Worker,
-			Attempt: cj.leases, Requeues: cj.requeues, Status: cj.finalStatus,
-			Payload: cj.result, DrawsAddr: addr,
-			FinishedNS: cj.finished.UnixNano()}); lerr != nil {
-			cj.mu.Unlock()
-			return lerr
-		}
-	}
-	cj.mu.Unlock()
-
 	co.mu.Lock()
 	if ws, ok := co.workers[up.Worker]; ok {
 		delete(ws.assigned, up.JobID)
@@ -792,6 +750,29 @@ func (co *Coordinator) UploadResult(up ResultUpload) error {
 	co.mu.Unlock()
 	co.wake() // a slot freed
 	return nil
+}
+
+// acceptResult commits a result upload under the job lock. A duplicate
+// delivery of the accepted upload (response lost, worker retried) is
+// success; anything else racing a finished job is stale.
+func (co *Coordinator) acceptResult(cj *clusterJob, up ResultUpload, draws []byte) error {
+	cj.mu.Lock()
+	defer cj.mu.Unlock()
+	switch {
+	case cj.state.Terminal():
+		if cj.worker == up.Worker && (up.Attempt == 0 || up.Attempt == cj.leases) {
+			return nil
+		}
+		return fmt.Errorf("%w: job %s already finished", serve.ErrFinished, up.JobID)
+	case cj.worker != up.Worker:
+		return fmt.Errorf("%w: job %s not assigned to worker %s", serve.ErrFinished, up.JobID, up.Worker)
+	case up.Attempt != 0 && up.Attempt != cj.leases:
+		return fmt.Errorf("%w: job %s result from superseded attempt %d (current %d)",
+			serve.ErrFinished, up.JobID, up.Attempt, cj.leases)
+	}
+	return co.commit(cj, record{T: "result", ID: cj.id, Worker: up.Worker, Attempt: cj.leases,
+		Requeues: cj.requeues, Status: &up.Status, Payload: &up.Payload,
+		FinishedNS: time.Now().UnixNano(), blob: draws})
 }
 
 // Draws returns a finished job's raw draw block (EncodeDraws bytes).
@@ -838,29 +819,20 @@ func (co *Coordinator) Shutdown(ctx context.Context) error {
 	co.halt()
 
 	for _, cj := range co.snapshot() {
-		cj.mu.Lock()
-		switch {
-		case cj.state.Terminal():
-		case cj.state == serve.Queued:
-			co.finishJob(cj, serve.Canceled, "canceled: coordinator draining")
-		default:
-			if !cj.cancelRequested {
-				cj.cancelRequested = true
-				cj.cancelCause = "canceled by coordinator shutdown"
-				co.logRecord(record{T: "cancel", ID: cj.id, Cause: cj.cancelCause})
-			}
-		}
-		cj.mu.Unlock()
+		// A finished job needs no cancel; a failed commit has failed the
+		// coordinator, which the wait below reports.
+		_, _, _ = co.cancel(cj, "canceled: coordinator draining", "canceled by coordinator shutdown")
 	}
 
-	var err error
-wait:
+	err := co.failure() // a failed coordinator finishes no more jobs: nothing to wait for
 	for _, cj := range co.snapshot() {
+		if err != nil {
+			break
+		}
 		select {
 		case <-cj.done:
 		case <-ctx.Done():
 			err = ctx.Err()
-			break wait
 		}
 	}
 	co.stopOnce.Do(func() { close(co.reapStop) })
@@ -913,7 +885,9 @@ func (co *Coordinator) reaper() {
 // requeueJob migrates a job off a lost or draining worker: back to the
 // front of the queue (Requeue, exempt from the admission bound) to resume
 // from its last uploaded checkpoint on the next eligible worker. Caller
-// holds co.mu; requeueJob takes cj.mu (the documented lock order).
+// holds co.mu; requeueJob takes cj.mu (the documented lock order). No
+// caller can act on a failed commit: it has failed the coordinator,
+// which /readyz reports.
 func (co *Coordinator) requeueJob(cj *clusterJob, reason string) {
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
@@ -921,31 +895,23 @@ func (co *Coordinator) requeueJob(cj *clusterJob, reason string) {
 		return
 	}
 	if cj.cancelRequested {
-		co.finishJob(cj, serve.Canceled, cj.cancelCause)
+		_ = co.commit(cj, cj.final(serve.Canceled, cj.cancelCause, cj.requeues))
 		return
 	}
-	cj.requeues++
+	requeues, resumeAt := cj.requeues+1, cj.resumeAt()
 	co.migrations.Add(1)
-	if cj.requeues > co.cfg.MaxMigrations {
-		co.finishJob(cj, serve.Failed, fmt.Sprintf(
-			"migration budget exhausted after %d requeues (%s)", cj.requeues, reason))
-		return
+	r := record{T: "requeue", ID: cj.id, ResumeAt: resumeAt, Leases: cj.leases, Requeues: requeues,
+		Reason: fmt.Sprintf("%s; requeued to resume from iteration %d", reason, resumeAt)}
+	switch {
+	case requeues > co.cfg.MaxMigrations:
+		r = cj.final(serve.Failed, fmt.Sprintf("migration budget exhausted after %d requeues (%s)", requeues, reason), requeues)
+	case co.draining: // the queue is closed
+		r = cj.final(serve.Canceled, "canceled: coordinator draining with migration pending", requeues)
 	}
-	resumeAt := 0
-	if cj.checkpoint != nil {
-		resumeAt = cj.checkpoint.Iteration
+	if co.commit(cj, r) == nil && r.T == "requeue" {
+		_ = co.queue.Requeue(cj) // cannot fail: only a drain closes the queue, under co.mu
+		co.wake()                // a job to place
 	}
-	cj.worker = ""
-	cj.state = serve.Queued
-	cj.progress = resumeAt
-	cj.errMsg = fmt.Sprintf("%s; requeued to resume from iteration %d", reason, resumeAt)
-	if err := co.queue.Requeue(cj); err != nil {
-		co.finishJob(cj, serve.Canceled, "canceled: coordinator draining with migration pending")
-		return
-	}
-	co.logRecord(record{T: "requeue", ID: cj.id, Reason: cj.errMsg, ResumeAt: resumeAt,
-		Leases: cj.leases, Requeues: cj.requeues})
-	co.wake() // a job to place
 }
 
 // touchWorker upserts a worker's registration. Caller holds co.mu. A
@@ -991,14 +957,17 @@ func (co *Coordinator) halt() {
 }
 
 // job resolves an ID, blocking until recovery has rebuilt the job table.
+// Reads stay served after a journal failure — the table holds only
+// durable transitions — so only an ID the table lacks reports it.
 func (co *Coordinator) job(id string) (*clusterJob, error) {
-	if err := co.ready(); err != nil {
-		return nil, err
-	}
+	err := co.ready()
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if cj, ok := co.jobs[id]; ok {
 		return cj, nil
+	}
+	if err != nil {
+		return nil, err
 	}
 	return nil, serve.ErrNotFound
 }
@@ -1014,21 +983,10 @@ func (co *Coordinator) snapshot() []*clusterJob {
 	return out
 }
 
-// finalize moves the job to a terminal state. Caller holds cj.mu.
-func (cj *clusterJob) finalize(state serve.JobState, msg string) {
-	if cj.state.Terminal() {
-		return
-	}
-	cj.state = state
-	cj.errMsg = msg
-	cj.finished = time.Now()
-	close(cj.done)
-}
-
-// statusLocked snapshots the job. Caller holds cj.mu (or the job is
-// freshly built and unshared). Once a worker uploaded the terminal
-// status, that richer view (R̂ trace, fault records)
-// wins, relabeled with the coordinator's job ID and fleet placement.
+// statusLocked snapshots the job. Caller holds cj.mu. Once a worker
+// uploaded the terminal status, that richer view (R̂ trace, fault
+// records) wins, relabeled with the coordinator's job ID and fleet
+// placement.
 func (cj *clusterJob) statusLocked() serve.JobStatus {
 	if cj.finalStatus != nil {
 		st := *cj.finalStatus

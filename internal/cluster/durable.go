@@ -11,9 +11,9 @@ import (
 	"bayessuite/internal/serve"
 )
 
-// record is one journaled coordinator state transition. A single flat
-// struct with a type tag keeps the wire format simple; unused fields are
-// omitted per record kind.
+// record is one coordinator state transition: what commit journals and
+// what apply performs. A single flat struct with a type tag keeps the
+// wire format simple; unused fields are omitted per record kind.
 //
 //	admit    a job passed admission            (ID, Spec, Budget, ModeledBytes, SubmittedNS)
 //	lease    a worker was granted the job      (ID, Worker, Attempt, GrantedNS, ResumeAt)
@@ -56,6 +56,159 @@ type record struct {
 	Reason     string         `json:"reason,omitempty"`
 	Leases     int            `json:"lease_count,omitempty"`
 	Requeues   int            `json:"requeues,omitempty"`
+
+	// The bytes the record references, in memory only: a ckpt record's
+	// checkpoint block (blob) and its decoding (ckpt), a result record's
+	// draw block (blob). A live transition carries them from the upload;
+	// replay loads them from the blob store (load).
+	blob []byte
+	ckpt *mcmc.Checkpoint
+}
+
+// commit performs one transition of cj: with a state directory it puts
+// the record's blob, appends the record (fsynced), and only then applies
+// it; without one it only applies it. A transition that fails to become
+// durable changes nothing and returns the error; a failed append also
+// fails the coordinator (ready refuses from then on), since the journal
+// takes no record after it. A checkpoint the transition supersedes or
+// ends is released, memory and blob. Caller holds cj.mu, and co.mu for
+// an admit.
+func (co *Coordinator) commit(cj *clusterJob, r record) error {
+	if co.store != nil {
+		var err error
+		switch {
+		case r.T == "ckpt":
+			r.Addr, err = co.store.blobs.Put(r.blob)
+		case r.T == "result" && len(r.blob) > 0:
+			r.DrawsAddr, err = co.store.blobs.Put(r.blob)
+		}
+		if err != nil {
+			return err
+		}
+		raw, err := json.Marshal(r)
+		if err == nil {
+			err = co.store.j.Append(raw)
+		}
+		if err != nil {
+			co.fail(fmt.Errorf("coordinator journal: %w", err))
+			return err
+		}
+	}
+	old, oldAddr := cj.checkpoint, cj.ckptAddr
+	co.apply(cj, r)
+	if old != nil && cj.checkpoint != old {
+		if oldAddr != "" {
+			_ = co.store.blobs.Delete(oldAddr) // a blob left behind is swept at the next recovery
+		}
+		co.ckptGCed.Add(1)
+	}
+	return nil
+}
+
+// apply is the coordinator's one transition function: the only code that
+// changes a job's journaled fields or closes its done channel. Live
+// transitions reach it through commit, replay and recovery directly. A
+// finished job takes no further transition, so done closes once and a
+// record that lost a race to a terminal one (a lease appended after the
+// cancel that finalized the job) replays as the no-op it was live. Caller
+// holds cj.mu, and co.mu for an admit, which registers cj.
+func (co *Coordinator) apply(cj *clusterJob, r record) {
+	if r.T != "admit" && cj.state.Terminal() {
+		return
+	}
+	end := func(state serve.JobState, msg string, finishedNS int64) {
+		cj.state, cj.errMsg, cj.finished = state, msg, time.Unix(0, finishedNS)
+		cj.checkpoint, cj.ckptAddr = nil, ""
+		close(cj.done)
+	}
+	counts := func() {
+		if r.Leases > 0 {
+			cj.leases = r.Leases
+		}
+		if r.Requeues > 0 {
+			cj.requeues = r.Requeues
+		}
+	}
+	switch r.T {
+	case "admit":
+		if r.Spec == nil || r.ID == "" {
+			return
+		}
+		cj.spec, cj.budget, cj.modeledBytes = *r.Spec, r.Budget, r.ModeledBytes
+		cj.submitted = time.Unix(0, r.SubmittedNS)
+		cj.state = serve.Queued
+		co.jobs[r.ID] = cj
+		co.order = append(co.order, r.ID)
+		var n int
+		if _, err := fmt.Sscanf(r.ID, "cjob-%d", &n); err == nil && n > co.seq {
+			co.seq = n
+		}
+	case "lease":
+		cj.state = serve.Running
+		cj.worker = r.Worker
+		cj.leases = r.Attempt
+		cj.granted = time.Unix(0, r.GrantedNS)
+		cj.resumedFrom = r.ResumeAt
+		if cj.started.IsZero() {
+			cj.started = cj.granted
+		}
+	case "ckpt":
+		if r.ckpt != nil {
+			cj.checkpoint, cj.ckptAddr = r.ckpt, r.Addr
+		}
+	case "result":
+		if r.Status == nil || !r.Status.State.Terminal() {
+			return
+		}
+		st := *r.Status
+		cj.finalStatus = &st
+		if r.Payload != nil {
+			p := *r.Payload
+			cj.result = &p
+		}
+		if r.blob != nil {
+			cj.draws, cj.drawsAddr = r.blob, r.DrawsAddr
+		}
+		cj.worker = r.Worker
+		if r.Attempt > 0 {
+			cj.leases = r.Attempt
+		}
+		counts()
+		cj.progress = st.Progress
+		end(st.State, st.Error, r.FinishedNS)
+	case "final":
+		if !r.State.Terminal() {
+			return
+		}
+		counts()
+		end(r.State, r.ErrMsg, r.FinishedNS)
+	case "cancel":
+		cj.cancelRequested = true
+		cj.cancelCause = r.Cause
+	case "requeue":
+		cj.worker = ""
+		cj.state = serve.Queued
+		cj.resumedFrom = 0
+		cj.progress = r.ResumeAt
+		cj.errMsg = r.Reason
+		counts()
+	}
+}
+
+// final is the record that ends cj without a worker upload: a cancel of a
+// queued job, an exhausted migration budget, a drain. Caller holds cj.mu.
+func (cj *clusterJob) final(state serve.JobState, msg string, requeues int) record {
+	return record{T: "final", ID: cj.id, State: state, ErrMsg: msg,
+		FinishedNS: time.Now().UnixNano(), Leases: cj.leases, Requeues: requeues}
+}
+
+// resumeAt is the iteration a new lease of cj resumes from: its retained
+// checkpoint's, or zero. Caller holds cj.mu.
+func (cj *clusterJob) resumeAt() int {
+	if cj.checkpoint == nil {
+		return 0
+	}
+	return cj.checkpoint.Iteration
 }
 
 // durableStore bundles the coordinator's journal and blob store under
@@ -87,36 +240,49 @@ func (d *durableStore) close() {
 	d.j.Close()
 }
 
-// logRecord appends one record to the journal (fsynced before return).
-// A no-op when the coordinator runs without a state directory.
-func (co *Coordinator) logRecord(r record) error {
-	if co.store == nil {
-		return nil
+// load fetches the bytes a replayed record references. A checkpoint whose
+// blob is missing or fails its fingerprint is left out, so apply drops
+// the record: the job resumes from an older checkpoint or from zero
+// rather than from bytes replay cannot trust. Draws whose blob is missing
+// leave the job without draws.
+func (d *durableStore) load(r *record) {
+	switch {
+	case r.T == "ckpt":
+		data, err := d.blobs.Get(r.Addr)
+		if err != nil {
+			return
+		}
+		if ck, err := mcmc.DecodeCheckpoint(data); err == nil && ck.Fingerprint() == r.FP {
+			r.ckpt = ck
+		}
+	case r.T == "result" && r.DrawsAddr != "":
+		r.blob, _ = d.blobs.Get(r.DrawsAddr)
 	}
-	raw, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	return co.store.j.Append(raw)
-}
-
-// putBlob stores bulk bytes, returning their content address ("" when
-// not durable).
-func (co *Coordinator) putBlob(data []byte) (string, error) {
-	if co.store == nil {
-		return "", nil
-	}
-	return co.store.blobs.Put(data)
 }
 
 // ready blocks until recovery finished (immediately for a coordinator
-// without a state directory) and reports whether it succeeded. Every
-// job-touching API method gates on it; Capability and ServiceStats do
-// not, so /readyz and /v1/stats stay live — and observable as
-// "recovering" — while the journal replays.
+// without a state directory) and reports whether the coordinator takes
+// transitions: every call that would commit one gates on it. Capability
+// and ServiceStats do not, so /readyz and /v1/stats stay live — and
+// observable as "recovering" — while the journal replays.
 func (co *Coordinator) ready() error {
 	<-co.recovered
-	return co.recoverErr
+	return co.failure()
+}
+
+// failure is why the coordinator takes no more transitions, or nil: its
+// recovery failed, or a journal append did. Only a restart, replaying
+// what is durable, goes on from there.
+func (co *Coordinator) failure() error {
+	if err := co.failed.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// fail records the first failure; later ones are its consequences.
+func (co *Coordinator) fail(err error) {
+	co.failed.CompareAndSwap(nil, &err)
 }
 
 // runRecovery is the durable coordinator's startup path: replay the
@@ -130,9 +296,12 @@ func (co *Coordinator) runRecovery() {
 	if co.cfg.recoverGate != nil {
 		<-co.cfg.recoverGate
 	}
-	err := co.recoverFromDisk(start)
-	if err != nil {
-		co.recoverErr = fmt.Errorf("coordinator recovery: %w", err)
+	if err := co.recoverFromDisk(start); err != nil {
+		// Serve nothing of a replay that did not finish.
+		co.mu.Lock()
+		co.jobs, co.order = make(map[string]*clusterJob), nil
+		co.mu.Unlock()
+		co.fail(fmt.Errorf("coordinator recovery: %w", err))
 	}
 	co.recovering.Store(false)
 	close(co.recovered)
@@ -143,16 +312,24 @@ func (co *Coordinator) recoverFromDisk(start time.Time) error {
 	if err != nil {
 		return err
 	}
-	jobs := make(map[string]*clusterJob)
-	var order []string
-	maxSeq := 0
 	for i, raw := range recs {
 		var r record
 		if err := json.Unmarshal(raw, &r); err != nil {
 			st.close()
 			return fmt.Errorf("record %d undecodable: %v", i, err)
 		}
-		applyRecord(st, jobs, &order, &maxSeq, r)
+		st.load(&r)
+		co.mu.Lock()
+		cj := co.jobs[r.ID]
+		if r.T == "admit" {
+			cj = &clusterJob{id: r.ID, done: make(chan struct{})}
+		}
+		if cj != nil { // a record that outlived its compacted admit is skipped
+			cj.mu.Lock()
+			co.apply(cj, r)
+			cj.mu.Unlock()
+		}
+		co.mu.Unlock()
 	}
 
 	// Unfinished jobs go back to the queue: a job mid-lease when the
@@ -161,51 +338,40 @@ func (co *Coordinator) recoverFromDisk(start time.Time) error {
 	// on its next heartbeat), so it re-leases from its newest
 	// fingerprint-verified checkpoint. Determinism makes the duplicate
 	// execution safe: any attempt of the same job produces bit-identical
-	// draws.
+	// draws. A job whose cancel was acknowledged finishes canceled. Both
+	// edits are records applied like the replayed ones; the compaction
+	// below makes them durable.
+	jobs := co.snapshot()
 	var live []*clusterJob
-	for _, id := range order {
-		cj := jobs[id]
-		if cj.state.Terminal() {
-			continue
+	for _, cj := range jobs {
+		cj.mu.Lock()
+		switch {
+		case cj.state.Terminal():
+		case cj.cancelRequested:
+			co.apply(cj, cj.final(serve.Canceled, cj.cancelCause, cj.requeues))
+		default:
+			co.apply(cj, record{T: "requeue", ID: cj.id, Reason: cj.errMsg, ResumeAt: cj.resumeAt(),
+				Leases: cj.leases, Requeues: cj.requeues})
+			live = append(live, cj)
 		}
-		if cj.cancelRequested {
-			cj.state = serve.Canceled
-			cj.errMsg = cj.cancelCause
-			cj.finished = time.Now()
-			close(cj.done)
-			cj.checkpoint = nil
-			cj.ckptAddr = ""
-			continue
-		}
-		cj.worker = ""
-		cj.state = serve.Queued
-		cj.resumedFrom = 0
-		cj.progress = 0
-		if cj.checkpoint != nil {
-			cj.progress = cj.checkpoint.Iteration
-		}
-		live = append(live, cj)
+		cj.mu.Unlock()
 	}
 
 	// Compact: rewrite the log down to current state (one admit plus at
 	// most two records per job), atomically. Superseded leases,
 	// checkpoints, and requeues drop out, bounding journal growth across
 	// restarts.
-	if err := st.j.Rewrite(compacted(jobs, order)); err != nil {
+	if err := st.j.Rewrite(compacted(jobs)); err != nil {
 		st.close()
 		return err
 	}
 	co.gcBlobs(st, jobs)
 
-	replayed := len(recs)
 	co.mu.Lock()
 	co.store = st
-	co.jobs = jobs
-	co.order = order
-	co.seq = maxSeq
 	co.jinfo = &serve.JournalStatus{
 		Path:            st.j.Path(),
-		RecordsReplayed: replayed,
+		RecordsReplayed: len(recs),
 		ReplayMillis:    float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	co.mu.Unlock()
@@ -219,133 +385,16 @@ func (co *Coordinator) recoverFromDisk(start time.Time) error {
 	return nil
 }
 
-// applyRecord replays one record into the rebuilding job map. Unknown
-// job IDs (a record that outlived its compacted admit) are skipped
-// defensively. Blob loads are fingerprint-verified; a checkpoint whose
-// blob is missing or fails verification is dropped — the job resumes
-// from an older checkpoint or from zero rather than from bytes replay
-// cannot trust.
-func applyRecord(st *durableStore, jobs map[string]*clusterJob, order *[]string, maxSeq *int, r record) {
-	if r.T == "admit" {
-		if r.Spec == nil || r.ID == "" {
-			return
-		}
-		cj := &clusterJob{
-			id:           r.ID,
-			spec:         *r.Spec,
-			budget:       r.Budget,
-			modeledBytes: r.ModeledBytes,
-			submitted:    time.Unix(0, r.SubmittedNS),
-			state:        serve.Queued,
-			done:         make(chan struct{}),
-		}
-		jobs[r.ID] = cj
-		*order = append(*order, r.ID)
-		var n int
-		if _, err := fmt.Sscanf(r.ID, "cjob-%d", &n); err == nil && n > *maxSeq {
-			*maxSeq = n
-		}
-		return
-	}
-	cj, ok := jobs[r.ID]
-	if !ok {
-		return
-	}
-	switch r.T {
-	case "lease":
-		cj.state = serve.Running
-		cj.worker = r.Worker
-		cj.leases = r.Attempt
-		cj.granted = time.Unix(0, r.GrantedNS)
-		cj.resumedFrom = r.ResumeAt
-		if cj.started.IsZero() {
-			cj.started = cj.granted
-		}
-	case "ckpt":
-		data, err := st.blobs.Get(r.Addr)
-		if err != nil {
-			return
-		}
-		ck, err := mcmc.DecodeCheckpoint(data)
-		if err != nil || ck.Fingerprint() != r.FP {
-			return
-		}
-		cj.checkpoint = ck
-		cj.ckptAddr = r.Addr
-	case "result":
-		if cj.state.Terminal() || r.Status == nil {
-			return
-		}
-		stCopy := *r.Status
-		cj.finalStatus = &stCopy
-		if r.Payload != nil {
-			p := *r.Payload
-			cj.result = &p
-		}
-		if r.DrawsAddr != "" {
-			if d, err := st.blobs.Get(r.DrawsAddr); err == nil {
-				cj.draws = d
-				cj.drawsAddr = r.DrawsAddr
-			}
-		}
-		cj.worker = r.Worker
-		if r.Attempt > 0 {
-			cj.leases = r.Attempt
-		}
-		if r.Requeues > 0 {
-			cj.requeues = r.Requeues
-		}
-		cj.progress = stCopy.Progress
-		cj.state = stCopy.State
-		cj.errMsg = stCopy.Error
-		cj.finished = time.Unix(0, r.FinishedNS)
-		close(cj.done)
-		cj.checkpoint = nil
-		cj.ckptAddr = ""
-	case "final":
-		if cj.state.Terminal() {
-			return
-		}
-		cj.state = r.State
-		cj.errMsg = r.ErrMsg
-		cj.finished = time.Unix(0, r.FinishedNS)
-		close(cj.done)
-		if r.Leases > 0 {
-			cj.leases = r.Leases
-		}
-		if r.Requeues > 0 {
-			cj.requeues = r.Requeues
-		}
-		cj.checkpoint = nil
-		cj.ckptAddr = ""
-	case "cancel":
-		cj.cancelRequested = true
-		cj.cancelCause = r.Cause
-	case "requeue":
-		cj.worker = ""
-		cj.state = serve.Queued
-		cj.progress = r.ResumeAt
-		cj.errMsg = r.Reason
-		if r.Leases > 0 {
-			cj.leases = r.Leases
-		}
-		if r.Requeues > 0 {
-			cj.requeues = r.Requeues
-		}
-	}
-}
-
 // compacted renders current job state as a minimal record sequence whose
 // replay reproduces it.
-func compacted(jobs map[string]*clusterJob, order []string) [][]byte {
+func compacted(jobs []*clusterJob) [][]byte {
 	var out [][]byte
 	add := func(r record) {
 		if raw, err := json.Marshal(r); err == nil {
 			out = append(out, raw)
 		}
 	}
-	for _, id := range order {
-		cj := jobs[id]
+	for _, cj := range jobs {
 		spec := cj.spec
 		add(record{T: "admit", ID: cj.id, Spec: &spec, Budget: cj.budget,
 			ModeledBytes: cj.modeledBytes, SubmittedNS: cj.submitted.UnixNano()})
@@ -374,7 +423,7 @@ func compacted(jobs map[string]*clusterJob, order []string) [][]byte {
 // gcBlobs deletes every blob no surviving job references (superseded
 // checkpoints whose delete raced the crash, draws of compacted-away
 // jobs), counting them into checkpoints_gced.
-func (co *Coordinator) gcBlobs(st *durableStore, jobs map[string]*clusterJob) {
+func (co *Coordinator) gcBlobs(st *durableStore, jobs []*clusterJob) {
 	referenced := make(map[string]bool)
 	for _, cj := range jobs {
 		if cj.ckptAddr != "" {
@@ -396,35 +445,6 @@ func (co *Coordinator) gcBlobs(st *durableStore, jobs map[string]*clusterJob) {
 			co.ckptGCed.Add(1)
 		}
 	}
-}
-
-// dropCheckpointLocked releases a job's retained checkpoint (memory and
-// blob) once it can no longer be resumed from — the job reached a
-// terminal state, or a newer snapshot superseded it. Caller holds cj.mu.
-func (co *Coordinator) dropCheckpointLocked(cj *clusterJob) {
-	if cj.checkpoint == nil {
-		return
-	}
-	cj.checkpoint = nil
-	if cj.ckptAddr != "" && co.store != nil {
-		co.store.blobs.Delete(cj.ckptAddr)
-	}
-	cj.ckptAddr = ""
-	co.ckptGCed.Add(1)
-}
-
-// finishJob finalizes a job coordinator-side (no worker upload): cancel
-// of a queued job, migration budget exhaustion, drain. Caller holds
-// cj.mu. The terminal transition is journaled so a restart does not
-// resurrect the job.
-func (co *Coordinator) finishJob(cj *clusterJob, state serve.JobState, msg string) {
-	if cj.state.Terminal() {
-		return
-	}
-	cj.finalize(state, msg)
-	co.dropCheckpointLocked(cj)
-	co.logRecord(record{T: "final", ID: cj.id, State: cj.state, ErrMsg: cj.errMsg,
-		FinishedNS: cj.finished.UnixNano(), Leases: cj.leases, Requeues: cj.requeues})
 }
 
 // Kill abandons the coordinator without draining: the reaper stops and

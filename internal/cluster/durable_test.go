@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,6 +17,7 @@ import (
 	"bayessuite/internal/cluster"
 	"bayessuite/internal/hw"
 	"bayessuite/internal/journal"
+	"bayessuite/internal/mcmc"
 	"bayessuite/internal/serve"
 )
 
@@ -579,4 +583,186 @@ func TestClusterReplaysResultWithGradBatch(t *testing.T) {
 	if a, b := asJSON(withRes), asJSON(payload); a != b {
 		t.Fatalf("replayed payload differs from the source job's:\n%s\n%s", a, b)
 	}
+}
+
+// writeJournal writes recs, JSON-encoded, as the coordinator journal of a
+// fresh state directory, which it returns.
+func writeJournal(t *testing.T, recs ...any) string {
+	t.Helper()
+	dir := t.TempDir()
+	j, _, err := journal.Open(filepath.Join(dir, "coordinator.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for _, r := range recs {
+		raw, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestClusterReplayNeverRequeuesAcknowledgedCancel: a cancel that was
+// acknowledged survives every restart. The first log is what a lease
+// racing a queued cancel left behind when the lease record landed after
+// the cancel's: the lease must replay as the no-op it was. The second is
+// a cancel of a running job. Both jobs must come back canceled, twice
+// (the second restart replays the compacted log), and never be leased.
+func TestClusterReplayNeverRequeuesAcknowledgedCancel(t *testing.T) {
+	spec := smallSpec(7)
+	const id = "cjob-000001"
+	now := time.Now().UnixNano()
+	admit := map[string]any{"t": "admit", "id": id, "spec": spec, "budget": 100, "submitted_ns": now}
+	lease := map[string]any{"t": "lease", "id": id, "worker": "w1", "attempt": 1, "granted_ns": now}
+	for name, dir := range map[string]string{
+		"lease after queued cancel": writeJournal(t, admit,
+			map[string]any{"t": "final", "id": id, "state": "canceled", "err": "canceled by client while queued", "finished_ns": now},
+			lease),
+		"cancel while running": writeJournal(t, admit, lease,
+			map[string]any{"t": "cancel", "id": id, "cause": "canceled by client while running"}),
+	} {
+		for restart := 1; restart <= 2; restart++ {
+			co := cluster.NewCoordinator(cluster.CoordinatorConfig{StateDir: dir, HeartbeatTimeout: time.Second, ReapInterval: time.Hour})
+			st, err := co.GetJob(id)
+			if err != nil {
+				t.Fatalf("%s, restart %d: %v", name, restart, err)
+			}
+			if st.State != serve.Canceled {
+				t.Errorf("%s, restart %d: job replayed %s, want canceled", name, restart, st.State)
+			}
+			resp, err := co.Lease(cluster.LeaseRequest{Worker: "w2", Capability: capabilityFor("w2", hw.Skylake)})
+			if err != nil || resp.Lease != nil {
+				t.Errorf("%s, restart %d: lease after replay = %+v, %v; want none", name, restart, resp.Lease, err)
+			}
+			co.Kill()
+		}
+	}
+}
+
+// TestClusterReplayFailureServesNothing: a log whose second record does
+// not decode fails recovery. The coordinator must then serve none of the
+// replay it did not finish — not the job the first record admitted — and
+// say so on /readyz.
+func TestClusterReplayFailureServesNothing(t *testing.T) {
+	dir := writeJournal(t,
+		map[string]any{"t": "admit", "id": "cjob-000001", "spec": smallSpec(7), "budget": 100},
+		[]string{"not", "a", "record"})
+	co := cluster.NewCoordinator(cluster.CoordinatorConfig{StateDir: dir, HeartbeatTimeout: time.Second, ReapInterval: time.Hour})
+	defer co.Kill()
+	if _, err := co.GetJob("cjob-000001"); err == nil || errors.Is(err, serve.ErrNotFound) {
+		t.Fatalf("GetJob after a failed recovery: %v, want the recovery error", err)
+	}
+	if jobs := co.ListJobs(); len(jobs) != 0 {
+		t.Fatalf("a failed recovery lists %d jobs, want none", len(jobs))
+	}
+	if c := co.Capability(); c.Status != "recovery-failed" || c.State != "recovering" {
+		t.Fatalf("capability after a failed recovery: status %q state %q", c.Status, c.State)
+	}
+}
+
+// TestClusterJournalFailureNeverAcknowledges closes the journal under a
+// durable coordinator, as Kill leaves it, and then tries each transition
+// that journals a record. Each must fail, leave the job as it was, fail
+// again on a retry, and leave /readyz not ready; a restart finds the job
+// as the journal last recorded it.
+func TestClusterJournalFailureNeverAcknowledges(t *testing.T) {
+	lease := cluster.LeaseRequest{Worker: "w1", Capability: capabilityFor("w1", hw.Skylake)}
+	ckpt := (&mcmc.Checkpoint{Iteration: 20}).Encode()
+	for _, tc := range []struct {
+		name    string
+		running bool
+		op      func(co *cluster.Coordinator, id string) error
+	}{
+		{"admission", false, func(co *cluster.Coordinator, _ string) error {
+			_, err := co.SubmitJob(smallSpec(2))
+			return err
+		}},
+		{"lease", false, func(co *cluster.Coordinator, _ string) error {
+			resp, err := co.Lease(lease)
+			if err == nil && resp.Lease != nil {
+				return fmt.Errorf("granted %s", resp.Lease.JobID)
+			}
+			return err
+		}},
+		{"checkpoint upload", true, func(co *cluster.Coordinator, id string) error {
+			return co.UploadCheckpoint(id, "w1", 1, ckpt)
+		}},
+		{"result upload", true, func(co *cluster.Coordinator, id string) error {
+			return co.UploadResult(cluster.ResultUpload{Worker: "w1", JobID: id, Attempt: 1,
+				Status: serve.JobStatus{State: serve.Done, Progress: 100}})
+		}},
+		{"queued cancel", false, func(co *cluster.Coordinator, id string) error {
+			_, err := co.CancelJob(id)
+			return err
+		}},
+		{"running cancel", true, func(co *cluster.Coordinator, id string) error {
+			_, err := co.CancelJob(id)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := cluster.CoordinatorConfig{StateDir: dir, HeartbeatTimeout: time.Second, ReapInterval: time.Hour}
+			co := cluster.NewCoordinator(cfg)
+			st, err := co.SubmitJob(smallSpec(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.running {
+				if resp, err := co.Lease(lease); err != nil || resp.Lease == nil {
+					t.Fatalf("lease: %+v, %v", resp.Lease, err)
+				}
+			}
+			before, err := co.GetJob(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			co.Kill()
+
+			for try := 1; try <= 2; try++ {
+				if err := tc.op(co, st.ID); err == nil {
+					t.Fatalf("try %d acknowledged with the journal closed", try)
+				}
+				after, err := co.GetJob(st.ID)
+				if err != nil {
+					t.Fatalf("GetJob after try %d: %v", try, err)
+				}
+				if a, b := asJSON(t, after), asJSON(t, before); a != b {
+					t.Fatalf("try %d changed the job:\n%s\nwas\n%s", try, a, b)
+				}
+				if n := len(co.ListJobs()); n != 1 {
+					t.Fatalf("try %d: %d jobs listed, want 1", try, n)
+				}
+				if fs := co.ServiceStats().(cluster.FleetStats); fs.CheckpointsRetained != 0 {
+					t.Fatalf("try %d: %d checkpoints retained, want 0", try, fs.CheckpointsRetained)
+				}
+			}
+			rec := httptest.NewRecorder()
+			co.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+			if rec.Code != http.StatusServiceUnavailable {
+				t.Fatalf("/readyz with a failed journal: %d %s, want 503", rec.Code, rec.Body)
+			}
+
+			re := cluster.NewCoordinator(cfg)
+			defer re.Kill()
+			jobs := re.ListJobs()
+			if len(jobs) != 1 || jobs[0].State != serve.Queued || jobs[0].Attempts != before.Attempts {
+				t.Fatalf("restart replayed %+v, want the one job queued after %d attempts", jobs, before.Attempts)
+			}
+		})
+	}
+}
+
+func asJSON(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }

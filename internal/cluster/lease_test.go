@@ -530,3 +530,65 @@ func TestWorkerConnectionsBoundedByConcurrency(t *testing.T) {
 	}
 	t.Logf("%d RPCs over %d connections", rpcs.Load(), dials.Load())
 }
+
+// TestLeaseNeverGrantsCanceledJob races a lease against a client cancel
+// of the one queued job, many times over. A cancel acknowledged as
+// canceled must win outright: the job is never granted and never shown
+// running. A job granted first is canceled running, and its worker's
+// canceled upload finishes it (done closes once; a second close would
+// panic). No call may return holding the job lock, so GetJob answers
+// promptly every time. The window between a lease's queue pop and its job
+// lock cannot be hit on demand, so this is a stress test, meant for -race.
+func TestLeaseNeverGrantsCanceledJob(t *testing.T) {
+	co := cluster.NewCoordinator(cluster.CoordinatorConfig{HeartbeatTimeout: time.Minute, ReapInterval: time.Hour})
+	defer co.Kill()
+	req := cluster.LeaseRequest{Worker: "w1", Capability: capabilityFor("w1", hw.Skylake)}
+	spec := serve.JobSpec{Workload: "12cities", Scale: 0.1, Seed: 1, Iterations: 100}
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	for i := 0; i < rounds; i++ {
+		st, err := co.SubmitJob(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg     sync.WaitGroup
+			resp   cluster.LeaseResponse
+			lerr   error
+			cst    serve.JobStatus
+			cerr   error
+			starts = make(chan struct{})
+		)
+		wg.Add(2)
+		go func() { defer wg.Done(); <-starts; resp, lerr = co.Lease(req) }()
+		go func() { defer wg.Done(); <-starts; cst, cerr = co.CancelJob(st.ID) }()
+		close(starts)
+		wg.Wait()
+		if lerr != nil || cerr != nil {
+			t.Fatalf("round %d: lease err %v, cancel err %v", i, lerr, cerr)
+		}
+		if resp.Lease != nil {
+			if cst.State != serve.Running {
+				t.Fatalf("round %d: job granted, yet its cancel was acknowledged as %s", i, cst.State)
+			}
+			if err := co.UploadResult(cluster.ResultUpload{Worker: "w1", JobID: st.ID, Attempt: resp.Lease.Attempt,
+				Status: serve.JobStatus{State: serve.Canceled, Error: "canceled"}}); err != nil {
+				t.Fatalf("round %d: canceled upload: %v", i, err)
+			}
+		} else if cst.State != serve.Canceled {
+			t.Fatalf("round %d: job neither granted nor canceled while queued (cancel saw %s)", i, cst.State)
+		}
+		got := make(chan serve.JobStatus, 1)
+		go func() { s, _ := co.GetJob(st.ID); got <- s }()
+		select {
+		case s := <-got:
+			if s.State != serve.Canceled {
+				t.Fatalf("round %d: job ended %s, want canceled", i, s.State)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: GetJob blocked: a path returned holding the job lock", i)
+		}
+	}
+}

@@ -14,6 +14,12 @@
 // fully-applied record or a torn tail — never an acknowledged mutation
 // that replay cannot reconstruct.
 //
+// A failed append is sticky: once a write or its fsync fails, every later
+// Append returns that first error and writes nothing. The failed write
+// may have left a partial record, and one followed by good records would
+// read on replay as mid-log corruption; and an fsync retried after a
+// failed one proves nothing about the bytes the failure covered.
+//
 // File format:
 //
 //	header:  "BSJL" magic, u32 version            (8 bytes)
@@ -73,6 +79,7 @@ type Journal struct {
 	mu   sync.Mutex
 	path string
 	f    *os.File
+	err  error // the first failed write or fsync; sticky
 }
 
 // Open opens (creating if absent) the journal at path, replays its
@@ -176,7 +183,7 @@ func Scan(path string) (recs [][]byte, validSize int64, err error) {
 }
 
 // Append durably appends one record: length + CRC + payload, fsynced
-// before returning.
+// before returning. After a failed Append, it returns that failure.
 func (j *Journal) Append(payload []byte) error {
 	if int64(len(payload)) > maxRecord {
 		return fmt.Errorf("journal: record of %d bytes exceeds limit", len(payload))
@@ -190,10 +197,13 @@ func (j *Journal) Append(payload []byte) error {
 	if j.f == nil {
 		return fmt.Errorf("journal: %s is closed", j.path)
 	}
-	if _, err := j.f.Write(buf); err != nil {
-		return err
+	if j.err != nil {
+		return j.err
 	}
-	return j.f.Sync()
+	if _, j.err = j.f.Write(buf); j.err == nil {
+		j.err = j.f.Sync()
+	}
+	return j.err
 }
 
 // Rewrite atomically replaces the journal's contents with recs: the new

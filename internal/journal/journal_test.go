@@ -255,6 +255,48 @@ func TestJournalAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestJournalAppendFailureSticky: once a write fails, later appends
+// return that error and write nothing, even when the file would take them
+// again — a record after a torn one would make replay refuse the log as
+// mid-log corruption.
+func TestJournalAppendFailureSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.log")
+	j, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append([]byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	// A read-only handle on the same file fails the next write; the
+	// writable handle then goes back.
+	ro, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	rw := j.f
+	j.f = ro
+	first := j.Append([]byte("failed"))
+	j.f = rw
+	if first == nil {
+		t.Fatal("Append on a read-only handle succeeded")
+	}
+	for i := 0; i < 2; i++ {
+		if err := j.Append([]byte("after")); err != first {
+			t.Fatalf("Append %d after a failed one = %v, want the first failure %v", i, err, first)
+		}
+	}
+	recs, _, err := Scan(path)
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if len(recs) != 1 || string(recs[0]) != "before" {
+		t.Fatalf("log holds %q, want only the record before the failure", recs)
+	}
+}
+
 // TestJournalReplayDeterminism scans the same bytes twice and from a
 // byte-for-byte copy: identical results, because recovery correctness
 // depends on replay being a pure function of the file contents.
