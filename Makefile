@@ -27,10 +27,25 @@ fmt-check:
 # (benchmark/go.mod) that ./... does not reach; it compiles against
 # internal symbols (mcmc.Config.BatchGrad, model.NewBatchEvaluator, the
 # batched kernels), so a change to those must build and vet it too.
+# The arm64 compiler fuses x*y+z into one instruction wherever the source
+# lets it, which would give an arm64 build other GLM bits than amd64: the
+# fused-op check disassembles the arm64 test binaries of mathx and kernels
+# and fails on any fused multiply-add in glm.go, vec.go or rows.go that
+# does not come from a line calling math.FMA.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mathx/ ./internal/kernels/
 	GOARCH=arm64 $(GO) build ./...
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for p in mathx kernels; do \
+		GOARCH=arm64 $(GO) test -c -o "$$tmp/$$p.test" ./internal/$$p/ || exit 1; \
+		$(GO) tool objdump "$$tmp/$$p.test" > "$$tmp/$$p.asm" || exit 1; \
+	done; \
+	awk '$$1 ~ /^(glm|vec|rows)\.go:[0-9]+$$/ && $$4 ~ /^FN?M(ADD|SUB)D$$/ { print $$1 }' "$$tmp"/*.asm | sort -u | \
+	while IFS=: read -r f n; do \
+		case $$f in glm.go) d=internal/kernels ;; *) d=internal/mathx ;; esac; \
+		sed -n "$${n}p" "$$d/$$f" | grep -q 'math\.FMA(' || echo "arm64 fuses a multiply-add at $$d/$$f:$$n"; \
+	done | tee "$$tmp/bad"; test ! -s "$$tmp/bad"
 	$(GO) build -C benchmark -o /dev/null ./...
 	$(GO) vet -C benchmark ./...
 
@@ -57,10 +72,10 @@ race:
 # store), the BSCK checkpoint block (checkpoint streams, blob store), the
 # BSJL journal file a durable coordinator replays, the lease route's JSON
 # body, wait_ms included, and the job-submission JSON body — and on the
-# link functions' two encodings, which must agree on every float64 bit
-# pattern. One -fuzz pattern per invocation is the toolchain's rule. New
-# inputs go to the Go build cache; only a failing one is written under
-# testdata/.
+# two encodings of the link functions and of the GLM row passes, which
+# must agree on every float64 bit pattern. One -fuzz pattern per
+# invocation is the toolchain's rule. New inputs go to the Go build
+# cache; only a failing one is written under testdata/.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeDraws$$' -fuzztime 5s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz '^FuzzLeaseRequestJSON$$' -fuzztime 5s ./internal/cluster/
@@ -68,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalOpen$$' -fuzztime 5s ./internal/journal/
 	$(GO) test -run '^$$' -fuzz '^FuzzJobSpecJSON$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzLinkTwin$$' -fuzztime 5s ./internal/mathx/
+	$(GO) test -run '^$$' -fuzz '^FuzzRowsTwin$$' -fuzztime 5s ./internal/mathx/
 
 # Deterministic fault-injection matrix under the race detector: every
 # sampler crossed with every injectable fault kind (panic, non-finite,
@@ -112,11 +128,12 @@ pins:
 bench-runner:
 	$(GO) test -run xxx -bench 'BenchmarkRunner|BenchmarkGradient' -benchmem -cpu 1,2 ./internal/mcmc/
 
-# The block link functions, one 128-observation block on each encoding
-# (ns/obs), then one gradient of every kernel-backed workload
+# The block link functions and the GLM row passes (tickets' p = 13 with
+# group effects), one 128-observation block on each encoding (ns/obs),
+# then one gradient of every kernel-backed workload
 # (BenchmarkGradientGLMKernel is tickets at full scale).
 bench-kernels:
-	$(GO) test -run xxx -bench 'BenchmarkLogisticBlock|BenchmarkExpBlock' ./internal/mathx/
+	$(GO) test -run xxx -bench 'BenchmarkLogisticBlock|BenchmarkExpBlock|BenchmarkDotRows|BenchmarkAxpyRows' ./internal/mathx/
 	$(GO) test -run xxx -bench 'BenchmarkGradient.*Kernel' -benchmem -cpu 1 ./internal/mcmc/
 
 # Hardware-model benchmarks: the LLC simulator cold (the core itself) and

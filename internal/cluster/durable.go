@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"bayessuite/internal/journal"
@@ -71,14 +72,14 @@ type record struct {
 // durable changes nothing and returns the error; a failed append also
 // fails the coordinator (ready refuses from then on), since the journal
 // takes no record after it. A checkpoint the transition supersedes or
-// ends is released, memory and blob. Caller holds cj.mu, and co.mu for
-// an admit.
+// ends is released: its memory, and its blob once no other job holds it.
+// Caller holds cj.mu, and co.mu for an admit.
 func (co *Coordinator) commit(cj *clusterJob, r record) error {
 	if co.store != nil {
 		var err error
 		switch {
 		case r.T == "ckpt":
-			r.Addr, err = co.store.blobs.Put(r.blob)
+			r.Addr, err = co.store.putCheckpoint(r.blob)
 		case r.T == "result" && len(r.blob) > 0:
 			r.DrawsAddr, err = co.store.blobs.Put(r.blob)
 		}
@@ -98,7 +99,7 @@ func (co *Coordinator) commit(cj *clusterJob, r record) error {
 	co.apply(cj, r)
 	if old != nil && cj.checkpoint != old {
 		if oldAddr != "" {
-			_ = co.store.blobs.Delete(oldAddr) // a blob left behind is swept at the next recovery
+			co.store.release(oldAddr)
 		}
 		co.ckptGCed.Add(1)
 	}
@@ -216,9 +217,44 @@ func (cj *clusterJob) resumeAt() int {
 //
 //	<dir>/coordinator.journal   the record log
 //	<dir>/blobs/                content-addressed checkpoint/draw bytes
+//
+// Jobs with equal specs checkpoint to equal bytes, so one checkpoint
+// blob can belong to several jobs: refs counts the jobs holding each
+// checkpoint address, and a blob is deleted when its count drops to zero.
 type durableStore struct {
 	j     *journal.Journal
 	blobs *journal.BlobStore
+
+	mu   sync.Mutex
+	refs map[string]int
+}
+
+// putCheckpoint stores a checkpoint blob for one more holder and returns
+// its address. The count rises before the write, so a release racing it
+// cannot delete the bytes this holder is about to reference.
+func (d *durableStore) putCheckpoint(data []byte) (string, error) {
+	addr := journal.Addr(data)
+	d.mu.Lock()
+	d.refs[addr]++
+	d.mu.Unlock()
+	if _, err := d.blobs.Put(data); err != nil {
+		d.release(addr)
+		return "", err
+	}
+	return addr, nil
+}
+
+// release drops one holder of the checkpoint blob at addr and deletes
+// the blob when none is left. A blob a failed delete leaves behind is
+// swept at the next recovery.
+func (d *durableStore) release(addr string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.refs[addr]--; d.refs[addr] > 0 {
+		return
+	}
+	delete(d.refs, addr)
+	_ = d.blobs.Delete(addr)
 }
 
 // openDurableStore opens the state directory, replaying the journal's
@@ -233,7 +269,7 @@ func openDurableStore(dir string) (*durableStore, [][]byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &durableStore{j: j, blobs: blobs}, recs, nil
+	return &durableStore{j: j, blobs: blobs, refs: make(map[string]int)}, recs, nil
 }
 
 func (d *durableStore) close() {
@@ -422,12 +458,14 @@ func compacted(jobs []*clusterJob) [][]byte {
 
 // gcBlobs deletes every blob no surviving job references (superseded
 // checkpoints whose delete raced the crash, draws of compacted-away
-// jobs), counting them into checkpoints_gced.
+// jobs), counting them into checkpoints_gced, and rebuilds the count of
+// jobs holding each checkpoint blob.
 func (co *Coordinator) gcBlobs(st *durableStore, jobs []*clusterJob) {
 	referenced := make(map[string]bool)
 	for _, cj := range jobs {
 		if cj.ckptAddr != "" {
 			referenced[cj.ckptAddr] = true
+			st.refs[cj.ckptAddr]++
 		}
 		if cj.drawsAddr != "" {
 			referenced[cj.drawsAddr] = true

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -765,4 +766,102 @@ func asJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(raw)
+}
+
+// TestClusterSharedCheckpointBlobSurvivesRelease: two jobs with equal
+// specs upload byte-identical iteration-20 checkpoints, which share one
+// blob address. When the first job's iteration-40 checkpoint supersedes
+// its own, the blob must stay for the second, which resumes from 20
+// after a restart.
+func TestClusterSharedCheckpointBlobSurvivesRelease(t *testing.T) {
+	cfg := cluster.CoordinatorConfig{StateDir: t.TempDir(), HeartbeatTimeout: time.Second, ReapInterval: time.Hour}
+	co := cluster.NewCoordinator(cfg)
+	var ids []string
+	for i, worker := range []string{"w1", "w2"} {
+		st, err := co.SubmitJob(smallSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease := cluster.LeaseRequest{Worker: worker, Capability: capabilityFor(worker, hw.Skylake)}
+		if resp, err := co.Lease(lease); err != nil || resp.Lease == nil || resp.Lease.JobID != st.ID {
+			t.Fatalf("lease %d: %+v, %v", i, resp.Lease, err)
+		}
+		if err := co.UploadCheckpoint(st.ID, worker, 1, (&mcmc.Checkpoint{Iteration: 20}).Encode()); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	if err := co.UploadCheckpoint(ids[0], "w1", 1, (&mcmc.Checkpoint{Iteration: 40}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	co.Kill()
+
+	re := cluster.NewCoordinator(cfg)
+	defer re.Kill()
+	for i, want := range []int{40, 20} {
+		st, err := re.GetJob(ids[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != serve.Queued || st.Progress != want {
+			t.Errorf("job %d after restart: %s at progress %d, want queued at %d", i, st.State, st.Progress, want)
+		}
+	}
+}
+
+// TestClusterSharedCheckpointBlobConcurrent: four equal-spec jobs on four
+// workers upload the same iteration-20 and then iteration-40 checkpoints
+// at once. The shared iteration-20 blob goes when its last holder moves
+// on, the iteration-40 blob stays, and every job resumes from 40.
+func TestClusterSharedCheckpointBlobConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	cfg := cluster.CoordinatorConfig{StateDir: dir, HeartbeatTimeout: time.Second, ReapInterval: time.Hour}
+	co := cluster.NewCoordinator(cfg)
+	workers := []string{"w1", "w2", "w3", "w4"}
+	ids := make([]string, len(workers))
+	for i, worker := range workers {
+		st, err := co.SubmitJob(smallSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lease := cluster.LeaseRequest{Worker: worker, Capability: capabilityFor(worker, hw.Skylake)}
+		if resp, err := co.Lease(lease); err != nil || resp.Lease == nil || resp.Lease.JobID != st.ID {
+			t.Fatalf("lease %d: %+v, %v", i, resp.Lease, err)
+		}
+		ids[i] = st.ID
+	}
+	var wg sync.WaitGroup
+	for i, worker := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, it := range []int{20, 40} {
+				if err := co.UploadCheckpoint(ids[i], worker, 1, (&mcmc.Checkpoint{Iteration: it}).Encode()); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	co.Kill()
+	var blobs []string
+	if err := filepath.WalkDir(filepath.Join(dir, "blobs"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			blobs = append(blobs, filepath.Base(path))
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := journal.Addr((&mcmc.Checkpoint{Iteration: 40}).Encode()); len(blobs) != 1 || blobs[0] != want {
+		t.Fatalf("blobs left: %v, want only the iteration-40 checkpoint %s", blobs, want)
+	}
+
+	re := cluster.NewCoordinator(cfg)
+	defer re.Kill()
+	for i, id := range ids {
+		if st, err := re.GetJob(id); err != nil || st.State != serve.Queued || st.Progress != 40 {
+			t.Errorf("job %d after restart: %+v, %v; want queued at 40", i, st, err)
+		}
+	}
 }

@@ -69,11 +69,41 @@ func NormalLPDFVarData(t *ad.Tape, y []ad.Var, mu, sigma ad.Var) ad.Var {
 	return t.EndFused(mark, val)
 }
 
-// The two densities below take constant parameters, so the part of the
+// The densities below take constant parameters, so the part of the
 // log density that depends on them alone is computed once, by the New*
 // constructor, and added by LPDF in the position the closed form puts it:
 // a model that builds its priors once pays no lgamma or log per
 // evaluation, and values are bit-identical to evaluating the closed form.
+
+// Normal is the normal density with constant mean and scale.
+type Normal struct{ mu, sigma, inv, logSigma, norm float64 }
+
+// NewNormal returns the normal family with the given mean and scale.
+func NewNormal(mu, sigma float64) Normal {
+	l := math.Log(sigma)
+	return Normal{mu: mu, sigma: sigma, inv: 1 / sigma, logSigma: l, norm: -l - mathx.LnSqrt2Pi}
+}
+
+// LPDF records log N(x | mu, sigma): NormalLPDF with both parameters
+// constant.
+func (d Normal) LPDF(t *ad.Tape, x ad.Var) ad.Var {
+	z := (x.Value() - d.mu) / d.sigma
+	return t.EndFusedSingle(x, -z/d.sigma, -0.5*z*z-d.logSigma-mathx.LnSqrt2Pi)
+}
+
+// LPDFVarData records sum_i log N(y[i] | mu, sigma) over tracked y:
+// NormalLPDFVarData with both parameters constant.
+func (d Normal) LPDFVarData(t *ad.Tape, y []ad.Var) ad.Var {
+	mark := t.BeginFused()
+	var val float64
+	for _, yi := range y {
+		z := (yi.Value() - d.mu) * d.inv
+		val += -0.5 * z * z
+		t.FusedEdge(yi, -z*d.inv)
+	}
+	val += float64(len(y)) * d.norm
+	return t.EndFused(mark, val)
+}
 
 // HalfCauchy is the half-Cauchy density on x >= 0 with constant scale.
 type HalfCauchy struct{ scale, norm float64 }

@@ -223,6 +223,12 @@ func TestHoistedConstantsBitIdentical(t *testing.T) {
 		in := tp.Input([]float64{x})
 		same("gamma", NewGamma(a, b).LPDF(tp, in[0]), GammaLogPDF(x, a, b))
 		same("halfcauchy", NewHalfCauchy(sigma).LPDF(tp, in[0]), HalfCauchyLogPDF(x, sigma))
+		mu := 3 * r.Norm()
+		same("normal", NewNormal(mu, sigma).LPDF(tp, in[0]), NormalLogPDF(x, mu, sigma))
+		tp.Reset()
+		ys := tp.Input([]float64{x, mu + r.Norm(), 2 * r.Norm()})
+		same("normal-var-data", NewNormal(mu, sigma).LPDFVarData(tp, ys),
+			NormalLPDFVarData(tp, ys, ad.Const(mu), ad.Const(sigma)).Value())
 
 		const n = 9
 		y, cnt, size := make([]int, n), make([]int, n), make([]int, n)

@@ -24,7 +24,13 @@
 // accumulation. The link pass is mathx.LogisticBlock (bernoulli-logit) or
 // mathx.ExpBlock (poisson-log) — AVX2+FMA assembly where the CPU has it,
 // a Go encoding of the same operation sequence, bit for bit, elsewhere —
-// so no GLM evaluation calls math.Exp or math.Log1p per observation.
+// so no GLM evaluation calls math.Exp or math.Log1p per observation. For
+// three or more columns the other two passes are mathx.DotRows and
+// mathx.AxpyRows, which take the group effects in the same row loop and
+// have the same two encodings (AVX2 for 4 <= p <= 16). Every product in
+// glm.go and in those passes is rounded before it is added, written
+// float64(x*y) in Go, so no compiler fuses a multiply-add there and an
+// arm64 build computes the GLM kernels' bits as amd64 does.
 // ThresholdTest, ISplineNormal and GPNormal have the same shape: gather
 // every argument of the evaluation's transcendentals into one slice, make
 // one LogisticBlock or ExpBlock call, consume the results — no math.Exp,

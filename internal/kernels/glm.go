@@ -221,7 +221,7 @@ func evalGLM(t *ad.Tape, fam glmFamily, d *glmData, yf []float64, valConst float
 	val := res[0] + valConst
 	nIns := p + g
 	if fam == famNormalID {
-		val += float64(n) * (-math.Log(sigV) - mathx.LnSqrt2Pi)
+		val += float64(float64(n) * (-math.Log(sigV) - mathx.LnSqrt2Pi))
 		nIns++
 	}
 	// Typed non-finite detection: a NaN value or non-finite partial is
@@ -276,21 +276,21 @@ func glmShard(fam glmFamily, d *glmData, yf []float64, betaVals, uVals []float64
 			// the block link computes per observation.
 			mathx.LogisticBlock(eta, l, r)
 			for j, fy := range y {
-				val += fy*eta[j] - l[j]
+				val += float64(fy*eta[j]) - l[j]
 				r[j] = fy - r[j]
 			}
 		case famPoissonLog:
 			mathx.ExpBlock(l, eta)
 			for j, fy := range y {
-				val += fy*eta[j] - l[j]
+				val += float64(fy*eta[j]) - l[j]
 				r[j] = fy - l[j]
 			}
 		case famNormalID:
 			for j, fy := range y {
 				z := (fy - eta[j]) * sigInv
-				val += -0.5 * z * z
+				val += float64(-0.5 * z * z)
 				r[j] = z * sigInv
-				dSig += (z*z - 1) * sigInv
+				dSig += float64((float64(z*z) - 1) * sigInv)
 			}
 		}
 		d.scatterBlock(r, lo, a[1:1+p], a[1+p:1+p+g])
@@ -301,7 +301,8 @@ func glmShard(fam glmFamily, d *glmData, yf []float64, betaVals, uVals []float64
 
 // etaBlock sets eta[j] to the linear predictor of observation lo+j:
 // offset, plus the design row's dot product, plus the group effect, added
-// in that order.
+// in that order. Rows of three or more columns take mathx.DotRows, vector
+// code where the CPU has it.
 func (d *glmData) etaBlock(eta []float64, lo int, beta, u []float64) {
 	if d.offset != nil {
 		copy(eta, d.offset[lo:])
@@ -310,74 +311,58 @@ func (d *glmData) etaBlock(eta []float64, lo int, beta, u []float64) {
 			eta[j] = 0
 		}
 	}
+	group := d.group
+	if group != nil {
+		group = group[lo : lo+len(eta)]
+	}
 	switch p := d.p; {
 	case p == 1:
 		x, b0 := d.x[lo:lo+len(eta)], beta[0]
 		for j := range eta {
-			eta[j] += x[j] * b0
+			eta[j] += float64(x[j] * b0)
 		}
 	case p == 2:
 		x, b0, b1 := d.x[2*lo:2*(lo+len(eta))], beta[0], beta[1]
 		for j := range eta {
-			eta[j] += x[2*j]*b0 + x[2*j+1]*b1
+			eta[j] += float64(x[2*j]*b0) + float64(x[2*j+1]*b1)
 		}
 	case p > 0:
-		bv := beta[:p]
-		for j := range eta {
-			xr := d.x[(lo+j)*p : (lo+j)*p+p]
-			// Four independent accumulators break the serial FP-add
-			// latency chain of the row dot product.
-			var e0, e1, e2, e3 float64
-			k := 0
-			for ; k+3 < len(xr); k += 4 {
-				e0 += xr[k] * bv[k]
-				e1 += xr[k+1] * bv[k+1]
-				e2 += xr[k+2] * bv[k+2]
-				e3 += xr[k+3] * bv[k+3]
-			}
-			for ; k < len(xr); k++ {
-				e0 += xr[k] * bv[k]
-			}
-			eta[j] += (e0 + e1) + (e2 + e3)
-		}
+		mathx.DotRows(eta, d.x[lo*p:(lo+len(eta))*p], beta[:p], group, u)
+		return
 	}
-	if d.group != nil {
-		for j, gi := range d.group[lo : lo+len(eta)] {
-			eta[j] += u[gi]
-		}
+	for j, gi := range group {
+		eta[j] += u[gi]
 	}
 }
 
 // scatterBlock adds the residuals r[j] = d loglik / d eta of observations
 // lo+j into the coefficient and group-effect partials. Narrow rows
-// accumulate in registers; each partial still receives its terms in
-// observation order.
+// accumulate in registers, wider ones take mathx.AxpyRows; each partial
+// still receives its terms in observation order.
 func (d *glmData) scatterBlock(r []float64, lo int, dBeta, dU []float64) {
+	group := d.group
+	if group != nil {
+		group = group[lo : lo+len(r)]
+	}
 	switch p := d.p; {
 	case p == 1:
 		x, d0 := d.x[lo:lo+len(r)], dBeta[0]
 		for j, rj := range r {
-			d0 += rj * x[j]
+			d0 += float64(rj * x[j])
 		}
 		dBeta[0] = d0
 	case p == 2:
 		x, d0, d1 := d.x[2*lo:2*(lo+len(r))], dBeta[0], dBeta[1]
 		for j, rj := range r {
-			d0 += rj * x[2*j]
-			d1 += rj * x[2*j+1]
+			d0 += float64(rj * x[2*j])
+			d1 += float64(rj * x[2*j+1])
 		}
 		dBeta[0], dBeta[1] = d0, d1
 	case p > 0:
-		db := dBeta[:p]
-		for j, rj := range r {
-			for k, xk := range d.x[(lo+j)*p : (lo+j)*p+p] {
-				db[k] += rj * xk
-			}
-		}
+		mathx.AxpyRows(dBeta[:p], d.x[lo*p:(lo+len(r))*p], r, group, dU)
+		return
 	}
-	if d.group != nil {
-		for j, gi := range d.group[lo : lo+len(r)] {
-			dU[gi] += r[j]
-		}
+	for j, gi := range group {
+		dU[gi] += r[j]
 	}
 }

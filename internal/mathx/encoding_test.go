@@ -13,8 +13,10 @@ import (
 )
 
 // The registry workloads whose likelihood runs through LogisticBlock or
-// ExpBlock, at the scales the benchmark mixes use. The last three are not
-// batchable, so they run only in the free and segmented modes.
+// ExpBlock, at the scales the benchmark mixes use; tickets (p = 13, with
+// group effects) and ad (p = 16) also run DotRows and AxpyRows. The last
+// three are not batchable, so they run only in the free and segmented
+// modes.
 var linkWorkloads = []struct {
 	name      string
 	scale     float64

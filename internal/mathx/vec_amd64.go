@@ -84,6 +84,33 @@ func expVector(dst, x []float64) int {
 	return n
 }
 
+// dotRowsVector runs the assembly row pass, when 4 <= p <= 16, over the
+// largest prefix of eta that is a whole number of four-row groups, and
+// returns how many rows it finished: all of them, or fewer if it reached
+// a group index outside u, which the Go encoding then reports.
+func dotRowsVector(eta, x, beta []float64, group []int, u []float64) int {
+	n := len(eta) &^ 3
+	if !useVector || n == 0 || len(beta) < 4 || len(beta) > 16 {
+		return 0
+	}
+	return dotRowsAVX2(eta[:n], x, beta, group, u)
+}
+
+// axpyRowsVector is dotRowsVector's counterpart for AxpyRows; it takes
+// every row.
+func axpyRowsVector(dBeta, x, r []float64, group []int, dU []float64) int {
+	if !useVector || len(r) == 0 || len(dBeta) < 4 || len(dBeta) > 16 {
+		return 0
+	}
+	return axpyRowsAVX2(dBeta, x, r, group, dU)
+}
+
+//go:noescape
+func dotRowsAVX2(eta, x, beta []float64, group []int, u []float64) (done int)
+
+//go:noescape
+func axpyRowsAVX2(dBeta, x, r []float64, group []int, dU []float64) (done int)
+
 //go:noescape
 func logisticAVX2(eta, l, q []float64, tab *[tabLen][4]float64)
 

@@ -90,7 +90,7 @@ func (w *adAttribution) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	b := model.NewBuilder(t)
 	// Weakly informative priors on coefficients.
 	for _, beta := range q {
-		b.Add(dist.NormalLPDF(t, beta, ad.Const(0), ad.Const(2.5)))
+		b.Add(normalSD2p5.LPDF(t, beta))
 	}
 	// Linear predictor per respondent: eta_i = x_i . beta.
 	eta := make([]ad.Var, len(w.y))

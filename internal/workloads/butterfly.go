@@ -3,7 +3,6 @@ package workloads
 import (
 	"bayessuite/internal/ad"
 	"bayessuite/internal/data"
-	"bayessuite/internal/dist"
 	"bayessuite/internal/kernels"
 	"bayessuite/internal/mathx"
 	"bayessuite/internal/model"
@@ -98,12 +97,12 @@ func (w *butterfly) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	uRaw := q[4 : 4+w.nSpecies]
 	vRaw := q[4+w.nSpecies:]
 
-	b.Add(dist.NormalLPDF(t, muPsi, ad.Const(0), ad.Const(2)))
+	b.Add(normalSD2.LPDF(t, muPsi))
 	b.Add(halfCauchy1.LPDF(t, sigPsi))
-	b.Add(dist.NormalLPDF(t, muP, ad.Const(0), ad.Const(2)))
+	b.Add(normalSD2.LPDF(t, muP))
 	b.Add(halfCauchy1.LPDF(t, sigP))
-	b.Add(dist.NormalLPDFVarData(t, uRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDFVarData(t, vRaw, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, uRaw))
+	b.Add(stdNormal.LPDFVarData(t, vRaw))
 
 	if w.occ != nil {
 		b.Add(w.occ.LogLik(t, muPsi, sigPsi, muP, sigP, uRaw, vRaw))

@@ -125,7 +125,7 @@ func (w *disease) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 
 	// Patient stages in (0,1) with a weak Beta(2,2)-ish prior via the
 	// logit-normal: stage = invlogit(raw), raw ~ N(0, 1.5).
-	b.Add(dist.NormalLPDFVarData(t, stageRaw, ad.Const(0), ad.Const(1.5)))
+	b.Add(normalSD1p5.LPDFVarData(t, stageRaw))
 	stages := make([]ad.Var, w.nPatients)
 	for p := range stages {
 		stages[p] = b.Prob(stageRaw[p])
@@ -184,7 +184,7 @@ func (w *disease) logPostKernel(t *ad.Tape, q []ad.Var) ad.Var {
 	logCoefs := q[w.nPatients : w.nPatients+nCoef]
 	logSigmas := q[w.nPatients+nCoef:]
 
-	b.Add(dist.NormalLPDFVarData(t, stageRaw, ad.Const(0), ad.Const(1.5)))
+	b.Add(normalSD1p5.LPDFVarData(t, stageRaw))
 	b.Add(kernels.LogitJacobian(t, stageRaw))
 	b.Add(w.coefPrior.LogScaleLPDF(t, logCoefs))
 	b.Add(halfCauchyFifth.LogScaleLPDF(t, logSigmas))

@@ -129,14 +129,14 @@ func (w *memoryRetrieval) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	sigRT := b.Positive(q[i])
 
 	// Priors.
-	b.Add(dist.NormalLPDF(t, muA, ad.Const(0), ad.Const(2)))
+	b.Add(normalSD2.LPDF(t, muA))
 	b.Add(halfCauchy1.LPDF(t, sigA))
-	b.Add(dist.NormalLPDF(t, bA, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDFVarData(t, aRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDF(t, muM, ad.Const(6), ad.Const(1)))
+	b.Add(stdNormal.LPDF(t, bA))
+	b.Add(stdNormal.LPDFVarData(t, aRaw))
+	b.Add(muMPrior.LPDF(t, muM))
 	b.Add(halfCauchyHalf.LPDF(t, sigM))
-	b.Add(dist.NormalLPDF(t, bM, ad.Const(0), ad.Const(0.5)))
-	b.Add(dist.NormalLPDFVarData(t, mRaw, ad.Const(0), ad.Const(1)))
+	b.Add(normalSDHalf.LPDF(t, bM))
+	b.Add(stdNormal.LPDFVarData(t, mRaw))
 	b.Add(halfCauchyHalf.LPDF(t, sigRT))
 
 	// Per-subject effects (non-centered).
@@ -187,14 +187,14 @@ func (w *memoryRetrieval) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.Ba
 	sigRT := b.Positive(q[i])
 
 	// Priors.
-	b.Add(dist.NormalLPDF(t, muA, ad.Const(0), ad.Const(2)))
+	b.Add(normalSD2.LPDF(t, muA))
 	b.Add(halfCauchy1.LPDF(t, sigA))
-	b.Add(dist.NormalLPDF(t, bA, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDFVarData(t, aRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDF(t, muM, ad.Const(6), ad.Const(1)))
+	b.Add(stdNormal.LPDF(t, bA))
+	b.Add(stdNormal.LPDFVarData(t, aRaw))
+	b.Add(muMPrior.LPDF(t, muM))
 	b.Add(halfCauchyHalf.LPDF(t, sigM))
-	b.Add(dist.NormalLPDF(t, bM, ad.Const(0), ad.Const(0.5)))
-	b.Add(dist.NormalLPDFVarData(t, mRaw, ad.Const(0), ad.Const(1)))
+	b.Add(normalSDHalf.LPDF(t, bM))
+	b.Add(stdNormal.LPDFVarData(t, mRaw))
 	b.Add(halfCauchyHalf.LPDF(t, sigRT))
 
 	// Per-subject effects (non-centered) as kernel group effects.

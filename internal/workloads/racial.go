@@ -122,15 +122,15 @@ func (w *racial) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 
 	// Priors.
 	for _, v := range tRace {
-		b.Add(dist.NormalLPDF(t, v, ad.Const(0), ad.Const(1)))
+		b.Add(stdNormal.LPDF(t, v))
 	}
 	b.Add(halfCauchyHalf.LPDF(t, sigT))
-	b.Add(dist.NormalLPDFVarData(t, deptRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDFVarData(t, cellRaw, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, deptRaw))
+	b.Add(stdNormal.LPDFVarData(t, cellRaw))
 	for _, v := range hRace {
-		b.Add(dist.NormalLPDF(t, v, ad.Const(0), ad.Const(2)))
+		b.Add(normalSD2.LPDF(t, v))
 	}
-	b.Add(dist.NormalLPDF(t, searchBase, ad.Const(-2.5), ad.Const(1)))
+	b.Add(searchBasePrior.LPDF(t, searchBase))
 
 	if w.thr != nil {
 		b.Add(w.thr.LogLik(t, tRace, sigT, deptRaw, cellRaw, hRace, searchBase))

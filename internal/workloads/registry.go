@@ -144,6 +144,20 @@ var (
 	halfCauchyFifth = dist.NewHalfCauchy(0.2)
 )
 
+// The normal priors with constant mean and scale, built once for the same
+// reason: no evaluation takes the log of a constant scale.
+var (
+	stdNormal       = dist.NewNormal(0, 1)
+	normalSD2       = dist.NewNormal(0, 2)
+	normalSD2p5     = dist.NewNormal(0, 2.5)
+	normalSD1p5     = dist.NewNormal(0, 1.5)
+	normalSDHalf    = dist.NewNormal(0, 0.5)
+	normalSDTenth   = dist.NewNormal(0, 0.1)
+	muMPrior        = dist.NewNormal(6, 1)    // memory's mean log RT
+	searchBasePrior = dist.NewNormal(-2.5, 1) // racial's search-rate base
+	muAlphaPrior    = dist.NewNormal(-11, 2)  // 12cities' mean log rate
+)
+
 // Names returns the workload names in Table I order.
 func Names() []string {
 	out := make([]string, len(builders))

@@ -115,9 +115,9 @@ func (w *tickets) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	beta := q[1+w.nOfficers:]
 
 	b.Add(halfCauchy1.LPDF(t, sigAlpha))
-	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, alphaRaw))
 	for _, bj := range beta {
-		b.Add(dist.NormalLPDF(t, bj, ad.Const(0), ad.Const(2.5)))
+		b.Add(normalSD2p5.LPDF(t, bj))
 	}
 
 	eta := make([]ad.Var, len(w.y))

@@ -131,11 +131,11 @@ func (w *twelveCities) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	beta := q[3+w.nCities]
 
 	// Priors.
-	b.Add(dist.NormalLPDF(t, muAlpha, ad.Const(-11), ad.Const(2)))
+	b.Add(muAlphaPrior.LPDF(t, muAlpha))
 	b.Add(halfCauchy1.LPDF(t, sigAlpha))
-	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDF(t, trend, ad.Const(0), ad.Const(0.1)))
-	b.Add(dist.NormalLPDF(t, beta, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, alphaRaw))
+	b.Add(normalSDTenth.LPDF(t, trend))
+	b.Add(stdNormal.LPDF(t, beta))
 
 	// Non-centered city intercepts: alpha_c = mu + sigma * raw_c.
 	alpha := make([]ad.Var, w.nCities)
@@ -170,11 +170,11 @@ func (w *twelveCities) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.Batch
 	beta := q[3+w.nCities]
 
 	// Priors.
-	b.Add(dist.NormalLPDF(t, muAlpha, ad.Const(-11), ad.Const(2)))
+	b.Add(muAlphaPrior.LPDF(t, muAlpha))
 	b.Add(halfCauchy1.LPDF(t, sigAlpha))
-	b.Add(dist.NormalLPDFVarData(t, alphaRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDF(t, trend, ad.Const(0), ad.Const(0.1)))
-	b.Add(dist.NormalLPDF(t, beta, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, alphaRaw))
+	b.Add(normalSDTenth.LPDF(t, trend))
+	b.Add(stdNormal.LPDF(t, beta))
 
 	// Non-centered city intercepts as kernel group effects.
 	alpha := t.ScratchVars(w.nCities)

@@ -138,10 +138,10 @@ func (w *votes) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	b.Add(halfCauchy1.LPDF(t, alpha))
 	b.Add(dist.LogNormalLPDF(t, rho, ad.Const(0), ad.Const(0.75)))
 	b.Add(halfCauchyHalf.LPDF(t, sigma))
-	b.Add(dist.NormalLPDF(t, mu0, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDF(t, mu0))
 	b.Add(halfCauchy1.LPDF(t, tau))
-	b.Add(dist.NormalLPDFVarData(t, muRaw, ad.Const(0), ad.Const(1)))
-	b.Add(dist.NormalLPDFVarData(t, z, ad.Const(0), ad.Const(1)))
+	b.Add(stdNormal.LPDFVarData(t, muRaw))
+	b.Add(stdNormal.LPDFVarData(t, z))
 
 	if w.gp != nil {
 		b.Add(w.gp.LogLik(t, alpha, rho, sigma, mu0, tau, muRaw, z))
