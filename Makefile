@@ -28,10 +28,11 @@ fmt-check:
 # internal symbols (mcmc.Config.BatchGrad, model.NewBatchEvaluator, the
 # batched kernels), so a change to those must build and vet it too.
 # The arm64 compiler fuses x*y+z into one instruction wherever the source
-# lets it, which would give an arm64 build other GLM bits than amd64: the
-# fused-op check disassembles the arm64 test binaries of mathx and kernels
-# and fails on any fused multiply-add in glm.go, vec.go or rows.go that
-# does not come from a line calling math.FMA.
+# lets it, which would give an arm64 build other kernel bits than amd64:
+# the fused-op check disassembles the arm64 test binaries of mathx and
+# kernels and fails on any fused multiply-add in glm.go, gp.go, cjs.go,
+# occupancy.go, logit.go, vec.go or rows.go that does not come from a
+# line calling math.FMA.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mathx/ ./internal/kernels/
@@ -41,9 +42,9 @@ vet:
 		GOARCH=arm64 $(GO) test -c -o "$$tmp/$$p.test" ./internal/$$p/ || exit 1; \
 		$(GO) tool objdump "$$tmp/$$p.test" > "$$tmp/$$p.asm" || exit 1; \
 	done; \
-	awk '$$1 ~ /^(glm|vec|rows)\.go:[0-9]+$$/ && $$4 ~ /^FN?M(ADD|SUB)D$$/ { print $$1 }' "$$tmp"/*.asm | sort -u | \
+	awk '$$1 ~ /^(glm|gp|cjs|occupancy|logit|vec|rows)\.go:[0-9]+$$/ && $$4 ~ /^FN?M(ADD|SUB)D$$/ { print $$1 }' "$$tmp"/*.asm | sort -u | \
 	while IFS=: read -r f n; do \
-		case $$f in glm.go) d=internal/kernels ;; *) d=internal/mathx ;; esac; \
+		case $$f in vec.go|rows.go) d=internal/mathx ;; *) d=internal/kernels ;; esac; \
 		sed -n "$${n}p" "$$d/$$f" | grep -q 'math\.FMA(' || echo "arm64 fuses a multiply-add at $$d/$$f:$$n"; \
 	done | tee "$$tmp/bad"; test ! -s "$$tmp/bad"
 	$(GO) build -C benchmark -o /dev/null ./...

@@ -179,11 +179,19 @@ func (d Gamma) LogScaleLPDF(t *ad.Tape, q []ad.Var) ad.Var {
 	return t.CustomChecked("gamma_log_scale", val, q, g)
 }
 
-// LogNormalLPDF records log LogNormal(x | mu, sigma).
-func LogNormalLPDF(t *ad.Tape, x, mu, sigma ad.Var) ad.Var {
+// LogNormal is the log-normal density with constant log-scale mean and
+// scale: log x ~ N(mu, sigma).
+type LogNormal struct{ log Normal }
+
+// NewLogNormal returns the log-normal family with the given log-scale mean
+// and scale.
+func NewLogNormal(mu, sigma float64) LogNormal { return LogNormal{NewNormal(mu, sigma)} }
+
+// LPDF records log LogNormal(x | mu, sigma) = log N(log x | mu, sigma) -
+// log x.
+func (d LogNormal) LPDF(t *ad.Tape, x ad.Var) ad.Var {
 	lx := t.Log(x)
-	lp := NormalLPDF(t, lx, mu, sigma)
-	return t.Sub(lp, lx)
+	return t.Sub(d.log.LPDF(t, lx), lx)
 }
 
 // LogFactorials returns log y[i]! per observation: the data-only term of

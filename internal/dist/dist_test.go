@@ -157,10 +157,10 @@ func TestADCauchyStudentGamma(t *testing.T) {
 		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewGamma(2, 3).LPDF(tp, q[0]) },
 		func(x []float64) float64 { return GammaLogPDF(x[0], 2, 3) },
 		[]float64{1.4})
-	adGradCheck(t, "lognormal", 3,
-		func(tp *ad.Tape, q []ad.Var) ad.Var { return LogNormalLPDF(tp, q[0], q[1], q[2]) },
-		func(x []float64) float64 { return LogNormalLogPDF(x[0], x[1], x[2]) },
-		[]float64{1.7, 0.1, 0.9})
+	adGradCheck(t, "lognormal", 1,
+		func(tp *ad.Tape, q []ad.Var) ad.Var { return NewLogNormal(0.1, 0.9).LPDF(tp, q[0]) },
+		func(x []float64) float64 { return LogNormalLogPDF(x[0], 0.1, 0.9) },
+		[]float64{1.7})
 }
 
 func TestADDiscreteSums(t *testing.T) {
@@ -225,6 +225,7 @@ func TestHoistedConstantsBitIdentical(t *testing.T) {
 		same("halfcauchy", NewHalfCauchy(sigma).LPDF(tp, in[0]), HalfCauchyLogPDF(x, sigma))
 		mu := 3 * r.Norm()
 		same("normal", NewNormal(mu, sigma).LPDF(tp, in[0]), NormalLogPDF(x, mu, sigma))
+		same("lognormal", NewLogNormal(mu, sigma).LPDF(tp, in[0]), LogNormalLogPDF(x, mu, sigma))
 		tp.Reset()
 		ys := tp.Input([]float64{x, mu + r.Norm(), 2 * r.Norm()})
 		same("normal-var-data", NewNormal(mu, sigma).LPDFVarData(tp, ys),

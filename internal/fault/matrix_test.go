@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bayessuite/internal/ad"
+	"bayessuite/internal/dist"
 	"bayessuite/internal/kernels"
 	"bayessuite/internal/mcmc"
 	"bayessuite/internal/model"
@@ -363,7 +364,7 @@ func (m *batchGLM) Dim() int     { return m.p + m.g + 1 }
 func (m *batchGLM) logPost(t *ad.Tape, q []ad.Var, pre []kernels.BatchResult) ad.Var {
 	b := model.NewBuilder(t)
 	sigma := b.Positive(q[m.p+m.g])
-	b.Add(kernels.NormalDeviations(t, q, ad.Const(0), ad.Const(1)))
+	b.Add(dist.NewNormal(0, 1).LPDFVarData(t, q))
 	beta := q[:m.p]
 	u := q[m.p : m.p+m.g]
 	if pre != nil {

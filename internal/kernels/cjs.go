@@ -55,42 +55,55 @@ func NewCJS(history [][]uint8, first, last []int, nOcc int) *CJS {
 	return k
 }
 
-// LogLik records the whole-dataset log-likelihood as one tape node over
-// the survival and recapture logits (each of length nOcc-1). The logit
-// transform happens here in floats; its Jacobian is LogitJacobian's.
-func (k *CJS) LogLik(t *ad.Tape, logitPhi, logitP []ad.Var) ad.Var {
+// LogDensity records, as one tape node over the survival and recapture
+// logits (each of length nOcc-1), the whole-dataset log-likelihood plus
+// sum log s(eta) + log s(-eta) over every logit: the log-Jacobian of
+// taking phi and p from their logits, which this kernel does in floats.
+// Under uniform priors on phi and p that is the whole log density. One
+// mathx.LogisticBlock call over both logit vectors gives phi and p as the
+// sigmoids s and every log but chi's from the softpluses l: log phi =
+// eta - l, log p = eta - l, log(1-p) = -l, and the Jacobian term
+// eta - 2l with derivative 1 - 2s. Only the nOcc logs of chi stay scalar.
+func (k *CJS) LogDensity(t *ad.Tape, logitPhi, logitP []ad.Var) ad.Var {
 	nT := k.nOcc - 1
 	if len(logitPhi) != nT || len(logitP) != nT {
 		panic("kernels: CJS logit length != occasions-1")
 	}
-	buf := t.Scratch(4*nT + 2*k.nOcc)
-	phi, p := buf[:nT], buf[nT:2*nT]
-	d := buf[2*nT : 4*nT] // dL/dphi then dL/dp, turned into logit partials in place
-	chi, aChi := buf[4*nT:4*nT+k.nOcc], buf[4*nT+k.nOcc:]
+	m := 2 * nT
+	buf := t.Scratch(4*m + 2*k.nOcc)
+	eta, l, s := buf[:m], buf[m:2*m], buf[2*m:3*m]
+	d := buf[3*m : 4*m] // dL/dphi then dL/dp, turned into logit partials in place
+	chi, aChi := buf[4*m:4*m+k.nOcc], buf[4*m+k.nOcc:]
 	for i := 0; i < nT; i++ {
-		phi[i] = mathx.InvLogit(logitPhi[i].Value())
-		p[i] = mathx.InvLogit(logitP[i].Value())
+		eta[i], eta[nT+i] = logitPhi[i].Value(), logitP[i].Value()
 	}
+	mathx.LogisticBlock(eta, l, s)
+	phi, p := s[:nT], s[nT:]
 	chi[nT] = 1
 	for i := nT - 1; i >= 0; i-- {
-		chi[i] = (1 - phi[i]) + phi[i]*(1-p[i])*chi[i+1]
+		chi[i] = (1 - phi[i]) + float64(phi[i]*(1-p[i])*chi[i+1])
 	}
 
-	// A zero count skips its term: no animal contributes it, and 0·log 0
-	// must not poison the sum when a probability saturates.
+	// A zero count skips its term: no animal contributes it, and 0·Inf
+	// must not poison the sum when a probability saturates. A p that
+	// rounds to 1 where animals were missed makes dL/dp infinite and the
+	// node rejects, as the tape path's log(1-p) = log 0 does.
 	val := 0.0
+	for i, e := range eta {
+		val += e - float64(2*l[i])
+	}
 	for i := 0; i < nT; i++ {
 		var dPhi, dP float64
 		if n := k.nPhi[i]; n != 0 {
-			val += n * math.Log(phi[i])
+			val += float64(n * (eta[i] - l[i]))
 			dPhi = n / phi[i]
 		}
 		if n := k.nSeen[i]; n != 0 {
-			val += n * math.Log(p[i])
+			val += float64(n * (eta[nT+i] - l[nT+i]))
 			dP = n / p[i]
 		}
 		if n := k.nMiss[i]; n != 0 {
-			val += n * math.Log(1-p[i])
+			val -= float64(n * l[nT+i])
 			dP -= n / (1 - p[i])
 		}
 		d[i], d[nT+i] = dPhi, dP
@@ -98,7 +111,7 @@ func (k *CJS) LogLik(t *ad.Tape, logitPhi, logitP []ad.Var) ad.Var {
 	for i := range chi {
 		aChi[i] = 0
 		if n := k.nChi[i]; n != 0 {
-			val += n * math.Log(chi[i])
+			val += float64(n * math.Log(chi[i]))
 			aChi[i] = n / chi[i]
 		}
 	}
@@ -106,16 +119,16 @@ func (k *CJS) LogLik(t *ad.Tape, logitPhi, logitP []ad.Var) ad.Var {
 	// forward pass has every adjoint complete when it is consumed.
 	for i := 0; i < nT; i++ {
 		a := aChi[i]
-		d[i] += a * ((1-p[i])*chi[i+1] - 1)
-		d[nT+i] -= a * phi[i] * chi[i+1]
-		aChi[i+1] += a * phi[i] * (1 - p[i])
+		d[i] += float64(a * (float64((1-p[i])*chi[i+1]) - 1))
+		d[nT+i] -= float64(a * phi[i] * chi[i+1])
+		aChi[i+1] += float64(a * phi[i] * (1 - p[i]))
 	}
 	for i := 0; i < nT; i++ {
-		d[i] *= phi[i] * (1 - phi[i])
-		d[nT+i] *= p[i] * (1 - p[i])
+		d[i] = float64(d[i]*phi[i]*(1-phi[i])) + (1 - float64(2*phi[i]))
+		d[nT+i] = float64(d[nT+i]*p[i]*(1-p[i])) + (1 - float64(2*p[i]))
 	}
 
-	ins := t.ScratchVars(2 * nT)
+	ins := t.ScratchVars(m)
 	copy(ins, logitPhi)
 	copy(ins[nT:], logitP)
 	return t.CustomChecked("cjs", val, ins, d)

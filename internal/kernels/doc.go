@@ -1,9 +1,9 @@
 // Package kernels provides fused analytic value-and-gradient kernels for
 // the likelihood families the registry workloads actually use: identity-link
-// normal GLMs, logit-link bernoulli GLMs, log-link poisson GLMs,
-// hierarchical normal deviation blocks, and the model-specific likelihoods
-// of survival (CJS), butterfly (Occupancy), racial (ThresholdTest),
-// disease (ISplineNormal) and votes (GPNormal).
+// normal GLMs, logit-link bernoulli GLMs, log-link poisson GLMs, the logit
+// Jacobian, and the model-specific likelihoods of survival (CJS), butterfly
+// (Occupancy), racial (ThresholdTest), disease (ISplineNormal) and votes
+// (GPNormal).
 // The first two of those are collapsed as well as fused: whatever the
 // likelihood lets one count once is counted at construction, and an
 // evaluation no longer touches the observations at all.
@@ -31,13 +31,17 @@
 // glm.go and in those passes is rounded before it is added, written
 // float64(x*y) in Go, so no compiler fuses a multiply-add there and an
 // arm64 build computes the GLM kernels' bits as amd64 does.
-// ThresholdTest, ISplineNormal and GPNormal have the same shape: gather
-// every argument of the evaluation's transcendentals into one slice, make
-// one LogisticBlock or ExpBlock call, consume the results — no math.Exp,
-// math.Log or math.Log1p per cell, patient, coefficient or kernel-matrix
-// entry. CJS, Occupancy and LogitJacobian still call the scalar functions
-// (their handful of links per evaluation also feeds the draws of workloads
-// whose bits are pinned).
+// Every other kernel has the same shape: gather every argument of the
+// evaluation's transcendentals into one slice, make one LogisticBlock or
+// ExpBlock call (Occupancy makes two, the second over arguments the first
+// produced), consume the results — no math.Exp, math.Log or math.Log1p
+// per cell, patient, coefficient, kernel-matrix entry, species or logit.
+// The softplus l and sigmoid s of a logit eta give log s(eta) = eta - l
+// and log(1 - s(eta)) = -l, so no log of a probability is taken; CJS's
+// logs of its nOcc absence probabilities are the one scalar remainder.
+// Products that feed a sum in gp.go, cjs.go, occupancy.go and logit.go
+// are written float64(x*y) as in glm.go, so arm64 computes their bits as
+// amd64 does.
 //
 // Positive parameters enter a kernel on the unconstrained log scale where
 // the kernel can chain-rule through exp itself: ISplineNormal takes log

@@ -76,7 +76,7 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	mathx.ExpBlock(e, e)
 	for a, p := 0, 0; a < n; a++ {
 		for b := 0; b <= a; b, p = b+1, p+1 {
-			l[a*n+b] = a2 * e[p]
+			l[a*n+b] = float64(a2 * e[p])
 			lbar[a*n+b] = 0
 		}
 		l[a*n+a] += k.jitter
@@ -89,7 +89,7 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	val := float64(nS*n) * (-math.Log(sig) - mathx.LnSqrt2Pi)
 	var dSigma, dMu0, dTau float64
 	for s := 0; s < nS; s++ {
-		mu := mu0.Value() + tauV*muRaw[s].Value()
+		mu := mu0.Value() + float64(tauV*muRaw[s].Value())
 		for a := 0; a < n; a++ {
 			zs[a] = z[s*n+a].Value()
 		}
@@ -97,23 +97,23 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 		for a := 0; a < n; a++ {
 			f := 0.0
 			for b := 0; b <= a; b++ {
-				f += l[a*n+b] * zs[b]
+				f += float64(l[a*n+b] * zs[b])
 			}
 			u := (k.y[s][a] - (mu + f)) * inv
-			val += -0.5 * u * u
-			r[a] = u * inv
+			val += float64(-0.5 * u * u)
+			r[a] = float64(u * inv)
 			dMu += r[a]
-			dSigma += (u*u - 1) * inv
+			dSigma += float64((float64(u*u) - 1) * inv)
 		}
 		dMu0 += dMu
-		dTau += dMu * muRaw[s].Value()
+		dTau += float64(dMu * muRaw[s].Value())
 		dRaw[s] = dMu * tauV
 		// f = L z_s: Lbar += r z_sᵀ on the lower triangle, zbar_s = Lᵀ r.
 		for b := 0; b < n; b++ {
 			g := 0.0
 			for a := b; a < n; a++ {
-				lbar[a*n+b] += r[a] * zs[b]
-				g += l[a*n+b] * r[a]
+				lbar[a*n+b] += float64(r[a] * zs[b])
+				g += float64(l[a*n+b] * r[a])
 			}
 			dZ[s*n+b] = g
 		}
@@ -125,8 +125,8 @@ func (k *GPNormal) LogLik(t *ad.Tape, alpha, rho, sigma, mu0, tau ad.Var, muRaw,
 	for a, p := 0, 0; a < n; a++ {
 		for b := 0; b <= a; b, p = b+1, p+1 {
 			kb := lbar[a*n+b]
-			dA2 += kb * e[p]
-			dInv2 -= kb * a2 * e[p] * k.d2[p]
+			dA2 += float64(kb * e[p])
+			dInv2 -= float64(kb * a2 * e[p] * k.d2[p])
 		}
 	}
 	d[0] = dA2 * 2 * alpha.Value()
@@ -150,7 +150,7 @@ func cholLower(a []float64, n int) {
 	for j := 0; j < n; j++ {
 		dj := a[j*n+j]
 		for k := 0; k < j; k++ {
-			dj -= a[j*n+k] * a[j*n+k]
+			dj -= float64(a[j*n+k] * a[j*n+k])
 		}
 		if dj <= 0 {
 			panic(ad.ErrIndefinite)
@@ -160,7 +160,7 @@ func cholLower(a []float64, n int) {
 		for i := j + 1; i < n; i++ {
 			s := a[i*n+j]
 			for k := 0; k < j; k++ {
-				s -= a[i*n+k] * a[j*n+k]
+				s -= float64(a[i*n+k] * a[j*n+k])
 			}
 			a[i*n+j] = s / ljj
 		}
@@ -181,16 +181,16 @@ func cholReverse(l, bar []float64, n int) {
 		ljj := l[j*n+j]
 		for i := n - 1; i > j; i-- {
 			sbar := bar[i*n+j] / ljj
-			bar[j*n+j] -= sbar * l[i*n+j]
+			bar[j*n+j] -= float64(sbar * l[i*n+j])
 			for k := 0; k < j; k++ {
-				bar[i*n+k] -= sbar * l[j*n+k]
-				bar[j*n+k] -= sbar * l[i*n+k]
+				bar[i*n+k] -= float64(sbar * l[j*n+k])
+				bar[j*n+k] -= float64(sbar * l[i*n+k])
 			}
 			bar[i*n+j] = sbar
 		}
 		dbar := bar[j*n+j] / (2 * ljj)
 		for k := 0; k < j; k++ {
-			bar[j*n+k] -= 2 * dbar * l[j*n+k]
+			bar[j*n+k] -= float64(2 * dbar * l[j*n+k])
 		}
 		bar[j*n+j] = dbar
 	}

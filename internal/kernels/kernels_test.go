@@ -193,43 +193,6 @@ func TestGLMFiniteDifferences(t *testing.T) {
 	}
 }
 
-// TestNormalDeviationsMatchesVarData requires bitwise agreement with the
-// dist recorder it replaces: both must accumulate in the same order.
-func TestNormalDeviationsMatchesVarData(t *testing.T) {
-	r := rng.New(31)
-	n := 300
-	q := make([]float64, n+2)
-	for i := 0; i < n; i++ {
-		q[i] = r.Norm()
-	}
-	q[n] = 0.3   // mu
-	q[n+1] = 1.7 // sigma
-
-	rec := func(useKernel bool) (float64, []float64) {
-		tp := ad.NewTape(0)
-		in := tp.Input(q)
-		var out ad.Var
-		if useKernel {
-			out = NormalDeviations(tp, in[:n], in[n], in[n+1])
-		} else {
-			out = dist.NormalLPDFVarData(tp, in[:n], in[n], in[n+1])
-		}
-		grad := make([]float64, len(q))
-		tp.Grad(out, grad)
-		return out.Value(), grad
-	}
-	kv, kg := rec(true)
-	tv, tg := rec(false)
-	if kv != tv {
-		t.Errorf("value not bitwise equal: %.17g vs %.17g", kv, tv)
-	}
-	for i := range kg {
-		if kg[i] != tg[i] {
-			t.Errorf("grad[%d] not bitwise equal: %.17g vs %.17g", i, kg[i], tg[i])
-		}
-	}
-}
-
 // TestParallelismDeterminism is the acceptance check that a result's bits
 // depend on the parameter vector alone: at any GOMAXPROCS, with any number
 // of evaluations sweeping the same kernel side by side on tapes of their

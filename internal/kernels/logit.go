@@ -1,41 +1,31 @@
 package kernels
 
 import (
-	"math"
-
 	"bayessuite/internal/ad"
+	"bayessuite/internal/mathx"
 )
-
-// softplus returns log(1+exp(x)), log(1+exp(-x)) and the logistic sigmoid
-// of x from one exp and one log1p, with z = exp(-|x|) feeding all three.
-// It agrees with mathx.Log1pExp and mathx.InvLogit to rounding on every
-// branch of theirs: above their 33.3 cut-over log1p(z) is below half an
-// ulp of x, below -37 log1p(z) is z to rounding.
-func softplus(x float64) (sp, spNeg, sig float64) {
-	if x >= 0 {
-		z := math.Exp(-x)
-		l := math.Log1p(z)
-		return x + l, l, 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	l := math.Log1p(z)
-	return l, l - x, z / (1 + z)
-}
 
 // LogitJacobian records sum_i log s(q_i) + log s(-q_i), s the logistic
 // sigmoid: the log-Jacobian of mapping every q_i onto (0, 1), which
-// model.Builder.Prob adds one parameter at a time. Kernels that take
-// logits directly (CJS, ISplineNormal) do the transform in floats, and
-// this one node is all of it that stays on the tape.
+// model.Builder.Prob adds one parameter at a time. ISplineNormal takes
+// logits directly and does the transform in floats, and this one node is
+// all of it that stays on the tape; CJS.LogDensity carries its own.
+//
+// With l = log(1+exp(x)) and s = s(x) from one mathx.LogisticBlock call,
+// the summand is x - 2l and its derivative 1 - 2s: no log or exp per
+// logit.
 func LogitJacobian(t *ad.Tape, q []ad.Var) ad.Var {
-	d := t.Scratch(len(q))
-	val := 0.0
+	n := len(q)
+	buf := t.Scratch(3 * n)
+	x, l, d := buf[:n], buf[n:2*n], buf[2*n:]
 	for i, qi := range q {
-		x := qi.Value()
-		z := math.Exp(-math.Abs(x))
-		val -= math.Abs(x) + 2*math.Log1p(z)
-		// d/dx = 1 - 2 s(x) = -tanh(x/2), written in z = exp(-|x|).
-		d[i] = math.Copysign((1-z)/(1+z), -x)
+		x[i] = qi.Value()
+	}
+	mathx.LogisticBlock(x, l, d)
+	val := 0.0
+	for i, xi := range x {
+		val += xi - float64(2*l[i])
+		d[i] = 1 - float64(2*d[i])
 	}
 	return t.CustomChecked("logit_jacobian", val, q, d)
 }

@@ -62,37 +62,54 @@ func NewOccupancy(y [][]int, visits int) *Occupancy {
 // LogLik records the whole-dataset log-likelihood as one tape node over
 // the community means and scales and the species' raw deviations, with
 // logit psi_i = muPsi + sigPsi·uRaw_i and logit p_i = muP + sigP·vRaw_i.
+// Its transcendentals are two mathx.LogisticBlock calls: one over the 2n
+// logits, whose softpluses l give log(1-psi) = -l and log psi = -(l -
+// eta) (the same for p) and whose sigmoids give psi and p, and one over
+// the n mixture arguments of the never-detected sites.
 func (k *Occupancy) LogLik(t *ad.Tape, muPsi, sigPsi, muP, sigP ad.Var, uRaw, vRaw []ad.Var) ad.Var {
 	n := len(k.nZero)
 	if len(uRaw) != n || len(vRaw) != n {
 		panic("kernels: occupancy deviation length != species")
 	}
-	d := t.Scratch(4 + 2*n)
+	buf := t.Scratch(4 + 12*n)
+	d := buf[:4+2*n]
+	eta, l, s := buf[4+2*n:4+4*n], buf[4+4*n:4+6*n], buf[4+6*n:4+8*n]
+	occ, a, la, w := buf[4+8*n:4+9*n], buf[4+9*n:4+10*n], buf[4+10*n:4+11*n], buf[4+11*n:]
 	mPsi, sPsi, mP, sP := muPsi.Value(), sigPsi.Value(), muP.Value(), sigP.Value()
+	for i := 0; i < n; i++ {
+		eta[i] = mPsi + float64(sPsi*uRaw[i].Value())
+		eta[n+i] = mP + float64(sP*vRaw[i].Value())
+	}
+	mathx.LogisticBlock(eta, l, s)
+	// A y = 0 site adds occ + softplus(log(1-psi) - occ), occ = log psi +
+	// K log(1-p) the occupied branch: the second call takes the softplus.
+	for i := 0; i < n; i++ {
+		occ[i] = -(l[i] - eta[i]) - float64(k.visits*l[n+i])
+		a[i] = -l[i] - occ[i]
+	}
+	mathx.LogisticBlock(a, la, w)
+
 	var dMuPsi, dSigPsi, dMuP, dSigP float64
 	val := k.lchoose
 	for i := 0; i < n; i++ {
-		u, v := uRaw[i].Value(), vRaw[i].Value()
-		// log psi = -softplus(-eta), log(1-psi) = -softplus(eta).
-		spPsi, spNegPsi, sgPsi := softplus(mPsi + sPsi*u)
-		spP, spNegP, sgP := softplus(mP + sP*v)
+		spNegPsi, sgPsi := l[i]-eta[i], s[i]
+		spP, spNegP, sgP := l[n+i], l[n+i]-eta[n+i], s[n+i]
 
-		val += -k.nPos[i]*spNegPsi - k.dets[i]*spNegP - k.misses[i]*spP
-		gPsi := k.nPos[i] * (1 - sgPsi)
-		gP := k.dets[i]*(1-sgP) - k.misses[i]*sgP
+		val += float64(-k.nPos[i]*spNegPsi) - float64(k.dets[i]*spNegP) - float64(k.misses[i]*spP)
+		gPsi := float64(k.nPos[i] * (1 - sgPsi))
+		gP := float64(k.dets[i]*(1-sgP)) - float64(k.misses[i]*sgP)
 		if n0 := k.nZero[i]; n0 != 0 {
-			// occ + softplus(log(1-psi) - occ), occ the occupied branch.
-			occ := -spNegPsi - k.visits*spP
-			mix, _, w := softplus(-spPsi - occ)
-			val += n0 * (occ + mix)
-			gPsi += n0 * ((1-w)*(1-sgPsi) - w*sgPsi)
-			gP -= n0 * (1 - w) * k.visits * sgP
+			wi := w[i]
+			val += float64(n0 * (occ[i] + la[i]))
+			gPsi += float64(n0 * (float64((1-wi)*(1-sgPsi)) - float64(wi*sgPsi)))
+			gP -= float64(n0 * (1 - wi) * k.visits * sgP)
 		}
+		u, v := uRaw[i].Value(), vRaw[i].Value()
 		dMuPsi += gPsi
-		dSigPsi += gPsi * u
+		dSigPsi += float64(gPsi * u)
 		d[4+i] = gPsi * sPsi
 		dMuP += gP
-		dSigP += gP * v
+		dSigP += float64(gP * v)
 		d[4+n+i] = gP * sP
 	}
 	d[0], d[1], d[2], d[3] = dMuPsi, dSigPsi, dMuP, dSigP

@@ -15,8 +15,10 @@ import (
 // The registry workloads whose likelihood runs through LogisticBlock or
 // ExpBlock, at the scales the benchmark mixes use; tickets (p = 13, with
 // group effects) and ad (p = 16) also run DotRows and AxpyRows. The last
-// three are not batchable, so they run only in the free and segmented
-// modes.
+// five are not batchable, so they run only in the free and segmented
+// modes. Of butterfly's two calls (2n and n values for n species, 28 and
+// 14 here) the second, and survival's (22 values) both, end in a partial
+// four-lane group.
 var linkWorkloads = []struct {
 	name      string
 	scale     float64
@@ -24,6 +26,7 @@ var linkWorkloads = []struct {
 }{
 	{"tickets", 0.05, true}, {"memory", 0.3, true}, {"ad", 0.25, true}, {"12cities", 0.25, true},
 	{"disease", 0.03, false}, {"votes", 0.02, false}, {"racial", 0.25, false},
+	{"butterfly", 0.5, false}, {"survival", 0.5, false},
 }
 
 type neverStop struct{}

@@ -62,26 +62,45 @@ func hasVector() bool {
 	return b&(1<<5) != 0 // AVX2
 }
 
-// logisticVector runs the assembly body over the largest prefix that is a
-// whole number of four-lane groups and returns its length; the caller
-// finishes with the Go encoding, which computes the same bits.
+// logisticVector runs the assembly body over every value and returns how
+// many it took: all of them, or none without the vector encoding. A
+// remainder of one to three values after the four-lane groups goes
+// through the same body once more, copied into a zero-padded four-lane
+// block on the stack; the padding lanes' results are dropped.
 func logisticVector(eta, l, q []float64) int {
-	n := len(eta) &^ 3
-	if !useVector || n == 0 {
+	if !useVector {
 		return 0
 	}
-	logisticAVX2(eta[:n], l[:n], q[:n], &vecTab)
-	return n
+	n := len(eta) &^ 3
+	if n > 0 {
+		logisticAVX2(eta[:n], l[:n], q[:n], &vecTab)
+	}
+	if n < len(eta) {
+		var x, lt, qt [4]float64
+		copy(x[:], eta[n:])
+		logisticAVX2(x[:], lt[:], qt[:], &vecTab)
+		copy(l[n:], lt[:])
+		copy(q[n:], qt[:])
+	}
+	return len(eta)
 }
 
 // expVector is logisticVector's counterpart for ExpBlock.
 func expVector(dst, x []float64) int {
-	n := len(x) &^ 3
-	if !useVector || n == 0 {
+	if !useVector {
 		return 0
 	}
-	expAVX2(dst[:n], x[:n], &vecTab)
-	return n
+	n := len(x) &^ 3
+	if n > 0 {
+		expAVX2(dst[:n], x[:n], &vecTab)
+	}
+	if n < len(x) {
+		var xt, et [4]float64
+		copy(xt[:], x[n:])
+		expAVX2(et[:], xt[:], &vecTab)
+		copy(dst[n:], et[:])
+	}
+	return len(x)
 }
 
 // dotRowsVector runs the assembly row pass, when 4 <= p <= 16, over the

@@ -1,6 +1,7 @@
 package mathx
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -46,7 +47,9 @@ func sameBits(a, b []float64) int {
 }
 
 // TestLinkTwin: the assembly and the Go encoding agree bit for bit on the
-// whole grid, and at every length mod 4 from every base alignment.
+// whole grid, and at every length from 0 to 13 from every base alignment,
+// so every remainder the vector body takes through its padded four-lane
+// block is covered, alone and after whole groups.
 func TestLinkTwin(t *testing.T) {
 	if !useVector {
 		t.Skip("no vector encoding on this CPU")
@@ -79,6 +82,13 @@ func TestLinkTwin(t *testing.T) {
 				t.Errorf("base %d length %d: encodings differ", base, n)
 			}
 		}
+	}
+	// A partial four-lane group runs the vector body from the stack.
+	if a := testing.AllocsPerRun(100, func() {
+		LogisticBlock(x[:7], l[:7], q[:7])
+		ExpBlock(e[:7], x[:7])
+	}); a != 0 {
+		t.Errorf("blocks of 7 allocate %.1f times per call pair, want 0", a)
 	}
 	// In place: ExpBlock may overwrite its input.
 	in := append([]float64(nil), x[:1001]...)
@@ -300,29 +310,33 @@ func FuzzLinkTwin(f *testing.F) {
 	})
 }
 
-// benchLink times one 128-observation block, the size glmShard hands over,
-// on both encodings.
+// benchLink times one block on both encodings at three sizes: 128
+// observations, the block glmShard hands over, and 7 and 22, the calls
+// butterfly@0.25 and survival make, which end in a partial four-lane
+// group.
 func benchLink(b *testing.B, run func(x, l, q []float64)) {
-	x := linkGrid()[64 : 64+128]
-	for i := range x {
-		x[i] = math.Mod(x[i], 20)
-	}
-	l, q := make([]float64, len(x)), make([]float64, len(x))
-	for _, enc := range []struct {
-		name   string
-		vector bool
-	}{{"vector", true}, {"generic", false}} {
-		b.Run(enc.name, func(b *testing.B) {
-			if enc.vector && !useVector {
-				b.Skip("no vector encoding on this CPU")
-			}
-			defer func(was bool) { useVector = was }(useVector)
-			useVector = enc.vector
-			for i := 0; i < b.N; i++ {
-				run(x, l, q)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/obs")
-		})
+	for _, n := range []int{7, 22, 128} {
+		x := linkGrid()[64 : 64+n]
+		for i := range x {
+			x[i] = math.Mod(x[i], 20)
+		}
+		l, q := make([]float64, n), make([]float64, n)
+		for _, enc := range []struct {
+			name   string
+			vector bool
+		}{{"vector", true}, {"generic", false}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, enc.name), func(b *testing.B) {
+				if enc.vector && !useVector {
+					b.Skip("no vector encoding on this CPU")
+				}
+				defer func(was bool) { useVector = was }(useVector)
+				useVector = enc.vector
+				for i := 0; i < b.N; i++ {
+					run(x, l, q)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/obs")
+			})
+		}
 	}
 }
 

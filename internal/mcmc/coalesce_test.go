@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bayessuite/internal/ad"
+	"bayessuite/internal/dist"
 	"bayessuite/internal/kernels"
 	"bayessuite/internal/model"
 	"bayessuite/internal/rng"
@@ -56,7 +57,7 @@ func (m *batchedGLMModel) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 func (m *batchedGLMModel) logPost(t *ad.Tape, q []ad.Var, pre []kernels.BatchResult) ad.Var {
 	b := model.NewBuilder(t)
 	sigma := b.Positive(q[m.p+m.g])
-	b.Add(kernels.NormalDeviations(t, q, ad.Const(0), ad.Const(1)))
+	b.Add(dist.NewNormal(0, 1).LPDFVarData(t, q))
 	beta := q[:m.p]
 	u := q[m.p : m.p+m.g]
 	if pre != nil {

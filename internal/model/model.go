@@ -84,6 +84,16 @@ type Evaluator struct {
 	// sampling proceeds (the proposal is rejected) — but the fault layers
 	// above can surface it instead of reporting an anonymous NaN.
 	LastNonFinite *ad.ErrNonFinite
+
+	// nanLP is the record a NaN log density leaves in LastNonFinite,
+	// reused so that rejecting one allocates nothing.
+	nanLP ad.ErrNonFinite
+}
+
+// rejectNaN records a NaN log density lp in LastNonFinite.
+func (e *Evaluator) rejectNaN(lp float64) {
+	e.nanLP = ad.ErrNonFinite{Op: e.Model.Name(), Index: -1, Value: lp}
+	e.LastNonFinite = &e.nanLP
 }
 
 // NewEvaluator returns an Evaluator for m with a fresh tape.
@@ -139,7 +149,7 @@ func (e *Evaluator) gradCore(bm BatchableModel, q, grad []float64, pre []kernels
 	e.TapeEdges = e.tape.EdgeLen()
 	lp = out.Value()
 	if math.IsNaN(lp) {
-		e.LastNonFinite = &ad.ErrNonFinite{Op: e.Model.Name(), Index: -1, Value: lp}
+		e.rejectNaN(lp)
 		lp = math.Inf(-1)
 		for i := range grad {
 			grad[i] = 0
@@ -178,7 +188,7 @@ func (e *Evaluator) LogDensity(q []float64) (lp float64) {
 	e.TapeEdges = e.tape.EdgeLen()
 	lp = out.Value()
 	if math.IsNaN(lp) {
-		e.LastNonFinite = &ad.ErrNonFinite{Op: e.Model.Name(), Index: -1, Value: lp}
+		e.rejectNaN(lp)
 		return math.Inf(-1)
 	}
 	return lp

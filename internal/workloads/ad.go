@@ -107,7 +107,7 @@ func (w *adAttribution) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 func (w *adAttribution) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.BatchResult) ad.Var {
 	b := model.NewBuilder(t)
 	// Weakly informative priors on coefficients, fused into one node.
-	b.Add(kernels.NormalDeviations(t, q, ad.Const(0), ad.Const(2.5)))
+	b.Add(normalSD2p5.LPDFVarData(t, q))
 	if pre != nil {
 		b.Add(w.bern.LogLikPre(t, q, nil, &pre[0]))
 	} else {

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"bayessuite/internal/ad"
@@ -43,8 +44,8 @@ func TestCollapseInvariant(t *testing.T) {
 		q := randomPoint(sv.Dim(), r)
 		nT := sv.nOcc - 1
 		near(t, "survival", kernelValue(q, func(tp *ad.Tape, in []ad.Var) ad.Var {
-			return sv.cjs.LogLik(tp, in[:nT], in[nT:])
-		}), sv.directLogLik(q))
+			return sv.cjs.LogDensity(tp, in[:nT], in[nT:])
+		}), sv.directLogLik(q)+logitJacobian(q))
 
 		bf := NewButterfly(scale, seed).Model.(*butterfly)
 		q = randomPoint(bf.Dim(), r)
@@ -200,6 +201,15 @@ func (w *survival) directLogLik(q []float64) float64 {
 	return total
 }
 
+// logitJacobian is sum_i log s(q_i) + log s(-q_i), one logit at a time.
+func logitJacobian(q []float64) float64 {
+	total := 0.0
+	for _, x := range q {
+		total += mathx.LogInvLogit(x) + mathx.LogInvLogit(-x)
+	}
+	return total
+}
+
 // directLogLik is the occupancy log-likelihood at (muPsi, sigPsi, muP,
 // sigP, uRaw, vRaw), one species-site at a time.
 func (w *butterfly) directLogLik(q []float64) float64 {
@@ -299,6 +309,101 @@ func TestCollapsedKernelsAdversarialData(t *testing.T) {
 	checkEquivalent(t, "survival saturated recapture", evK, evT, q)
 }
 
+// TestBlockLinkKernelsSaturatedLogits drives the three kernels that take
+// their logs and exps from mathx.LogisticBlock — CJS.LogDensity with its
+// logit Jacobian (survival), Occupancy (butterfly), LogitJacobian beside
+// ISplineNormal (disease) — with logits of ±30 and ±700: probabilities within 1e-13 of 0
+// and 1, and at ±700 rounded to 1 or to 1e-304. Wherever the legacy tape's
+// density is finite the kernel's must be too; the two must agree as
+// TestKernelTapeEquivalence requires (both -Inf where the tape rejects a
+// miss at p = 1); and a finite kernel gradient must match central finite
+// differences of the kernel density.
+//
+// Survival's recapture logits at +30 are held to the direct sweep instead
+// of the tape. There 1 - p = 9.4e-14, and the tape takes log(1 - p) from
+// 1 - fl(p), which carries up to 2^-53/(1 - p) = 1.2e-3 of relative error
+// (0.3 on a density of -9,932 here); the kernel's log(1-p) = -softplus(eta)
+// and the sweep's log1pexp carry none. Both logit vectors at +30 at once
+// are not tested: chi's complements 1 - phi and 1 - p are 1 - fl(s) on
+// every path, and the finite differences then read that rounding.
+func TestBlockLinkKernelsSaturatedLogits(t *testing.T) {
+	build := func(name string, scale float64) *Workload {
+		w, err := New(name, scale, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	sv, bf, ds := build("survival", 0.25), build("butterfly", 0.25), build("disease", 0.03)
+	nStage := ds.Model.(*disease).nPatients
+	type saturate struct {
+		name string
+		at   []float64
+		set  func(q []float64, v float64) // puts the case's logits at v
+	}
+	all, far := []float64{30, -30, 700, -700}, []float64{-30, 700, -700}
+	r := rng.New(61)
+	for _, c := range []struct {
+		w    *Workload
+		sets []saturate
+	}{
+		{sv, []saturate{
+			{"phi", all, func(q []float64, v float64) { fill(q[:len(q)/2], v, 1) }},
+			{"p", all, func(q []float64, v float64) { fill(q[len(q)/2:], v, 1) }},
+			{"both", far, func(q []float64, v float64) { fill(q, v, 1) }},
+			{"alternating", []float64{700, -700}, func(q []float64, v float64) { fill(q, v, -1) }},
+		}},
+		// logit psi_i = q[0] + exp(q[1])·u_i, logit p_i = q[2] + exp(q[3])·v_i.
+		{bf, []saturate{
+			{"psi", all, func(q []float64, v float64) { q[0] = v }},
+			{"p", all, func(q []float64, v float64) { q[2] = v }},
+			{"opposite", all, func(q []float64, v float64) { q[0], q[2] = v, -v }},
+		}},
+		{ds, []saturate{
+			{"stages", all, func(q []float64, v float64) { fill(q[:nStage], v, 1) }},
+			{"alternating", all, func(q []float64, v float64) { fill(q[:nStage], v, -1) }},
+		}},
+	} {
+		evK, evT := model.NewEvaluator(c.w.Model), model.NewEvaluator(c.w.TapeModel())
+		for _, s := range c.sets {
+			for _, v := range s.at {
+				q := randomPoint(evK.Dim(), r)
+				for i := range q {
+					q[i] *= 0.5
+				}
+				s.set(q, v)
+				label := c.w.Info.Name + " " + s.name + " at " + strconv.FormatFloat(v, 'g', -1, 64)
+				g := make([]float64, len(q))
+				lpK := evK.LogDensityGrad(q, g)
+				if lpT := evT.LogDensity(q); !math.IsInf(lpT, 0) && (math.IsInf(lpK, 0) || math.IsNaN(lpK)) {
+					t.Errorf("%s: kernel density %v where the tape's is %v", label, lpK, lpT)
+				}
+				if c.w == sv && s.name == "p" && v == 30 {
+					m := sv.Model.(*survival)
+					nT := m.nOcc - 1
+					got := kernelValue(q, func(tp *ad.Tape, in []ad.Var) ad.Var { return m.cjs.LogDensity(tp, in[:nT], in[nT:]) })
+					if want := m.directLogLik(q) + logitJacobian(q); math.Abs(got-want) > 1e-10*math.Abs(want) {
+						t.Errorf("%s: collapsed %.15g, direct sweep %.15g", label, got, want)
+					}
+				} else {
+					checkEquivalent(t, label, evK, evT, q)
+				}
+				if !math.IsInf(lpK, -1) {
+					checkGradFD(t, label, evK, q, g, 1, 1e-4)
+				}
+			}
+		}
+	}
+}
+
+// fill sets every entry of q to v, alternating its sign if alt is -1.
+func fill(q []float64, v, alt float64) {
+	for i := range q {
+		q[i] = v
+		v *= alt
+	}
+}
+
 // tapeShapes are the legacy tape models' node and edge counts at scale
 // 1.0, seed 3, as measured at the commit before the collapsed-kernel
 // ports. internal/perf, internal/hw, internal/accel and the figure
@@ -388,11 +493,13 @@ func densityWords(m model.Model) (lp float64, lpBits, grad uint64) {
 }
 
 // TestKernelDensityBitsUnchanged pins the default (kernel-path) density of
-// every job kind the glm-sweep, node-small, fleet-small and fit-free
-// benchmark mixes run, at the mix's scale and dataset seed 3, to the words
-// recorded before disease, racial and votes moved onto the block
-// transcendentals: those three kernels' draws moved once, and this is the
-// tier-1 proof that no other workload's did. Like the legacy pins the
+// every job kind the benchmark mixes run (glm-sweep, tape-mix, node-small,
+// fleet-small, fit-free), at the mix's scale and dataset seed 3. The
+// butterfly and survival words were re-recorded when Occupancy, CJS and
+// LogitJacobian moved onto the block links (disease, the third kernel
+// that move touched, reads the words it had before it at this point);
+// every other row holds the words it had before, and this is the tier-1
+// proof that no other workload's draws moved. Like the legacy pins the
 // words depend on the platform's exp and log.
 func TestKernelDensityBitsUnchanged(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -407,12 +514,17 @@ func TestKernelDensityBitsUnchanged(t *testing.T) {
 		{"memory", 0.3, 0xc0a7b50b60cc9363, 0x768a98db1a6b12d6},
 		{"12cities", 0.25, 0xc193fe0ac89ced0c, 0x97483444d02d1ed0},
 		{"ad", 0.25, 0xc06dd5f0616eab08, 0xbf8d42f37858abc8},
-		{"butterfly", 0.25, 0xc055211012a6d716, 0x7a9de970b3f7f27d},
-		{"survival", 0.25, 0xc09b28b9449181c5, 0x304997bfcd562f80},
+		{"butterfly", 0.25, 0xc055211012a6d717, 0x5b86132eece9dd95},
+		{"survival", 0.25, 0xc09b28b9449181c4, 0x4103a8a60a3f3360},
 		{"ad", 1, 0xc08c0e99d946cbfd, 0xa38c5e9d5d1236c2},
 		{"12cities", 1, 0xc1d80ee18d92b404, 0xf140e706b4c1f630},
 		{"memory", 0.5, 0xc0b66ead0d6a43de, 0x8151e1ac027dc360},
 		{"tickets", 0.25, 0xc0987a423f7090b5, 0x16fb42e9bcd7f8fd},
+		{"disease", 0.03, 0xc04fd776096c04dc, 0xd2ef21a607105b30},
+		{"votes", 0.02, 0xc04b9aca28fabae0, 0xbaab1f3a93d32842},
+		{"racial", 0.25, 0xc0c92bbc6143a8f0, 0x5e5b4cc454135345},
+		{"butterfly", 0.5, 0xc07064c707ca7e81, 0xdd14cb508ce0d13f},
+		{"survival", 0.5, 0xc0a9f6eafe595f26, 0x655e730d1ab37987},
 	} {
 		w, err := New(want.name, want.scale, 3)
 		if err != nil {

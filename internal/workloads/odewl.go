@@ -20,7 +20,9 @@ import (
 // gamma. The sampler differentiates through a fixed-step RK4 solve of this
 // nonlinear system on the autodiff tape each evaluation — tiny modeled
 // data, enormous compute per evaluation, mirroring the paper's ode
-// workload (long runtime, negligible memory traffic).
+// workload (long runtime, negligible memory traffic). The default path
+// (plan != nil) runs the same solve in floats with a hand-written reverse
+// sweep (odeadjoint.go) and matches the legacy tape path bit for bit.
 type odeWorkload struct {
 	dose     float64
 	tConc    []float64 // concentration observation times (days)
@@ -28,6 +30,7 @@ type odeWorkload struct {
 	obsConc  []float64 // log concentration observations
 	obsANC   []float64 // log ANC observations
 	stepsPer float64   // RK4 steps per day
+	plan     *fkPlan   // nil on the legacy tape path
 }
 
 // fkParams indexes the unconstrained parameter vector.
@@ -86,6 +89,8 @@ func NewODE(scale float64, seed uint64) *Workload {
 	for i := range w.tANC {
 		w.obsANC = append(w.obsANC, math.Log(math.Max(solANC[i][6], 1e-6))+0.08*r.Norm())
 	}
+	legacy := *w
+	w.plan = newFKPlan(w)
 	return &Workload{
 		Info: Info{
 			Name:          "ode",
@@ -101,7 +106,8 @@ func NewODE(scale float64, seed uint64) *Workload {
 			Distributions: []string{"normal", "half-cauchy", "lognormal"},
 			TapeWSSFactor: 0.15,
 		},
-		Model: w,
+		Model:  w,
+		legacy: &legacy,
 	}
 }
 
@@ -167,6 +173,17 @@ func (w *odeWorkload) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	slope := t.Exp(lslope)
 	gamma := t.Exp(lgamma)
 	invV := t.Exp(t.Neg(lv))
+
+	if w.plan != nil {
+		in := t.ScratchVars(fkNumIn)
+		in[fkInKa], in[fkInKe], in[fkInKtr], in[fkInCirc0] = ka, ke, ktr, circ0
+		in[fkInSlope], in[fkInGamma], in[fkInInvV] = slope, gamma, invV
+		in[fkInLogCirc0], in[fkInLogV], in[fkInSigC], in[fkInSigA] = lcirc0, lv, sigC, sigA
+		conc, anc := w.plan.logLik(t, in)
+		b.Add(conc)
+		b.Add(ad.Const(anc))
+		return b.Result()
+	}
 
 	sysv := func(tp *ad.Tape, _ float64, y, dy []ad.Var) {
 		gut, cent := y[0], y[1]

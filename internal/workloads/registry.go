@@ -71,9 +71,10 @@ func (i Info) TapeFactor() float64 {
 //
 // Model is the default (fastest) implementation; for every workload but
 // ode it evaluates the likelihood through a fused — and, where the
-// likelihood allows, collapsed — analytic kernel in internal/kernels.
-// legacy, when non-nil, is the same model with the original
-// node-per-observation tape likelihood.
+// likelihood allows, collapsed — analytic kernel in internal/kernels, and
+// for ode through a float RK4 solve with a hand-written reverse sweep
+// (odeadjoint.go). legacy, when non-nil, is the same model with the
+// original node-per-observation tape likelihood.
 type Workload struct {
 	Info  Info
 	Model model.Model
@@ -153,9 +154,10 @@ var (
 	normalSD1p5     = dist.NewNormal(0, 1.5)
 	normalSDHalf    = dist.NewNormal(0, 0.5)
 	normalSDTenth   = dist.NewNormal(0, 0.1)
-	muMPrior        = dist.NewNormal(6, 1)    // memory's mean log RT
-	searchBasePrior = dist.NewNormal(-2.5, 1) // racial's search-rate base
-	muAlphaPrior    = dist.NewNormal(-11, 2)  // 12cities' mean log rate
+	muMPrior        = dist.NewNormal(6, 1)       // memory's mean log RT
+	searchBasePrior = dist.NewNormal(-2.5, 1)    // racial's search-rate base
+	muAlphaPrior    = dist.NewNormal(-11, 2)     // 12cities' mean log rate
+	rhoPrior        = dist.NewLogNormal(0, 0.75) // votes' GP lengthscale
 )
 
 // Names returns the workload names in Table I order.

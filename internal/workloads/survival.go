@@ -102,8 +102,8 @@ func (w *survival) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 	nT := w.nOcc - 1
 	if w.cjs != nil {
 		// Uniform(0,1) priors are constant: the density is the logit
-		// Jacobian plus the collapsed likelihood, both over raw logits.
-		return t.Add(kernels.LogitJacobian(t, q), w.cjs.LogLik(t, q[:nT], q[nT:]))
+		// Jacobian plus the collapsed likelihood, one node over raw logits.
+		return w.cjs.LogDensity(t, q[:nT], q[nT:])
 	}
 	b := model.NewBuilder(t)
 	phi := make([]ad.Var, nT) // survival from t to t+1

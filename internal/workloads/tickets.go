@@ -141,8 +141,8 @@ func (w *tickets) logPostKernel(t *ad.Tape, q []ad.Var, pre []kernels.BatchResul
 	beta := q[1+w.nOfficers:]
 
 	b.Add(halfCauchy1.LPDF(t, sigAlpha))
-	b.Add(kernels.NormalDeviations(t, alphaRaw, ad.Const(0), ad.Const(1)))
-	b.Add(kernels.NormalDeviations(t, beta, ad.Const(0), ad.Const(2.5)))
+	b.Add(stdNormal.LPDFVarData(t, alphaRaw))
+	b.Add(normalSD2p5.LPDFVarData(t, beta))
 	// Non-centered officer intercepts feed the kernel as group
 	// effects: u_o = sigma_alpha * raw_o, O(officers) tape nodes.
 	u := t.ScratchVars(w.nOfficers)

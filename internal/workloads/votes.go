@@ -136,7 +136,7 @@ func (w *votes) LogPosterior(t *ad.Tape, q []ad.Var) ad.Var {
 
 	// Hyperpriors.
 	b.Add(halfCauchy1.LPDF(t, alpha))
-	b.Add(dist.LogNormalLPDF(t, rho, ad.Const(0), ad.Const(0.75)))
+	b.Add(rhoPrior.LPDF(t, rho))
 	b.Add(halfCauchyHalf.LPDF(t, sigma))
 	b.Add(stdNormal.LPDF(t, mu0))
 	b.Add(halfCauchy1.LPDF(t, tau))

@@ -50,26 +50,34 @@ func checkFiniteDifferences(t *testing.T, name string, m model.Model) {
 		if dim > 40 {
 			step = dim / 40
 		}
-		h := 1e-5
-		for i := 0; i < dim; i += step {
-			qp := append([]float64(nil), q...)
-			qm := append([]float64(nil), q...)
-			qp[i] += h
-			qm[i] -= h
-			fd := (ev.LogDensity(qp) - ev.LogDensity(qm)) / (2 * h)
-			if math.IsNaN(fd) || math.IsInf(fd, 0) {
-				continue
-			}
-			diff := math.Abs(fd - grad[i])
-			tol := 1e-4 * (1 + math.Abs(fd) + math.Abs(grad[i]))
-			if name == "ode" {
-				// RK4 tape values are smooth but large; loosen.
-				tol = 1e-3 * (1 + math.Abs(fd) + math.Abs(grad[i]))
-			}
-			if diff > tol {
-				t.Errorf("param %d: ad=%.8g fd=%.8g (|diff|=%.3g > tol=%.3g)",
-					i, grad[i], fd, diff, tol)
-			}
+		rel := 1e-4
+		if name == "ode" {
+			// RK4 tape values are smooth but large; loosen.
+			rel = 1e-3
+		}
+		checkGradFD(t, "trial "+itoa(trial), ev, q, grad, step, rel)
+	}
+}
+
+// checkGradFD compares every step-th coordinate of grad, the gradient at
+// q, with central finite differences of ev's density (step 1e-5), to rel
+// relative to 1 + |fd| + |grad|. A non-finite difference is skipped.
+func checkGradFD(t *testing.T, label string, ev *model.Evaluator, q, grad []float64, step int, rel float64) {
+	t.Helper()
+	const h = 1e-5
+	for i := 0; i < len(q); i += step {
+		qp := append([]float64(nil), q...)
+		qm := append([]float64(nil), q...)
+		qp[i] += h
+		qm[i] -= h
+		fd := (ev.LogDensity(qp) - ev.LogDensity(qm)) / (2 * h)
+		if math.IsNaN(fd) || math.IsInf(fd, 0) {
+			continue
+		}
+		diff := math.Abs(fd - grad[i])
+		if tol := rel * (1 + math.Abs(fd) + math.Abs(grad[i])); diff > tol {
+			t.Errorf("%s: param %d: ad=%.8g fd=%.8g (|diff|=%.3g > tol=%.3g)",
+				label, i, grad[i], fd, diff, tol)
 		}
 	}
 }
