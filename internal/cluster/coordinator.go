@@ -196,23 +196,11 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		reapStop:  make(chan struct{}),
 		reapDone:  make(chan struct{}),
 	}
-	var pred *sched.Predictor
-	switch {
-	case cfg.Predictor != nil:
-		pred = cfg.Predictor
-		co.predNote = fmt.Sprintf("pre-fitted predictor, LLC-bound above %.0f KB (scaled per node LLC)", pred.ThresholdKB)
-	case len(cfg.CalibrationPoints) > 0:
-		p, err := sched.Fit(cfg.CalibrationPoints)
-		if err != nil {
-			co.predNote = err.Error()
-		} else {
-			pred = p
-			co.predNote = fmt.Sprintf("fitted on %d points, LLC-bound above %.0f KB (scaled per node LLC)",
-				len(cfg.CalibrationPoints), p.ThresholdKB)
-		}
-	default:
-		co.predNote = "no calibration provided"
+	pred, note := serve.SetUpPredictor(cfg.Predictor, cfg.CalibrationPoints)
+	if pred != nil {
+		note += " (scaled per node LLC)"
 	}
+	co.predNote = note
 	co.fleet = sched.NewFleet(pred)
 	if cfg.StateDir != "" {
 		// Durable: replay asynchronously so /readyz and /v1/stats can
@@ -280,8 +268,12 @@ func (co *Coordinator) GetJob(id string) (serve.JobStatus, error) {
 	return cj.statusLocked(), nil
 }
 
-// GetResult returns a job's uploaded result payload; ready=false while
-// the job is still queued, running, or mid-migration.
+// GetResult returns a job's result payload; ready=false while the job is
+// still queued, running, or mid-migration. A finished job's payload is
+// its worker's upload. One that ended without an upload (canceled while
+// queued or by a drain, out of migration budget) never ran to a result,
+// and its payload says so as a node's does: partial, no iterations, no
+// summaries. It derives from the job, so replay rebuilds it unrecorded.
 func (co *Coordinator) GetResult(id string) (serve.ResultPayload, bool, error) {
 	cj, err := co.job(id)
 	if err != nil {
@@ -289,10 +281,13 @@ func (co *Coordinator) GetResult(id string) (serve.ResultPayload, bool, error) {
 	}
 	cj.mu.Lock()
 	defer cj.mu.Unlock()
-	if !cj.state.Terminal() || cj.result == nil {
+	if !cj.state.Terminal() {
 		return serve.ResultPayload{ID: cj.id, State: cj.state}, false, nil
 	}
-	p := *cj.result
+	p := serve.ResultPayload{Partial: cj.state != serve.Done, Budget: cj.budget}
+	if cj.result != nil {
+		p = *cj.result
+	}
 	p.ID = cj.id
 	p.State = cj.state
 	return p, true, nil

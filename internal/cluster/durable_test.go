@@ -865,3 +865,60 @@ func TestClusterSharedCheckpointBlobConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterReplayServesUploadlessResults: a job that ends without a
+// worker upload (canceled while queued, out of migration budget, canceled
+// by a drain) has a result to serve, as it does on a node: ready,
+// partial, no iterations and no summaries. A restart on the same state
+// directory serves the same payloads, derived from the replayed jobs.
+func TestClusterReplayServesUploadlessResults(t *testing.T) {
+	cfg := cluster.CoordinatorConfig{StateDir: t.TempDir(), HeartbeatTimeout: time.Second,
+		ReapInterval: time.Hour, MaxMigrations: -1}
+	co := cluster.NewCoordinator(cfg)
+	submit := func() string {
+		t.Helper()
+		st, err := co.SubmitJob(smallSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ID
+	}
+	canceled, exhausted := submit(), submit()
+	if _, err := co.CancelJob(canceled); err != nil {
+		t.Fatal(err)
+	}
+	// w1 takes the first queued job, now exhausted, and leaves with it:
+	// with migration off, its one requeue fails the job.
+	w1 := capabilityFor("w1", hw.Skylake)
+	if resp, err := co.Lease(cluster.LeaseRequest{Worker: "w1", Capability: w1}); err != nil || resp.Lease == nil || resp.Lease.JobID != exhausted {
+		t.Fatalf("lease: %+v, %v; want %s", resp.Lease, err, exhausted)
+	}
+	if _, err := co.Heartbeat(cluster.HeartbeatRequest{Worker: "w1", Capability: w1, Leaving: true}); err != nil {
+		t.Fatal(err)
+	}
+	drained := submit()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := co.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+
+	want := map[string]serve.ResultPayload{
+		canceled:  {ID: canceled, State: serve.Canceled, Partial: true, Budget: 100},
+		exhausted: {ID: exhausted, State: serve.Failed, Partial: true, Budget: 100},
+		drained:   {ID: drained, State: serve.Canceled, Partial: true, Budget: 100},
+	}
+	check := func(label string, api serve.API) {
+		t.Helper()
+		for id, w := range want {
+			p, ready, err := api.GetResult(id)
+			if err != nil || !ready || asJSON(t, p) != asJSON(t, w) {
+				t.Errorf("%s result of %s: ready=%v err=%v %s, want ready %s", label, id, ready, err, asJSON(t, p), asJSON(t, w))
+			}
+		}
+	}
+	check("live", co)
+	re := cluster.NewCoordinator(cfg)
+	defer re.Kill()
+	check("replayed", re)
+}

@@ -31,10 +31,10 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		resp, err := co.awaitLease(r.Context(), req)
 		if err != nil {
-			writeClusterErr(w, err)
+			serve.WriteError(w, err)
 			return
 		}
-		writeClusterJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /cluster/v1/heartbeat", func(w http.ResponseWriter, r *http.Request) {
 		var req HeartbeatRequest
@@ -43,20 +43,20 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		resp, err := co.Heartbeat(req)
 		if err != nil {
-			writeClusterErr(w, err)
+			serve.WriteError(w, err)
 			return
 		}
-		writeClusterJSON(w, http.StatusOK, resp)
+		serve.WriteJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("POST /cluster/v1/jobs/{id}/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		data, err := io.ReadAll(r.Body)
 		if err != nil {
-			writeClusterErr(w, errors.Join(serve.ErrBadSpec, err))
+			serve.WriteError(w, errors.Join(serve.ErrBadSpec, err))
 			return
 		}
 		attempt, _ := strconv.Atoi(r.URL.Query().Get("attempt"))
 		if err := co.UploadCheckpoint(r.PathValue("id"), r.URL.Query().Get("worker"), attempt, data); err != nil {
-			writeClusterErr(w, err)
+			serve.WriteError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -68,7 +68,7 @@ func (co *Coordinator) Handler() http.Handler {
 		}
 		up.JobID = r.PathValue("id")
 		if err := co.UploadResult(up); err != nil {
-			writeClusterErr(w, err)
+			serve.WriteError(w, err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -76,7 +76,7 @@ func (co *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /cluster/v1/jobs/{id}/draws", func(w http.ResponseWriter, r *http.Request) {
 		data, err := co.Draws(r.PathValue("id"))
 		if err != nil {
-			writeClusterErr(w, err)
+			serve.WriteError(w, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
@@ -84,7 +84,7 @@ func (co *Coordinator) Handler() http.Handler {
 		_, _ = w.Write(data)
 	})
 	mux.HandleFunc("GET /cluster/v1/workers", func(w http.ResponseWriter, r *http.Request) {
-		writeClusterJSON(w, http.StatusOK, co.Workers())
+		serve.WriteJSON(w, http.StatusOK, co.Workers())
 	})
 	return mux
 }
@@ -129,31 +129,8 @@ func (co *Coordinator) awaitLease(ctx context.Context, req LeaseRequest) (LeaseR
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
-		writeClusterErr(w, errors.Join(serve.ErrBadSpec, err))
+		serve.WriteError(w, errors.Join(serve.ErrBadSpec, err))
 		return false
 	}
 	return true
-}
-
-func writeClusterJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeClusterErr maps the serve sentinel errors the coordinator reuses
-// onto the same status codes as the client API.
-func writeClusterErr(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, serve.ErrBadSpec):
-		code = http.StatusBadRequest
-	case errors.Is(err, serve.ErrNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, serve.ErrFinished):
-		code = http.StatusConflict
-	case errors.Is(err, serve.ErrDraining):
-		code = http.StatusServiceUnavailable
-	}
-	writeClusterJSON(w, code, map[string]string{"error": err.Error()})
 }

@@ -68,60 +68,60 @@ func NewAPIHandler(api API) *http.ServeMux {
 		if err := dec.Decode(&spec); err != nil {
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
-				writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
+				WriteJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: err.Error()})
 				return
 			}
-			writeErr(w, errors.Join(ErrBadSpec, err))
+			WriteError(w, errors.Join(ErrBadSpec, err))
 			return
 		}
 		st, err := api.SubmitJob(spec)
 		if err != nil {
-			writeErr(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	})
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, api.ListJobs())
+		WriteJSON(w, http.StatusOK, api.ListJobs())
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := api.GetJob(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	})
 	mux.HandleFunc("GET /v1/jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
 		payload, ready, err := api.GetResult(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, err)
+			WriteError(w, err)
 			return
 		}
 		if !ready {
-			writeJSON(w, http.StatusConflict, payload)
+			WriteJSON(w, http.StatusConflict, payload)
 			return
 		}
-		writeJSON(w, http.StatusOK, payload)
+		WriteJSON(w, http.StatusOK, payload)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := api.CancelJob(r.PathValue("id"))
 		if err != nil {
-			writeErr(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, api.ServiceStats())
+		WriteJSON(w, http.StatusOK, api.ServiceStats())
 	})
 	mux.HandleFunc("GET /v1/workloads", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, workloads.Names())
+		WriteJSON(w, http.StatusOK, workloads.Names())
 	})
 	// healthz is liveness: the process is up and serving HTTP. It stays
 	// 200 through a drain so orchestrators don't kill a server mid-drain.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	// readyz is readiness: whether the node accepts new jobs. It flips to
 	// 503 the moment a drain begins, steering traffic away while in-flight
@@ -135,12 +135,12 @@ func NewAPIHandler(api API) *http.ServeMux {
 			code = http.StatusServiceUnavailable
 		}
 		if wantsJSONCapability(r) {
-			writeJSON(w, code, c)
+			WriteJSON(w, code, c)
 			return
 		}
 		// Legacy bare probe: old clients (and plain load-balancer checks)
 		// predate the capability document and only look at {"status"}.
-		writeJSON(w, code, map[string]string{"status": c.Status})
+		WriteJSON(w, code, map[string]string{"status": c.Status})
 	})
 	return mux
 }
@@ -169,7 +169,10 @@ func (s *Server) Handler() http.Handler {
 	return NewAPIHandler(s)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the indented JSON body of a code response: the
+// one encoding of every bayesd HTTP answer, node, coordinator and worker
+// protocol alike.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -181,8 +184,10 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeErr maps the serving layer's sentinel errors onto status codes.
-func writeErr(w http.ResponseWriter, err error) {
+// WriteError maps the serving layer's sentinel errors onto status codes
+// and writes err as an {"error"} body. The cluster coordinator's worker
+// protocol reuses the sentinels, and this mapping with them.
+func WriteError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, ErrBadSpec):
@@ -197,5 +202,5 @@ func writeErr(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, errorBody{Error: err.Error()})
+	WriteJSON(w, code, errorBody{Error: err.Error()})
 }

@@ -29,6 +29,8 @@ import (
 //	queued → canceled                      (cancel or drain before start)
 //	running → retrying → queued            (all chains faulted; backoff)
 //	retrying → canceled                    (cancel or drain before retry)
+//
+// Server.apply makes every one of them.
 type JobState string
 
 const (
@@ -302,7 +304,9 @@ type Stats struct {
 
 // Job is one admitted inference job. All mutable fields are guarded by
 // mu; HTTP handlers and the worker running the job observe it only
-// through snapshots.
+// through snapshots. Every one of them but progress, rhat and placement,
+// which the run reports as it goes, is written by Server.apply alone, as
+// is the closing of done.
 type Job struct {
 	id        string
 	spec      JobSpec // normalized
@@ -319,13 +323,12 @@ type Job struct {
 	rhat      []RHatPoint
 	placement *PlacementDecision
 
-	elided          bool
-	interrupted     bool
-	savedIters      int64
-	savedJoules     float64
-	cancelRequested bool
-	cancelCause     string
-	cancelRun       func() // cancels the running sampler's context
+	elided      bool
+	interrupted bool
+	savedIters  int64
+	savedJoules float64
+	cancelCause string // set when a cancel reaches the running job
+	cancelRun   func() // cancels the running sampler's context
 
 	// Fault/retry state. attempts counts sampling attempts started;
 	// checkpoint is the most recent all-healthy snapshot (what a retry
@@ -343,17 +346,6 @@ type Job struct {
 	maxRHat   float64
 
 	done chan struct{}
-}
-
-// finishLocked ends a job whose terminal state the caller (holding j.mu)
-// has set: it stamps the finish time and signals Done, and it releases
-// the retry checkpoint — a row-major copy of every chain's draw prefix
-// that nothing resumes from once the job is terminal.
-func (j *Job) finishLocked() {
-	j.finished = time.Now()
-	j.checkpoint = nil
-	j.cancelRun = nil
-	close(j.done)
 }
 
 // ID returns the job's server-assigned identifier.

@@ -161,24 +161,7 @@ func NewServer(cfg Config) *Server {
 		queue: NewQueue[*Job](cfg.QueueCap),
 		jobs:  make(map[string]*Job),
 	}
-	switch {
-	case cfg.Predictor != nil:
-		s.pred = cfg.Predictor
-		s.predNote = fmt.Sprintf("pre-fitted predictor, LLC-bound above %.0f KB", s.pred.ThresholdKB)
-	case len(cfg.CalibrationPoints) > 0:
-		pred, err := sched.Fit(cfg.CalibrationPoints)
-		if err != nil {
-			// No linear regime (or otherwise unusable fit): place
-			// frequency-first rather than schedule on noise (§V-A).
-			s.predNote = err.Error()
-		} else {
-			s.pred = pred
-			s.predNote = fmt.Sprintf("fitted on %d points, LLC-bound above %.0f KB",
-				len(cfg.CalibrationPoints), pred.ThresholdKB)
-		}
-	default:
-		s.predNote = "no calibration provided"
-	}
+	s.pred, s.predNote = SetUpPredictor(cfg.Predictor, cfg.CalibrationPoints)
 	if s.pred != nil {
 		s.schedr = sched.NewScheduler(s.pred)
 	}
@@ -187,6 +170,25 @@ func NewServer(cfg Config) *Server {
 		go s.worker()
 	}
 	return s
+}
+
+// SetUpPredictor is the predictor set-up a node and a coordinator share.
+// A pre-fitted predictor wins over calibration points. A fit that fails,
+// sched.ErrNoLinearRegime above all, leaves no predictor, and placement
+// goes frequency-first rather than schedule on noise (§V-A). The note
+// says which, for /v1/stats and bayesd's start-up line.
+func SetUpPredictor(pre *sched.Predictor, points []sched.Point) (*sched.Predictor, string) {
+	switch {
+	case pre != nil:
+		return pre, fmt.Sprintf("pre-fitted predictor, LLC-bound above %.0f KB", pre.ThresholdKB)
+	case len(points) > 0:
+		pred, err := sched.Fit(points)
+		if err != nil {
+			return nil, err.Error()
+		}
+		return pred, fmt.Sprintf("fitted on %d points, LLC-bound above %.0f KB", len(points), pred.ThresholdKB)
+	}
+	return nil, "no calibration provided"
 }
 
 // FrequencyFirst reports whether the server is placing jobs without a
@@ -316,80 +318,46 @@ func (s *Server) Job(id string) (*Job, error) {
 	return nil, ErrNotFound
 }
 
-// Cancel cancels a job. Queued jobs transition to Canceled immediately
-// (the worker skips them when popped); running jobs have their sampling
-// context canceled and finalize with the draws completed so far; jobs
-// awaiting a retry have their backoff timer stopped and cancel in place.
+// Cancel cancels a job. A queued job leaves the queue and ends at once,
+// and so does a job waiting out a retry backoff, its timer stopped. A
+// running job has its sampling context canceled and ends with the draws
+// completed so far.
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	job, err := s.Job(id)
 	if err != nil {
 		return JobStatus{}, err
 	}
+	s.mu.Lock()
 	job.mu.Lock()
-	switch {
-	case job.state == Queued:
-		job.cancelRequested = true
-		job.cancelCause = "canceled by client while queued"
-		job.errMsg = job.cancelCause
-		job.state = Canceled
-		job.finishLocked()
-	case job.state == Retrying:
-		job.cancelRequested = true
-		job.cancelCause = "canceled by client while awaiting retry"
-		if job.retryTimer != nil {
-			job.retryTimer.Stop()
-			job.retryTimer = nil
-		}
-		job.errMsg = job.cancelCause
-		job.state = Canceled
-		job.finishLocked()
-	case job.state == Running:
-		if !job.cancelRequested {
-			job.cancelRequested = true
-			job.cancelCause = "canceled by client while running"
-			if job.cancelRun != nil {
-				job.cancelRun()
-			}
-		}
-	default:
-		job.mu.Unlock()
+	finished := job.state.Terminal()
+	s.apply(job, event{t: "cancel", causes: byClient})
+	job.mu.Unlock()
+	s.mu.Unlock()
+	if finished {
 		return job.Status(), ErrFinished
 	}
-	job.mu.Unlock()
 	return job.Status(), nil
 }
 
-// Shutdown drains the server: admission stops, jobs still queued are
-// canceled, jobs waiting out a retry backoff are canceled (their timers
-// stopped, so drain never waits on a backoff), and jobs already running
-// complete normally. If ctx expires first, running jobs are canceled
-// (finalizing with partial results) and Shutdown still waits for the
-// workers before returning ctx's error.
+// Shutdown drains the server: admission stops, and the jobs that hold no
+// worker, queued ones and ones waiting out a retry backoff, are canceled
+// as the queue closes, so a drain never waits on a backoff. Jobs already
+// running complete normally. If ctx expires first, running jobs are
+// canceled (finalizing with partial results) and Shutdown still waits
+// for the workers before returning ctx's error.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
 		s.queue.Close()
+		for _, id := range s.order {
+			job := s.jobs[id]
+			job.mu.Lock()
+			s.apply(job, event{t: "cancel", causes: byDrain})
+			job.mu.Unlock()
+		}
 	}
 	s.mu.Unlock()
-
-	// Abandon pending retries: a Retrying job holds no worker, so the
-	// WaitGroup below would not cover it and its timer would fire into a
-	// closed queue. (A timer that already fired races harmlessly —
-	// requeue re-checks the state and draining flag.)
-	for _, job := range s.snapshot() {
-		job.mu.Lock()
-		if job.state == Retrying {
-			if job.retryTimer != nil {
-				job.retryTimer.Stop()
-				job.retryTimer = nil
-			}
-			job.state = Canceled
-			job.errMsg = "canceled: server draining with retry pending"
-			job.finishLocked()
-		}
-		job.mu.Unlock()
-	}
 
 	done := make(chan struct{})
 	go func() {
@@ -402,18 +370,186 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	for _, job := range s.snapshot() {
-		job.mu.Lock()
-		if job.state == Running && !job.cancelRequested {
-			job.cancelRequested = true
-			job.cancelCause = "canceled by server shutdown"
-			if job.cancelRun != nil {
-				job.cancelRun()
-			}
-		}
-		job.mu.Unlock()
+		s.send(job, event{t: "cancel", causes: byShutdown})
 	}
 	<-done
 	return ctx.Err()
+}
+
+// event is one transition of a job's lifecycle, named as the cluster
+// coordinator names its records where the two mean the same thing:
+//
+//	admit    Submit's literal: a job passed admission        → queued
+//	claim    a worker popped the job (cancel)                → running
+//	ckpt     the run took an all-healthy checkpoint (ck)
+//	cancel   a client, a drain or an expired drain (causes)  → canceled,
+//	         or, running, a cancel request its run ends on
+//	retry    every chain was quarantined (out, msg)          → retrying, or
+//	         failed/canceled when no retry may run
+//	requeue  the retry backoff ran out                       → queued
+//	finish   the run returned (out; msg names a timeout)     → done/failed/canceled
+//	final    the job ended without a run to report (state, msg)
+//
+// apply is the only code that carries them out.
+type event struct {
+	t      string
+	cancel context.CancelFunc
+	ck     *mcmc.Checkpoint
+	causes causes
+	out    *outcome
+	state  JobState
+	msg    string
+}
+
+// outcome is what one sampling attempt produced.
+type outcome struct {
+	res         *mcmc.Result
+	faults      []mcmc.ChainFault
+	summaries   []ParamSummary
+	maxRHat     float64
+	savedIters  int64
+	savedJoules float64
+}
+
+// causes names why a cancel ends a job, by the state it finds the job
+// in; a state without a cause is one that cancel leaves alone.
+type causes map[JobState]string
+
+var (
+	byClient = causes{
+		Queued:   "canceled by client while queued",
+		Retrying: "canceled by client while awaiting retry",
+		Running:  "canceled by client while running",
+	}
+	// A drain lets running jobs complete.
+	byDrain = causes{
+		Queued:   "canceled: server draining",
+		Retrying: "canceled: server draining with retry pending",
+	}
+	// A drain whose deadline expired stops them too.
+	byShutdown = causes{Running: "canceled by server shutdown"}
+)
+
+// send delivers one event, under the locks apply's caller holds.
+func (s *Server) send(job *Job, e event) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	job.mu.Lock()
+	defer job.mu.Unlock()
+	s.apply(job, e)
+}
+
+// apply is the server's one transition function: the only code that
+// sets a job's state, stops its retry timer or closes its done channel.
+// A finished job takes no further event, so done closes once and an
+// event that lost a race to the job's end (a cancel after the run
+// returned, a panic after a cancel) is a no-op. Caller holds s.mu, which
+// guards the queue's closing and the draining flag a retry reads, and
+// then job.mu.
+func (s *Server) apply(job *Job, e event) {
+	if job.state.Terminal() {
+		return
+	}
+	end := func(state JobState, msg string) {
+		job.state = state
+		if msg != "" {
+			job.errMsg = msg
+		}
+		job.finished = time.Now()
+		if job.retryTimer != nil {
+			job.retryTimer.Stop()
+			job.retryTimer = nil
+		}
+		// The retry checkpoint is a row-major copy of every chain's draw
+		// prefix that nothing resumes from once the job has ended.
+		job.checkpoint, job.cancelRun, job.nextRetry = nil, nil, time.Time{}
+		close(job.done)
+	}
+	switch e.t {
+	case "claim":
+		job.state = Running
+		job.started = time.Now()
+		job.attempts++
+		job.cancelRun = e.cancel
+	case "ckpt":
+		job.checkpoint = e.ck
+	case "cancel":
+		cause := e.causes[job.state]
+		switch {
+		case cause == "":
+		case job.state != Running:
+			if job.state == Queued {
+				s.queue.PopWhere(func(j *Job) bool { return j == job })
+			}
+			end(Canceled, cause)
+		case job.cancelCause == "":
+			// The run ends on its canceled context and finishes canceled.
+			job.cancelCause = cause
+			job.cancelRun()
+		}
+	case "retry":
+		job.faults = e.out.faults
+		if job.cancelCause != "" || s.draining || job.attempts > s.cfg.MaxRetries {
+			// No retry may run: the job ends with the faulted attempt's
+			// retained prefixes and fault records, inspectable via /result.
+			job.result, job.progress = e.out.res, e.out.res.Iterations
+			if job.cancelCause != "" {
+				end(Canceled, job.cancelCause)
+			} else {
+				end(Failed, e.msg)
+			}
+			return
+		}
+		s.retries.Add(1)
+		delay := retryDelay(s.cfg, job.spec.Seed, job.attempts)
+		resumeAt := 0
+		if job.checkpoint != nil {
+			resumeAt = job.checkpoint.Iteration
+		}
+		// Trim the R̂ trace back to the resume point: later entries belong to
+		// iterations the retry will re-execute.
+		trim := 0
+		for trim < len(job.rhat) && job.rhat[trim].Iteration <= resumeAt {
+			trim++
+		}
+		job.rhat = job.rhat[:trim]
+		job.progress = resumeAt
+		last := e.out.faults[len(e.out.faults)-1]
+		job.errMsg = fmt.Sprintf("attempt %d: all %d chains faulted (last: %s); retrying from iteration %d",
+			job.attempts, len(e.out.faults), last.Error(), resumeAt)
+		job.state = Retrying
+		job.nextRetry = time.Now().Add(delay)
+		job.retryTimer = time.AfterFunc(delay, func() { s.send(job, event{t: "requeue"}) })
+		job.cancelRun = nil
+	case "requeue":
+		// Only a Retrying job has a timer to fire, and the drain ends
+		// every Retrying job as it closes the queue, under s.mu: the
+		// queue is open here.
+		job.state = Queued
+		job.retryTimer, job.nextRetry = nil, time.Time{}
+		// A retry re-enters via Requeue: it was admitted once already, so
+		// the capacity bound (backpressure for new work) does not apply,
+		// and prepending means recovery work runs ahead of fresh
+		// submissions.
+		_ = s.queue.Requeue(job)
+	case "finish":
+		o := e.out
+		job.result, job.faults, job.summaries, job.maxRHat = o.res, o.faults, o.summaries, o.maxRHat
+		job.progress, job.elided, job.interrupted = o.res.Iterations, o.res.Elided, o.res.Interrupted
+		job.savedIters, job.savedJoules = o.savedIters, o.savedJoules
+		switch {
+		case !o.res.Interrupted:
+			end(Done, "")
+		case job.cancelCause != "":
+			end(Canceled, job.cancelCause)
+		case e.msg != "":
+			end(Failed, e.msg)
+		default:
+			end(Canceled, "canceled")
+		}
+	case "final":
+		end(e.state, e.msg)
+	}
 }
 
 // snapshot returns the jobs in submission order.
@@ -591,9 +727,8 @@ func (s *Server) ListJobs() []JobStatus { return s.Jobs() }
 
 func (s *Server) ServiceStats() any { return s.Stats() }
 
-// worker is one pool goroutine: it pops admitted jobs until the queue is
-// closed, skipping jobs canceled while queued and canceling (not running)
-// jobs popped after drain began.
+// worker is one pool goroutine: it pops admitted jobs and runs them
+// until the queue is closed and empty.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -665,62 +800,50 @@ func (t *traceRule) ShouldStop(chains []*mcmc.Samples, iter int) bool {
 	return stop && t.stop
 }
 
-// runJob executes one claimed job end to end: placement, sampling with
-// live progress and convergence tracking, then finalization. Any panic
-// escaping the job (a buggy workload kernel outside the samplers'
-// per-chain recovery, a summarization bug) is converted into the job's
-// failure record instead of crashing the worker pool.
+// runJob takes one popped job through claim → run → finish: the claim
+// and the finish are events, and the run between them builds, places,
+// samples and summarises. Any panic escaping the job (a buggy workload
+// kernel outside the samplers' per-chain recovery, a summarization bug)
+// becomes the job's failure record instead of crashing the worker pool.
 func (s *Server) runJob(job *Job) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panics.Add(1)
-			s.finalizeFailed(job, fmt.Sprintf("worker panic: %v\n%s", r, debug.Stack()))
+			s.send(job, event{t: "final", state: Failed, msg: fmt.Sprintf("worker panic: %v\n%s", r, debug.Stack())})
 		}
 	}()
-	s.runJobLocked(job)
-}
-
-// runJobLocked is runJob minus the panic barrier.
-func (s *Server) runJobLocked(job *Job) {
+	// The claim hands the job the cancel of its run, so a cancel that
+	// lands any time after the claim stops the run, at iteration zero if
+	// sampling has not started yet.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	s.mu.Lock()
-	draining := s.draining
-	hook := s.beforeRun
-	s.mu.Unlock()
-
 	job.mu.Lock()
-	if job.state != Queued { // canceled while queued
-		job.mu.Unlock()
-		return
-	}
-	if draining {
-		job.state = Canceled
-		job.errMsg = "canceled: server draining"
-		job.finishLocked()
-		job.mu.Unlock()
-		return
-	}
-	// Claim: from here the job counts as running (it holds a worker),
-	// even though sampling starts a few steps later.
-	job.state = Running
-	job.started = time.Now()
-	job.attempts++
-	attempt := job.attempts
-	resume := job.checkpoint // non-nil on retry: last all-healthy snapshot
+	s.apply(job, event{t: "claim", cancel: cancel})
+	claimed, attempt, resume, hook := job.state == Running, job.attempts, job.checkpoint, s.beforeRun
 	job.mu.Unlock()
-
+	s.mu.Unlock()
+	if !claimed { // a cancel or a drain ended it between the pop and the claim
+		return
+	}
 	if hook != nil {
 		hook(job)
 	}
+	s.send(job, s.run(ctx, job, attempt, resume))
+}
 
+// run samples one claimed attempt and returns the event that ends it:
+// finish with the run's outcome, retry when every chain was quarantined,
+// or final when the job could not be built. It writes no lifecycle field;
+// the placement, progress and R̂ trace it records are reports.
+func (s *Server) run(ctx context.Context, job *Job, attempt int, resume *mcmc.Checkpoint) event {
 	w, err := workloads.New(job.spec.Workload, job.spec.Scale, job.spec.Seed)
 	if err != nil {
-		s.finalizeFailed(job, fmt.Sprintf("building workload: %v", err))
-		return
+		return event{t: "final", state: Failed, msg: fmt.Sprintf("building workload: %v", err)}
 	}
 	kind, err := mcmc.ParseSampler(job.spec.Sampler)
 	if err != nil {
-		s.finalizeFailed(job, err.Error())
-		return
+		return event{t: "final", state: Failed, msg: err.Error()}
 	}
 	pl := s.place(job.spec.Workload, w.ModeledDataBytes())
 
@@ -728,25 +851,14 @@ func (s *Server) runJobLocked(job *Job) {
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc
 	if timeout > 0 {
+		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+		defer cancel()
 	}
-	defer cancel()
-
 	job.mu.Lock()
 	job.placement = &pl
-	job.cancelRun = cancel
-	canceledEarly := job.cancelRequested
 	job.mu.Unlock()
-	if canceledEarly {
-		// A DELETE raced the claim before the sampling context existed;
-		// fire it now so the run stops at iteration zero.
-		cancel()
-	}
 
 	rule := &traceRule{det: elide.NewDetector(), job: job, stop: !job.spec.NoElide}
 	cfg := mcmc.Config{
@@ -765,9 +877,7 @@ func (s *Server) runJobLocked(job *Job) {
 		// all-healthy snapshot instead of iteration zero.
 		CheckpointEvery: s.cfg.CheckpointEvery,
 		CheckpointSink: func(ck *mcmc.Checkpoint) {
-			job.mu.Lock()
-			job.checkpoint = ck
-			job.mu.Unlock()
+			s.send(job, event{t: "ckpt", ck: ck})
 			if s.cfg.OnCheckpoint != nil {
 				// After recording: whatever the observer does (e.g. a
 				// cluster worker uploading to its coordinator), the local
@@ -785,29 +895,18 @@ func (s *Server) runJobLocked(job *Job) {
 	// gradient path for served jobs").
 	res := mcmc.RunContext(ctx, cfg, func() mcmc.Target { return model.NewEvaluator(w.Model) })
 
-	faults := res.Faults()
-	if len(faults) > 0 {
-		s.chainFaults.Add(int64(len(faults)))
+	out := &outcome{res: res, faults: res.Faults()}
+	if len(out.faults) > 0 {
+		s.chainFaults.Add(int64(len(out.faults)))
 	}
-	job.mu.Lock()
-	job.faults = faults // always: a clean retry clears the prior attempt's faults
-	job.mu.Unlock()
-	if len(faults) > 0 && len(res.HealthyChains()) == 0 && !res.Interrupted {
+	if len(out.faults) > 0 && len(res.HealthyChains()) == 0 && !res.Interrupted {
 		// Every chain was quarantined: nothing usable came out of this
-		// attempt. Retry from the last all-healthy checkpoint if the
-		// budget allows, otherwise surface the faults as a failure.
-		if s.maybeRetry(job, faults) {
-			return
-		}
-		last := faults[len(faults)-1]
-		s.finalizeFaulted(job, res, fmt.Sprintf(
-			"all %d chains faulted after %d attempt(s); last: %s",
-			len(faults), attempt, last.Error()))
-		return
+		// attempt.
+		last := out.faults[len(out.faults)-1]
+		return event{t: "retry", out: out, msg: fmt.Sprintf("all %d chains faulted after %d attempt(s); last: %s",
+			len(out.faults), attempt, last.Error())}
 	}
 
-	var sums []ParamSummary
-	maxR := 0.0
 	if res.Iterations >= 4 && len(res.HealthyChains()) > 0 {
 		// Summaries and convergence are computed over the healthy chains
 		// only — quarantined prefixes would bias both.
@@ -815,121 +914,24 @@ func (s *Server) runJobLocked(job *Job) {
 		// unconstrained draws, as the stop rule does.
 		draws := res.SecondHalfHealthyDraws()
 		for _, d := range diag.Summarize(model.ConstrainDraws(w.Model, draws)) {
-			sums = append(sums, ParamSummary{
+			out.summaries = append(out.summaries, ParamSummary{
 				Name: d.Name, Mean: d.Mean, SD: d.SD,
 				Q05: d.Q05, Median: d.Median, Q95: d.Q95,
 				RHat: d.RHat, ESS: d.ESS,
 			})
 		}
-		maxR = diag.MaxSplitRHat(draws)
+		out.maxRHat = diag.MaxSplitRHat(draws)
 	}
-
-	var savedIters int64
-	var savedJoules float64
 	if res.Elided {
 		perChain := job.budget - res.Iterations
-		savedIters = int64(perChain) * int64(job.spec.Chains)
-		savedJoules = elisionJoules(w, job.spec.Scale, pl, perChain, job.spec.Chains)
+		out.savedIters = int64(perChain) * int64(job.spec.Chains)
+		out.savedJoules = elisionJoules(w, job.spec.Scale, pl, perChain, job.spec.Chains)
 	}
-
-	job.mu.Lock()
-	job.result = res
-	job.summaries = sums
-	job.maxRHat = maxR
-	job.progress = res.Iterations
-	job.elided = res.Elided
-	job.interrupted = res.Interrupted
-	job.savedIters = savedIters
-	job.savedJoules = savedJoules
-	switch {
-	case !res.Interrupted:
-		job.state = Done
-	case job.cancelRequested:
-		job.state = Canceled
-		job.errMsg = job.cancelCause
-	case ctx.Err() == context.DeadlineExceeded:
-		job.state = Failed
-		job.errMsg = fmt.Sprintf("timeout after %v (%d/%d iterations retained)", timeout, res.Iterations, job.budget)
-	default:
-		job.state = Canceled
-		job.errMsg = "canceled"
+	e := event{t: "finish", out: out}
+	if ctx.Err() == context.DeadlineExceeded {
+		e.msg = fmt.Sprintf("timeout after %v (%d/%d iterations retained)", timeout, res.Iterations, job.budget)
 	}
-	job.finishLocked()
-	job.mu.Unlock()
-}
-
-// finalizeFailed marks a claimed job failed before sampling started.
-func (s *Server) finalizeFailed(job *Job, msg string) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.state.Terminal() { // a cancel raced the failure
-		return
-	}
-	job.state = Failed
-	job.errMsg = msg
-	job.finishLocked()
-}
-
-// finalizeFaulted fails a job whose every chain was quarantined with no
-// retry budget left, keeping the partial result (the retained prefixes
-// and fault records) inspectable via /result.
-func (s *Server) finalizeFaulted(job *Job, res *mcmc.Result, msg string) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.state.Terminal() {
-		return
-	}
-	job.result = res
-	job.progress = res.Iterations
-	job.state = Failed
-	if job.cancelRequested { // a cancel raced the run's own collapse
-		job.state = Canceled
-		job.errMsg = job.cancelCause
-	} else {
-		job.errMsg = msg
-	}
-	job.finishLocked()
-}
-
-// maybeRetry arms a backoff retry for a job whose every chain faulted.
-// It returns false — the caller then finalizes the job as failed — when
-// retries are exhausted or disabled, the job was canceled mid-run, or
-// the server is draining. s.mu is taken before job.mu so arming a retry
-// cannot race Shutdown's queue close: a timer armed here is visible to
-// the drain loop, and a drain in progress refuses the retry.
-func (s *Server) maybeRetry(job *Job, faults []mcmc.ChainFault) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return false
-	}
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.cancelRequested || job.attempts > s.cfg.MaxRetries {
-		return false
-	}
-	s.retries.Add(1)
-	delay := retryDelay(s.cfg, job.spec.Seed, job.attempts)
-	resumeAt := 0
-	if job.checkpoint != nil {
-		resumeAt = job.checkpoint.Iteration
-	}
-	// Trim the R̂ trace back to the resume point: later entries belong to
-	// iterations the retry will re-execute.
-	trim := 0
-	for trim < len(job.rhat) && job.rhat[trim].Iteration <= resumeAt {
-		trim++
-	}
-	job.rhat = job.rhat[:trim]
-	job.progress = resumeAt
-	last := faults[len(faults)-1]
-	job.errMsg = fmt.Sprintf("attempt %d: all %d chains faulted (last: %s); retrying from iteration %d",
-		job.attempts, len(faults), last.Error(), resumeAt)
-	job.state = Retrying
-	job.nextRetry = time.Now().Add(delay)
-	job.retryTimer = time.AfterFunc(delay, func() { s.requeue(job) })
-	job.cancelRun = nil
-	return true
+	return e
 }
 
 // retryDelay is the capped exponential backoff before the attempt-th
@@ -945,49 +947,6 @@ func retryDelay(cfg Config, seed uint64, attempt int) time.Duration {
 	}
 	r := rng.New(seed ^ 0x9e3779b97f4a7c15*uint64(attempt))
 	return time.Duration(float64(d) * (0.75 + 0.5*r.Float64()))
-}
-
-// requeue moves a Retrying job back into the admission queue when its
-// backoff expires (called from the retry timer).
-func (s *Server) requeue(job *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		// The timer raced the drain loop; finish the abandonment here.
-		s.abandonRetry(job, "canceled: server draining with retry pending")
-		return
-	}
-	job.mu.Lock()
-	if job.state != Retrying { // canceled while waiting out the backoff
-		job.mu.Unlock()
-		return
-	}
-	job.state = Queued
-	job.retryTimer = nil
-	job.nextRetry = time.Time{}
-	job.mu.Unlock()
-	// A retry re-enters via Requeue: it was admitted once already, so the
-	// capacity bound (backpressure for new work) does not apply, and
-	// prepending means recovery work runs ahead of fresh submissions.
-	// Safe under s.mu: Shutdown closes the queue under s.mu, and the
-	// draining check above already covered that path.
-	if err := s.queue.Requeue(job); err != nil {
-		s.abandonRetry(job, "canceled: server draining with retry pending")
-	}
-}
-
-// abandonRetry cancels a job stuck in Retrying when its retry can no
-// longer run. Caller holds s.mu.
-func (s *Server) abandonRetry(job *Job, msg string) {
-	job.mu.Lock()
-	defer job.mu.Unlock()
-	if job.state != Retrying {
-		return
-	}
-	job.retryTimer = nil
-	job.state = Canceled
-	job.errMsg = msg
-	job.finishLocked()
 }
 
 // elisionJoules converts a job's elided iterations into simulated energy

@@ -165,6 +165,46 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
+// TestCancelWhileQueuedFreesSlot: a job canceled while queued leaves the
+// queue at once. The next submission at capacity is admitted, and the
+// queue depth /v1/stats counts from job states agrees with the one
+// /readyz reads off the queue.
+func TestCancelWhileQueuedFreesSlot(t *testing.T) {
+	s, entered, gate := gatedServer(t, Config{Workers: 1, QueueCap: 1})
+	depths := func(want int) {
+		t.Helper()
+		if st, c := s.Stats().QueueDepth, s.Capability().QueueDepth; st != want || c != want {
+			t.Fatalf("queue depth: stats %d, capability %d; want both %d", st, c, want)
+		}
+	}
+	blocker, err := s.Submit(smallSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	victim, err := s.Submit(smallSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths(1)
+	if _, err := s.Cancel(victim.ID()); err != nil {
+		t.Fatalf("cancel queued: %v", err)
+	}
+	depths(0)
+	next, err := s.Submit(smallSpec(3))
+	if err != nil {
+		t.Fatalf("submit after a queued cancel freed the slot: %v", err)
+	}
+	depths(1)
+	close(gate)
+	for _, j := range []*Job{blocker, next} {
+		if st := waitDone(t, j, 30*time.Second); st.State != Done {
+			t.Fatalf("job %s ended %s (%s), want done", st.ID, st.State, st.Error)
+		}
+	}
+	depths(0)
+}
+
 // TestCancelWhileRunning: canceling mid-sampling interrupts the run
 // promptly and retains the completed draws as a partial result.
 func TestCancelWhileRunning(t *testing.T) {
